@@ -4,7 +4,7 @@
 For the star on 6 vertices the eigenvalue 1 has multiplicity 4:
   1. rational elimination on L - I (no rounding anywhere),
   2. dividing the minimal polynomial out of the characteristic polynomial,
-  3. clustering the eigenvalues of a cyclic Jacobi sweep.
+  3. clustering the floating-point eigenvalues from LAPACK.
 The acceptance suite does this for every tree up to order 12; here the
 intermediate objects are printed so the routes are visible.
 """
@@ -42,9 +42,9 @@ print(f"minimal poly of the eigenvalue:     {list(mu.coeffs)}")
 mult = root_multiplicity(phi, mu)
 print(f"factor multiplicity: {mult}")
 
-# route 3: floating point, no numpy.linalg involved
+# route 3: floating point, LAPACK through numpy.linalg
 spectrum = eigen_symmetric(lap)
-print(f"\nJacobi eigenvalues: {[round(x, 10) for x in spectrum.eigenvalues]}")
+print(f"\nLAPACK eigenvalues: {[round(x, 10) for x in spectrum.eigenvalues]}")
 print(f"clusters (rep, size): {list(spectrum.clusters)}")
 print(f"cluster size at 1.0: {cluster_multiplicity(spectrum, 1.0)}")
 

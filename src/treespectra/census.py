@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .classify import classify_m1
@@ -340,9 +341,10 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_entry_for_edges, all_edges, chunksize=16))
+            entry_for = partial(_entry_for_edges, tol=tol)
+            entries = list(pool.map(entry_for, all_edges, chunksize=16))
     else:
-        entries = [_entry_for_edges(edges) for edges in all_edges]
+        entries = [_entry_for_edges(edges, tol) for edges in all_edges]
 
     entries = [e for e in entries if _matches(e, filter_name)]
     entries.sort(key=lambda e: (e.n, e.canonical))

@@ -11,6 +11,7 @@ mod-3 family, and p-2 exactly on a three-legged-core family decided by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,16 +101,10 @@ def pendant_distance_gcd(tree: Tree) -> int:
         raise TooFewPendants(f"need at least two pendants, found {len(pendants)}")
     g = 0
     for u, w in combinations(pendants, 2):
-        g = _gcd(g, tree.distance_row(u)[w] + 1)
+        g = math.gcd(g, tree.distance_row(u)[w] + 1)
         if g == 1:
             break
     return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def admissible_q(tree: Tree) -> CongruenceCertificate:

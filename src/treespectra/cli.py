@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -363,6 +364,23 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+_TOL_HELP = (
+    "clustering tolerance: eigenvalues closer than tau = max(1e-8, 1e3*tol*||L||_F) "
+    "form one cluster (finite, >= 0)"
+)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treespectra",
@@ -378,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="classify one tree from an edge-list file")
     p_check.add_argument("input", help="edge-list file: one 'u v' pair per line")
-    p_check.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
+    p_check.add_argument("--tol", type=_tolerance, default=1e-12, help=_TOL_HELP)
     add_mode_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -388,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("input", help="edge-list file: one 'u v' pair per line")
     p_basis.add_argument("--q", type=int, required=True, help="modulus parameter, 2q+1 >= 3")
     p_basis.add_argument("--b", type=int, default=0, help="branch index in [0, q)")
-    p_basis.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
+    p_basis.add_argument("--tol", type=_tolerance, default=1e-12, help=_TOL_HELP)
     p_basis.add_argument("--out", help="write vectors as CSV to this file")
     add_mode_flags(p_basis)
     p_basis.set_defaults(func=cmd_eigenbasis)
@@ -399,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=("csv", "json", "dot"), default="csv")
     p_enum.add_argument("--out", help="output file (or directory for dot)")
     p_enum.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p_enum.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
+    p_enum.add_argument("--tol", type=_tolerance, default=1e-12, help=_TOL_HELP)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser

@@ -69,10 +69,6 @@ class NonSymmetric(TreeSpectraError):
     """The matrix handed to the symmetric eigensolver is not symmetric."""
 
 
-class NoConvergence(TreeSpectraError):
-    """The rotation sweep cap was reached before the off-diagonal mass died."""
-
-
 class ZeroVector(TreeSpectraError):
     """The all-zero vector was passed where an eigenvector is required."""
 

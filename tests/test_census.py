@@ -13,7 +13,7 @@ from treespectra import (
     prufer_count_oracle,
     tree_name,
 )
-from treespectra.errors import CapExceeded
+from treespectra.errors import CapExceeded, OracleDisagreement
 
 # one isomorphism class per row; the classic census of free trees
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -141,6 +141,13 @@ class TestBuildCatalog:
 
     def test_parallel_matches_serial(self):
         assert build_catalog(6, jobs=2) == build_catalog(6)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tol_reaches_the_float_route(self, jobs):
+        # tau = 1e3 * 1e-2 * ||L||_F exceeds every spectral gap, so every
+        # cluster merges and the numeric route must disagree with the exact one
+        with pytest.raises(OracleDisagreement):
+            build_catalog(5, jobs=jobs, tol=1e-2)
 
     def test_validation(self):
         with pytest.raises(CapExceeded):

@@ -107,6 +107,17 @@ class TestExitCodes:
         assert main(["check"]) == 2
         assert main(["--help"]) == 0
 
+    def test_bad_tol_is_2(self, tmp_path, capsys):
+        f = write(tmp_path, "t.txt", SPIDER114)
+        commands = (["check", f], ["eigenbasis", f, "--q", "1"], ["enumerate", "--max-n", "4"])
+        for command in commands:
+            for value in ("nan", "inf", "-inf", "-1"):
+                assert main([*command, f"--tol={value}"]) == 2
+                err = capsys.readouterr().err
+                assert "--tol" in err
+                assert "Traceback" not in err
+            assert main([*command, "--tol", "0"]) == 0
+
     def test_oracle_disagreement_is_3(self, tmp_path, capsys, monkeypatch):
         def boom(tree, tol):
             raise OracleDisagreement("fake mismatch", edges=((1, 2),))

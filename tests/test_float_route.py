@@ -1,0 +1,131 @@
+"""Float route against the exact routes on trees past the exhaustive order 12.
+
+Random trees come from uniformly drawn Prufer sequences (orders 13..60);
+extremal trees are built from the congruence rule: legs of length = q
+(mod 2q+1) at every major vertex, majors joined by paths of length = 0
+(mod 2q+1).  Both generators live here so the test shares no code with
+the package's own enumeration or the benchmark inputs.
+"""
+
+import heapq
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from treespectra import (
+    classify_vertices,
+    cluster_multiplicity,
+    eigen_symmetric,
+    extremal_lambda_set,
+    from_edge_list,
+    laplacian,
+    multiplicity_exact,
+    rational_nullity,
+)
+
+EXTREMAL_MAX_N = 45  # char_poly is O(n^4) in pure Python; keeps the suite fast
+
+SETTINGS = settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def prufer_tree(seq):
+    """Decode a Prufer sequence over labels 1..len(seq)+2 into a tree."""
+    n = len(seq) + 2
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return from_edge_list(edges)
+
+
+@st.composite
+def random_trees(draw):
+    n = draw(st.integers(13, 60))
+    seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+    return prufer_tree(seq)
+
+
+@st.composite
+def extremal_trees(draw):
+    """A non-path tree of order <= EXTREMAL_MAX_N whose pendant gcd is a multiple of 2q+1.
+
+    Legs have length q or 3q+1 and inter-major paths length m or 2m.  The
+    smallest tree for the drawn shape is laid out first; each optional
+    extension (a longer leg or path, one more leg) is drawn only while the
+    order stays within the cap.
+    """
+    q = draw(st.integers(1, 4))
+    m = 2 * q + 1
+    majors = draw(st.integers(1, 3))
+    # major i > 0 hangs off an earlier major
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, majors)]
+    links = [0] * majors
+    for i, parent in enumerate(parents, start=1):
+        links[i] += 1
+        links[parent] += 1
+    min_legs = [max(1, 3 - k) for k in links]  # every major keeps degree >= 3
+    slack = EXTREMAL_MAX_N - (majors + (majors - 1) * (m - 1) + q * sum(min_legs))
+
+    def extend(cost):
+        nonlocal slack
+        if cost <= slack and draw(st.booleans()):
+            slack -= cost
+            return True
+        return False
+
+    edges = []
+    labels = iter(range(majors + 1, EXTREMAL_MAX_N + 1))
+
+    def add_path(start, length):
+        prev = start
+        for _ in range(length):
+            nxt = next(labels)
+            edges.append((prev, nxt))
+            prev = nxt
+        return prev
+
+    for i, parent in enumerate(parents, start=1):
+        length = 2 * m if extend(m) else m
+        edges.append((add_path(parent + 1, length - 1), i + 1))
+    for major in range(majors):
+        legs = min_legs[major] + sum(extend(q) for _ in range(3 - min_legs[major]))
+        for _ in range(legs):
+            add_path(major + 1, q + m if extend(m) else q)
+    return q, from_edge_list(edges)
+
+
+@SETTINGS
+@given(random_trees())
+def test_float_clusters_match_exact_nullity_on_random_trees(tree):
+    lap = laplacian(tree)
+    spectrum = eigen_symmetric(lap)
+    assert cluster_multiplicity(spectrum, 1.0) == rational_nullity(lap, 1)
+    p = len(classify_vertices(tree).pendants)
+    assert max(mult for _, mult in spectrum.clusters) <= p - 1
+
+
+@settings(SETTINGS, max_examples=25)
+@given(extremal_trees())
+def test_float_clusters_reach_p_minus_1_on_extremal_trees(case):
+    q, tree = case
+    p = len(classify_vertices(tree).pendants)
+    spectrum = eigen_symmetric(laplacian(tree))
+    params = extremal_lambda_set(tree)
+    assert any(param.ratio.denominator == 2 * q + 1 for param in params)
+    for param in params:
+        assert cluster_multiplicity(spectrum, param.value) == p - 1
+        assert multiplicity_exact(tree, param) == p - 1
