@@ -19,9 +19,7 @@ from .trees import (
     classify_vertices,
     distance,
     path_between,
-    glue_at_vertex,
     remove_branch,
-    nodes_mod3,
 )
 from .exact import (
     LambdaParam,
@@ -46,11 +44,8 @@ from .construct import (
     ConstructionTrace,
     path_eigenpair,
     path_internal_zero_vector,
-    extend_by_zeros,
-    prune_pendant_zero,
     nullspace_with_zeros,
     eigenbasis_extremal,
-    signless_pattern_vector,
 )
 from .classify import (
     CongruenceCertificate,
@@ -69,6 +64,8 @@ from .classify import (
 from .census import (
     ORDER_CAP,
     CatalogEntry,
+    Certificate,
+    certify,
     free_trees,
     canonical_form,
     canonical_relabel,
@@ -91,9 +88,7 @@ __all__ = [
     "classify_vertices",
     "distance",
     "path_between",
-    "glue_at_vertex",
     "remove_branch",
-    "nodes_mod3",
     # exact
     "LambdaParam",
     "IntPolynomial",
@@ -115,11 +110,8 @@ __all__ = [
     "ConstructionTrace",
     "path_eigenpair",
     "path_internal_zero_vector",
-    "extend_by_zeros",
-    "prune_pendant_zero",
     "nullspace_with_zeros",
     "eigenbasis_extremal",
-    "signless_pattern_vector",
     # classify
     "CongruenceCertificate",
     "FamilyFlags",
@@ -136,6 +128,8 @@ __all__ = [
     # census
     "ORDER_CAP",
     "CatalogEntry",
+    "Certificate",
+    "certify",
     "free_trees",
     "canonical_form",
     "canonical_relabel",

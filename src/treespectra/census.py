@@ -1,5 +1,9 @@
 """Exhaustive generation of unlabeled trees and the cross-checked catalog.
 
+:func:`certify` is the one place where the congruence rule, the exact
+multiplicities and the numeric clusters are checked against each other;
+``check`` and the catalog both go through it.
+
 Free trees are produced from the classic rooted level-sequence successor
 rule, filtered down to one representative per isomorphism class by keeping
 only sequences that equal the centroid-rooted canonical form of their own
@@ -10,20 +14,30 @@ sequence, bucket by canonical shape) backs the census for small orders.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
-from .classify import classify_m1
+from .classify import ClassificationReport, classify_m1
 from .errors import CapExceeded, OracleDisagreement
-from .exact import laplacian, multiplicity_exact, rational_nullity
-from .numeric import cluster_multiplicity, eigen_symmetric
+from .exact import (
+    IntPolynomial,
+    LambdaParam,
+    char_poly,
+    laplacian,
+    minimal_poly_lambda,
+    rational_nullity,
+    root_multiplicity,
+)
+from .numeric import Spectrum, cluster_multiplicity, eigen_symmetric
 from .trees import Tree, classify_vertices, from_edge_list, single_vertex
 
 __all__ = [
     "ORDER_CAP",
     "CatalogEntry",
+    "LambdaRow",
+    "Certificate",
+    "certify",
     "free_trees",
     "canonical_levels",
     "canonical_form",
@@ -254,6 +268,84 @@ def tree_name(tree: Tree) -> str:
     return ""
 
 
+@dataclass(frozen=True)
+class LambdaRow:
+    """One extremal eigenvalue with its minimal polynomial and both multiplicities."""
+
+    param: LambdaParam
+    minimal_poly: IntPolynomial
+    exact: int
+    numeric: int
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A tree's verdicts after every route agreed on them.
+
+    ``report`` is the combinatorial verdict (already checked against the
+    exact nullity at 1), ``spectrum`` the float route, ``lambda_rows`` one
+    row per extremal eigenvalue, ``m1_numeric`` the numeric m(T,1) and
+    ``reaches_p_minus_1`` whether some numeric cluster has size p-1.
+    """
+
+    report: ClassificationReport
+    spectrum: Spectrum
+    lambda_rows: tuple[LambdaRow, ...]
+    m1_numeric: int
+    reaches_p_minus_1: bool
+
+
+def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
+    """Run the oracle gauntlet on a tree with at least two vertices.
+
+    The congruence rule, the exact multiplicities (one characteristic
+    polynomial per tree, built only when some eigenvalue is extremal) and
+    the numeric clusters must agree on the extremal verdict, on the
+    multiplicity p-1 of every extremal eigenvalue, and on m(T,1); any
+    disagreement raises OracleDisagreement naming the quantity, each
+    route's value and the tree's edges.
+    """
+    report = classify_m1(tree)
+    p = report.p
+    lap = laplacian(tree)
+    spectrum = eigen_symmetric(lap, tol=tol)
+    has_big_cluster = any(mult == p - 1 for _, mult in spectrum.clusters)
+    if report.extremal != has_big_cluster:
+        raise OracleDisagreement(
+            f"extremal verdict {report.extremal} but numeric clusters "
+            f"{spectrum.clusters} {'reach' if has_big_cluster else 'miss'} p-1={p - 1}",
+            edges=tree.edges,
+        )
+
+    rows = []
+    phi = char_poly(lap) if report.lambda_set else None
+    for param in report.lambda_set:
+        mu = minimal_poly_lambda(param)
+        exact = root_multiplicity(phi, mu)
+        numeric = cluster_multiplicity(spectrum, param.value)
+        if exact != p - 1 or numeric != p - 1:
+            raise OracleDisagreement(
+                f"multiplicity of ratio {param.ratio} (value {param.value:.6f}) "
+                f"is not p-1={p - 1} on every route: exact {exact}, numeric {numeric}",
+                edges=tree.edges,
+            )
+        rows.append(LambdaRow(param=param, minimal_poly=mu, exact=exact, numeric=numeric))
+
+    m1_numeric = cluster_multiplicity(spectrum, 1.0)
+    if m1_numeric != report.m1_exact:
+        raise OracleDisagreement(
+            f"m(T,1) disagrees: numeric {m1_numeric}, exact {report.m1_exact}",
+            edges=tree.edges,
+        )
+    return Certificate(
+        report=report,
+        spectrum=spectrum,
+        lambda_rows=tuple(rows),
+        m1_numeric=m1_numeric,
+        reaches_p_minus_1=has_big_cluster,
+    )
+
+
 def _entry_for_edges(edges, tol: float = 1e-12) -> CatalogEntry:
     tree = from_edge_list(edges) if edges else single_vertex()
     if tree.n == 1:
@@ -269,37 +361,11 @@ def _entry_for_edges(edges, tol: float = 1e-12) -> CatalogEntry:
             edges=(),
         )
 
-    report = classify_m1(tree)
-    p = report.p
-    spectrum = eigen_symmetric(laplacian(tree), tol=tol)
-    has_big_cluster = any(mult == p - 1 for _, mult in spectrum.clusters)
-    if report.extremal != has_big_cluster:
-        raise OracleDisagreement(
-            f"extremal verdict {report.extremal} but numeric clusters "
-            f"{spectrum.clusters} {'reach' if has_big_cluster else 'miss'} p-1={p - 1}",
-            edges=tree.edges,
-        )
-    for param in report.lambda_set:
-        if multiplicity_exact(tree, param) != p - 1:
-            raise OracleDisagreement(
-                f"exact multiplicity of ratio {param.ratio} is not p-1",
-                edges=tree.edges,
-            )
-        if cluster_multiplicity(spectrum, param.value) != p - 1:
-            raise OracleDisagreement(
-                f"numeric multiplicity at {param.value:.6f} is not p-1",
-                edges=tree.edges,
-            )
-    if cluster_multiplicity(spectrum, 1.0) != report.m1_exact:
-        raise OracleDisagreement(
-            f"numeric multiplicity at 1 disagrees with exact {report.m1_exact}",
-            edges=tree.edges,
-        )
-
+    report = certify(tree, tol).report
     return CatalogEntry(
         canonical=canonical_form(tree),
         n=tree.n,
-        p=p,
+        p=report.p,
         extremal=report.extremal,
         lambda_ratios=tuple(str(prm.ratio) for prm in report.lambda_set),
         m1_class=report.m1_class,
@@ -324,9 +390,8 @@ def _matches(entry: CatalogEntry, filter_name: str) -> bool:
 def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: float = 1e-12):
     """Catalog every tree of order <= max_n with cross-checked verdicts.
 
-    Each entry passes the full oracle gauntlet (combinatorial class vs
-    exact nullity vs numeric clusters); any disagreement raises
-    OracleDisagreement carrying the offending edge list.  Entries are
+    Each entry of order >= 2 passes :func:`certify`; any disagreement
+    raises OracleDisagreement carrying the offending edge list.  Entries are
     sorted by (n, canonical form).  ``jobs > 1`` fans the per-tree work out
     to worker processes, order preserved.
     """
@@ -340,6 +405,10 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
             all_edges.append(tree.edges)
 
     if jobs > 1:
+        # Imported here: multiprocessing adds about 2 MB to every process
+        # that imports the package, and only this branch needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entry_for = partial(_entry_for_edges, tol=tol)
             entries = list(pool.map(entry_for, all_edges, chunksize=16))

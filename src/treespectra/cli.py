@@ -23,8 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel
-from .classify import classify_m1
+from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel, certify
 from .construct import eigenbasis_extremal
 from .errors import (
     CapExceeded,
@@ -38,8 +37,7 @@ from .errors import (
     TooFewPendants,
     TreeSpectraError,
 )
-from .exact import laplacian, minimal_poly_lambda, multiplicity_exact
-from .numeric import cluster_multiplicity, eigen_symmetric, numeric_rank, residual_norm
+from .numeric import numeric_rank, residual_norm
 from .trees import classify_vertices, from_edge_list, parse_edge_list_text
 
 SCHEMA_VERSION = 1
@@ -112,50 +110,28 @@ def _witness_dict(witness):
 
 
 def _check_payload(tree, tol: float) -> dict:
-    report = classify_m1(tree)
-    p = report.p
-    spectrum = eigen_symmetric(laplacian(tree), tol=tol)
-    has_big_cluster = any(mult == p - 1 for _, mult in spectrum.clusters)
-    if report.extremal != has_big_cluster:
-        raise OracleDisagreement(
-            "numeric clusters disagree with the extremal verdict", edges=tree.edges
-        )
-
-    lambda_rows = []
-    for param in report.lambda_set:
-        exact_mult = multiplicity_exact(tree, param)
-        numeric_mult = cluster_multiplicity(spectrum, param.value)
-        if exact_mult != p - 1 or numeric_mult != p - 1:
-            raise OracleDisagreement(
-                f"multiplicity of {param.ratio} is not p-1 on every route",
-                edges=tree.edges,
-            )
-        lambda_rows.append(
-            {
-                "q": param.q,
-                "b": param.b,
-                "ratio": str(param.ratio),
-                "value": fmt_float(param.value),
-                "minimal_poly": list(minimal_poly_lambda(param).coeffs),
-                "multiplicity_exact": exact_mult,
-                "multiplicity_numeric": numeric_mult,
-            }
-        )
-
-    m1_numeric = cluster_multiplicity(spectrum, 1.0)
-    if m1_numeric != report.m1_exact:
-        raise OracleDisagreement(
-            "numeric multiplicity at 1 disagrees with the exact nullity",
-            edges=tree.edges,
-        )
-
-    cert = report.certificate
+    cert = certify(tree, tol)
+    report = cert.report
+    spectrum = cert.spectrum
+    lambda_rows = [
+        {
+            "q": row.param.q,
+            "b": row.param.b,
+            "ratio": str(row.param.ratio),
+            "value": fmt_float(row.param.value),
+            "minimal_poly": list(row.minimal_poly.coeffs),
+            "multiplicity_exact": row.exact,
+            "multiplicity_numeric": row.numeric,
+        }
+        for row in cert.lambda_rows
+    ]
+    congruence = report.certificate
     return {
         "congruence": {
-            "g": cert.g,
-            "admissible_moduli": list(cert.admissible_moduli),
-            "q_list": list(cert.q_list),
-            "is_path": cert.is_path,
+            "g": congruence.g,
+            "admissible_moduli": list(congruence.admissible_moduli),
+            "q_list": list(congruence.q_list),
+            "is_path": congruence.is_path,
         },
         "is_extremal": report.extremal,
         "lambda_set": lambda_rows,
@@ -165,8 +141,8 @@ def _check_payload(tree, tol: float) -> dict:
             "gamma_witness": _witness_dict(report.gamma_witness),
         },
         "oracles": {
-            "numeric_cluster_reaches_p_minus_1": has_big_cluster,
-            "m1_numeric": m1_numeric,
+            "numeric_cluster_reaches_p_minus_1": cert.reaches_p_minus_1,
+            "m1_numeric": cert.m1_numeric,
             "agree": True,
         },
         "spectrum": {
@@ -269,8 +245,7 @@ def cmd_eigenbasis(args) -> int:
                 fh.write(f"{idx}," + ",".join(fmt_float(x) for x in pair.vector) + "\n")
         payload["out"] = args.out
 
-    parameters = {"q": args.q, "b": args.b, "tol": fmt_float(args.tol)}
-    envelope = _envelope("eigenbasis", parameters, tree, payload, started)
+    envelope = _envelope("eigenbasis", {"q": args.q, "b": args.b}, tree, payload, started)
     if args.text:
         lines = [
             f"lambda = {payload['lambda']} (ratio {payload['ratio']})",
@@ -406,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("input", help="edge-list file: one 'u v' pair per line")
     p_basis.add_argument("--q", type=int, required=True, help="modulus parameter, 2q+1 >= 3")
     p_basis.add_argument("--b", type=int, default=0, help="branch index in [0, q)")
-    p_basis.add_argument("--tol", type=_tolerance, default=1e-12, help=_TOL_HELP)
     p_basis.add_argument("--out", help="write vectors as CSV to this file")
     add_mode_flags(p_basis)
     p_basis.set_defaults(func=cmd_eigenbasis)

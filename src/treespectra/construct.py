@@ -23,18 +23,12 @@ from .errors import (
     IndexOutOfRange,
     LabelOutOfRange,
     NoMajorVertex,
-    NonzeroAtPendant,
-    NonzeroAtSharedVertex,
-    NotPendant,
-    ZeroVector,
 )
 from .exact import LambdaParam
 from .trees import (
     Tree,
     TreePath,
     classify_vertices,
-    glue_at_vertex,
-    glue_label_map,
     path_between,
     remove_branch,
 )
@@ -45,14 +39,10 @@ __all__ = [
     "InternalZeroPath",
     "GlueStep",
     "ConstructionTrace",
-    "PatternReport",
     "path_eigenpair",
     "path_internal_zero_vector",
-    "extend_by_zeros",
-    "prune_pendant_zero",
     "nullspace_with_zeros",
     "eigenbasis_extremal",
-    "signless_pattern_vector",
 ]
 
 ZERO_TOL = 1e-10
@@ -107,18 +97,6 @@ class ConstructionTrace:
     glue_steps: tuple[GlueStep, ...]
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    """Where the 1, 0, -1 signless kernel pattern lands along a pendant leg."""
-
-    path: tuple[int, ...]
-    start: int
-    major: int
-    length: int
-    major_position_mod3: int
-    major_value: int
-
-
 def path_eigenpair(n: int, j: int) -> EigenPair:
     """The j-th Laplacian eigenpair of the path on n vertices.
 
@@ -169,59 +147,6 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
         zero_vertex=zero_vertex,
         record=PathRecord(k1=k1, k2=k2, n1=n1, n2=n2, delta=delta),
     )
-
-
-def extend_by_zeros(t1: Tree, t2: Tree, shared, pair: EigenPair):
-    """Zero-pad an eigenpair of ``t1`` across a tree glued on at one vertex.
-
-    ``shared`` is the (vertex of t1, vertex of t2) identification.  The
-    vector must vanish at the shared vertex, otherwise the extension is not
-    an eigenvector; returns ``(glued_tree, extended_pair)``.
-    """
-    vector = np.asarray(pair.vector, dtype=float)
-    if float(np.max(np.abs(vector))) == 0.0:
-        raise ZeroVector("cannot extend the zero vector")
-    if isinstance(shared, dict):
-        (v1, v2), = shared.items()
-    else:
-        v1, v2 = shared
-    if abs(vector[v1 - 1]) > ZERO_TOL:
-        raise NonzeroAtSharedVertex(
-            f"vector is {vector[v1 - 1]:.3e} at shared vertex {v1}, expected 0"
-        )
-    glued = glue_at_vertex(t1, t2, (v1, v2))
-    out = np.zeros(glued.n)
-    out[: t1.n] = vector
-    return glued, EigenPair(value=pair.value, vector=out, param=pair.param)
-
-
-def prune_pendant_zero(tree: Tree, pair: EigenPair, pendant: int):
-    """Drop a pendant where the eigenvector vanishes.
-
-    When an eigenvector is zero at a pendant it is forced to be zero at the
-    pendant's neighbor too, so the restriction to the remaining tree is
-    again an eigenvector for the same eigenvalue.  Returns the pruned tree,
-    the restricted pair, and the old-to-new label map.
-    """
-    if tree.degree(pendant) != 1:
-        raise NotPendant(f"vertex {pendant} has degree {tree.degree(pendant)}")
-    vector = np.asarray(pair.vector, dtype=float)
-    if abs(vector[pendant - 1]) > ZERO_TOL:
-        raise NonzeroAtPendant(
-            f"vector is {vector[pendant - 1]:.3e} at pendant {pendant}, expected 0"
-        )
-    survivors = [v for v in range(1, tree.n + 1) if v != pendant]
-    label_map = {old: new for new, old in enumerate(survivors, start=1)}
-    edges = [
-        (label_map[a], label_map[b])
-        for a, b in tree.edges
-        if a != pendant and b != pendant
-    ]
-    from .trees import _build  # internal constructor, inputs known valid
-
-    pruned = _build(len(survivors), edges)
-    out = np.array([vector[old - 1] for old in survivors])
-    return pruned, EigenPair(value=pair.value, vector=out, param=pair.param), label_map
 
 
 def nullspace_with_zeros(tree: Tree, lam, zero_at=()):
@@ -396,37 +321,3 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
         glue_steps=tuple(steps),
     )
     return pairs, trace
-
-
-def signless_pattern_vector(tree: Tree, start: int):
-    """Lay the period-3 pattern 1, 0, -1 from a pendant toward its major.
-
-    Used to probe signless-Laplacian kernels at eigenvalue 1: walking in
-    from a pendant, positions 1, 2, 3, ... carry values 1, 0, -1, 1, ...
-    The walk stops at the first vertex of degree >= 3.  Returns the partial
-    assignment as a dict plus a report of where the major landed.
-    """
-    classes = classify_vertices(tree)
-    if not classes.majors:
-        raise NoMajorVertex("pattern needs a major vertex to walk toward")
-    if tree.degree(start) != 1:
-        raise NotPendant(f"vertex {start} has degree {tree.degree(start)}")
-
-    walk = [start]
-    prev = None
-    current = start
-    while classes.degrees[current] < 3:
-        nxt = next(x for x in tree.adjacency[current] if x != prev)
-        prev, current = current, nxt
-        walk.append(current)
-
-    pattern = {1: 1, 2: 0, 0: -1}
-    values = {v: pattern[i % 3] for i, v in enumerate(walk, start=1)}
-    return values, PatternReport(
-        path=tuple(walk),
-        start=start,
-        major=current,
-        length=len(walk) - 1,
-        major_position_mod3=len(walk) % 3,
-        major_value=values[current],
-    )

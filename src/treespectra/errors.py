@@ -29,24 +29,12 @@ class LabelOutOfRange(TreeSpectraError):
     """A vertex label is missing from the tree or is not a positive integer."""
 
 
-class InvalidIdentification(TreeSpectraError):
-    """A glue request does not identify exactly one vertex of each operand."""
-
-
 class AnchorNotOnPath(TreeSpectraError):
     """The anchor passed to a branch removal is not the final path vertex."""
 
 
 class NotPendant(TreeSpectraError):
     """The vertex was required to have degree one."""
-
-
-class NonzeroAtPendant(TreeSpectraError):
-    """A prune needs the vector to vanish at the pendant being removed."""
-
-
-class NonzeroAtSharedVertex(TreeSpectraError):
-    """A zero-extension needs the vector to vanish at the glue vertex."""
 
 
 class CongruenceViolated(TreeSpectraError):
@@ -66,7 +54,7 @@ class ZeroPolynomial(TreeSpectraError):
 
 
 class NonSymmetric(TreeSpectraError):
-    """The matrix handed to the symmetric eigensolver is not symmetric."""
+    """The matrix handed to the symmetric eigensolver is not a finite symmetric matrix."""
 
 
 class ZeroVector(TreeSpectraError):

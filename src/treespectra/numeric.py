@@ -46,11 +46,14 @@ def eigen_symmetric(matrix, tol: float = 1e-12, want_vectors: bool = False) -> S
     """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigvalsh``/``eigh``).
 
     The clustering tolerance is ``tau = max(1e-8, 1e3 * tol * ||M||)``,
-    with ``||M||`` the Frobenius norm of the input.
+    with ``||M||`` the Frobenius norm of the input.  Raises NonSymmetric
+    unless the input is a finite, square, symmetric matrix.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonSymmetric("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not symmetric")
     norm = float(np.linalg.norm(a))

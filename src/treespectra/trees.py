@@ -3,8 +3,7 @@
 A :class:`Tree` lives on the contiguous label set ``1..n``.  Construction
 goes through :func:`from_edge_list`, which relabels arbitrary positive
 integer labels by first appearance and rejects anything that is not a tree.
-All surgery helpers (:func:`glue_at_vertex`, :func:`remove_branch`) return
-new trees; nothing here mutates.
+:func:`remove_branch` returns a new tree; nothing here mutates.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.
@@ -15,7 +14,6 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import (
     AnchorNotOnPath,
@@ -23,7 +21,6 @@ from .errors import (
     Disconnected,
     DuplicateEdge,
     EmptyInput,
-    InvalidIdentification,
     LabelOutOfRange,
     NotPendant,
     ParseError,
@@ -40,10 +37,7 @@ __all__ = [
     "classify_vertices",
     "distance",
     "path_between",
-    "glue_at_vertex",
-    "glue_label_map",
     "remove_branch",
-    "nodes_mod3",
 ]
 
 
@@ -272,48 +266,6 @@ def path_between(tree: Tree, u: int, v: int) -> TreePath:
     return TreePath(tuple(reversed(walk)))
 
 
-def glue_label_map(n1: int, n2: int, v1: int, v2: int) -> dict[int, int]:
-    """Deterministic relabeling used by :func:`glue_at_vertex`.
-
-    Maps the second operand's labels into the glued tree: ``v2`` lands on
-    ``v1``, every other label keeps its relative order above ``n1``.
-    """
-    out = {}
-    for w in range(1, n2 + 1):
-        if w == v2:
-            out[w] = v1
-        elif w < v2:
-            out[w] = n1 + w
-        else:
-            out[w] = n1 + w - 1
-    return out
-
-
-def glue_at_vertex(t1: Tree, t2: Tree, shared) -> Tree:
-    """Identify one vertex of ``t1`` with one vertex of ``t2``.
-
-    ``shared`` is either a pair ``(v1, v2)`` or a one-item mapping
-    ``{v1: v2}``.  Labels of ``t1`` survive unchanged; the rest of ``t2``
-    is appended per :func:`glue_label_map`.
-    """
-    if isinstance(shared, dict):
-        if len(shared) != 1:
-            raise InvalidIdentification("exactly one vertex pair must be identified")
-        (v1, v2), = shared.items()
-    else:
-        try:
-            v1, v2 = shared
-        except (TypeError, ValueError):
-            raise InvalidIdentification(f"cannot read {shared!r} as a vertex pair") from None
-    if not (isinstance(v1, int) and 1 <= v1 <= t1.n):
-        raise InvalidIdentification(f"label {v1!r} not in the first tree")
-    if not (isinstance(v2, int) and 1 <= v2 <= t2.n):
-        raise InvalidIdentification(f"label {v2!r} not in the second tree")
-    mapping = glue_label_map(t1.n, t2.n, v1, v2)
-    edges = list(t1.edges) + [(mapping[a], mapping[b]) for a, b in t2.edges]
-    return _build(t1.n + t2.n - 1, edges)
-
-
 def remove_branch(tree: Tree, path, keep_anchor: int):
     """Delete a pendant path except its final (anchor) vertex.
 
@@ -353,24 +305,3 @@ def remove_branch(tree: Tree, path, keep_anchor: int):
     ]
     originals = tuple(tree.original_labels[old - 1] for old in survivors)
     return _build(len(survivors), edges, original_labels=originals), label_map
-
-
-def nodes_mod3(tree: Tree) -> tuple[int, ...]:
-    """Vertices at distance 1 (mod 3) from every pendant.
-
-    A pendant is never a node (its distance to itself is 0), so trees with
-    any pendant at the wrong residue simply have fewer nodes.  The
-    one-vertex tree has no pendants and its lone vertex qualifies vacuously.
-    """
-    pendants = classify_vertices(tree).pendants
-    out = []
-    for v in range(1, tree.n + 1):
-        row = tree.distance_row(v)
-        if all(row[u] % 3 == 1 for u in pendants):
-            out.append(v)
-    return tuple(out)
-
-
-def pendant_pairs(tree: Tree):
-    """Iterate sorted pendant pairs ``(u, w)`` with ``u < w``."""
-    return combinations(classify_vertices(tree).pendants, 2)

@@ -8,6 +8,8 @@ from treespectra import (
     build_catalog,
     canonical_form,
     canonical_relabel,
+    census,
+    certify,
     free_trees,
     from_edge_list,
     prufer_count_oracle,
@@ -25,6 +27,18 @@ def path(n):
 
 def star(k):
     return from_edge_list([(1, i) for i in range(2, k + 2)])
+
+
+def spider(*legs):
+    edges = []
+    nxt = 2
+    for length in legs:
+        prev = 1
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return from_edge_list(edges)
 
 
 def shuffled_copy(tree, seed):
@@ -154,3 +168,32 @@ class TestBuildCatalog:
             build_catalog(ORDER_CAP + 1)
         with pytest.raises(ValueError):
             build_catalog(4, "bogus")
+
+
+class TestCertify:
+    @pytest.fixture
+    def char_poly_orders(self, monkeypatch):
+        """Order of every matrix certify hands to char_poly."""
+        orders = []
+        real = census.char_poly
+
+        def counting(matrix):
+            orders.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(census, "char_poly", counting)
+        return orders
+
+    def test_char_poly_built_once_per_tree(self, char_poly_orders):
+        # legs = 3 (mod 7): q = 3 gives three extremal eigenvalues
+        cert = certify(spider(3, 3, 3))
+        assert [str(row.param.ratio) for row in cert.lambda_rows] == ["1/7", "3/7", "5/7"]
+        assert all(row.exact == row.numeric == 2 for row in cert.lambda_rows)
+        assert char_poly_orders == [10]
+
+    def test_no_char_poly_off_the_extremal_set(self, char_poly_orders):
+        cert = certify(spider(1, 1, 2))
+        assert not cert.report.extremal
+        assert cert.lambda_rows == ()
+        assert cert.m1_numeric == cert.report.m1_exact
+        assert char_poly_orders == []

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from treespectra.cli import CSV_HEADER, dumps_report, fmt_float, main
-from treespectra.errors import OracleDisagreement
 
 K13 = "# a star\n1 2\n1 3\n1 4\n"
 SPIDER112_A = "1 2\n1 3\n1 4\n4 5\n"
@@ -109,24 +108,31 @@ class TestExitCodes:
 
     def test_bad_tol_is_2(self, tmp_path, capsys):
         f = write(tmp_path, "t.txt", SPIDER114)
-        commands = (["check", f], ["eigenbasis", f, "--q", "1"], ["enumerate", "--max-n", "4"])
-        for command in commands:
+        for command in (["check", f], ["enumerate", "--max-n", "4"]):
             for value in ("nan", "inf", "-inf", "-1"):
                 assert main([*command, f"--tol={value}"]) == 2
                 err = capsys.readouterr().err
                 assert "--tol" in err
                 assert "Traceback" not in err
             assert main([*command, "--tol", "0"]) == 0
+        # eigenbasis clusters no eigenvalues, so it takes no --tol at all
+        for value in ("nan", "inf", "-inf", "-1", "0"):
+            assert main(["eigenbasis", f, "--q", "1", f"--tol={value}"]) == 2
+            err = capsys.readouterr().err
+            assert "--tol" in err
+            assert "Traceback" not in err
 
     def test_oracle_disagreement_is_3(self, tmp_path, capsys, monkeypatch):
-        def boom(tree, tol):
-            raise OracleDisagreement("fake mismatch", edges=((1, 2),))
-
-        monkeypatch.setattr("treespectra.cli._check_payload", boom)
-        assert main(["check", write(tmp_path, "t.txt", K13)]) == 3
-        err = capsys.readouterr().err
-        assert "oracle disagreement" in err
-        assert "offending edges" in err
+        # A numeric route that finds no eigenvalue anywhere disagrees with
+        # the exact routes inside certify, which check and enumerate share.
+        monkeypatch.setattr("treespectra.census.cluster_multiplicity", lambda spectrum, value: -1)
+        f = write(tmp_path, "t.txt", K13)
+        for command in (["check", f], ["enumerate", "--max-n", "4"]):
+            assert main(command) == 3
+            err = capsys.readouterr().err
+            assert "oracle disagreement" in err
+            assert "offending edges" in err
+            assert "numeric -1" in err
 
 
 class TestEigenbasis:

@@ -7,25 +7,18 @@ import pytest
 from treespectra import (
     classify_vertices,
     eigenbasis_extremal,
-    extend_by_zeros,
     from_edge_list,
     numeric_rank,
     nullspace_with_zeros,
     path_eigenpair,
     path_internal_zero_vector,
-    prune_pendant_zero,
     residual_norm,
-    signless_pattern_vector,
 )
 from treespectra.errors import (
     CongruenceViolated,
     IndexOutOfRange,
     LabelOutOfRange,
     NoMajorVertex,
-    NonzeroAtPendant,
-    NonzeroAtSharedVertex,
-    NotPendant,
-    ZeroVector,
 )
 
 S3 = math.sqrt(3) / 2
@@ -117,53 +110,6 @@ class TestInternalZeroVector:
             path_internal_zero_vector(1, 4, q=1, b=1)
         with pytest.raises(CongruenceViolated):
             path_internal_zero_vector(1, 1, q=0, b=0)
-
-
-class TestExtendByZeros:
-    def test_path_to_star(self):
-        t1 = path(3)
-        pair = path_eigenpair(3, 1)
-        glued, big = extend_by_zeros(t1, path(2), (2, 1), pair)
-        assert glued.n == 4
-        assert sorted(glued.degree(v) for v in range(1, 5)) == [1, 1, 1, 3]
-        assert np.allclose(big.vector, [S3, 0, -S3, 0], atol=1e-14)
-        assert residual_norm(glued, big.value, big.vector) < 1e-12
-
-    def test_rejects_nonzero_shared(self):
-        with pytest.raises(NonzeroAtSharedVertex):
-            extend_by_zeros(path(3), path(2), (1, 1), path_eigenpair(3, 1))
-
-    def test_rejects_zero_vector(self):
-        from treespectra import EigenPair
-
-        with pytest.raises(ZeroVector):
-            extend_by_zeros(path(3), path(2), (2, 1), EigenPair(1.0, np.zeros(3)))
-
-
-class TestPrunePendantZero:
-    def test_star_leg(self):
-        from treespectra import EigenPair
-
-        t = star(3)
-        pair = EigenPair(1.0, np.array([0.0, 1.0, -1.0, 0.0]))
-        pruned, small, label_map = prune_pendant_zero(t, pair, 4)
-        assert pruned.n == 3
-        assert label_map == {1: 1, 2: 2, 3: 3}
-        assert np.allclose(small.vector, [0.0, 1.0, -1.0])
-        assert residual_norm(pruned, 1.0, small.vector) < 1e-12
-
-    def test_rejects_internal_vertex(self):
-        from treespectra import EigenPair
-
-        with pytest.raises(NotPendant):
-            prune_pendant_zero(star(3), EigenPair(1.0, np.zeros(4) + 1), 1)
-
-    def test_rejects_nonzero_pendant(self):
-        from treespectra import EigenPair
-
-        pair = EigenPair(1.0, np.array([0.0, 1.0, -1.0, 0.0]))
-        with pytest.raises(NonzeroAtPendant):
-            prune_pendant_zero(star(3), pair, 2)
 
 
 class TestNullspaceWithZeros:
@@ -264,29 +210,3 @@ class TestEigenbasisExtremal:
     def test_rejects_paths(self):
         with pytest.raises(NoMajorVertex):
             eigenbasis_extremal(path(6), q=1)
-
-
-class TestSignlessPattern:
-    def test_leg_of_length_two(self):
-        t = spider(1, 1, 2)
-        values, report = signless_pattern_vector(t, 5)
-        assert values == {5: 1, 4: 0, 1: -1}
-        assert report.path == (5, 4, 1)
-        assert report.major == 1
-        assert report.length == 2
-        assert report.major_position_mod3 == 0
-        assert report.major_value == -1
-
-    def test_leg_of_length_one(self):
-        values, report = signless_pattern_vector(star(3), 2)
-        assert values == {2: 1, 1: 0}
-        assert report.major_position_mod3 == 2
-        assert report.major_value == 0
-
-    def test_rejects_path_tree(self):
-        with pytest.raises(NoMajorVertex):
-            signless_pattern_vector(path(3), 1)
-
-    def test_rejects_non_pendant_start(self):
-        with pytest.raises(NotPendant):
-            signless_pattern_vector(star(3), 1)

@@ -50,6 +50,11 @@ class TestEigenSymmetric:
         with pytest.raises(NonSymmetric):
             eigen_symmetric(((0, 1, 0),))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonSymmetric):
+            eigen_symmetric(((bad, 0.0), (0.0, 1.0)))
+
     def test_vectors_are_orthonormal_eigenvectors(self):
         t = from_edge_list([(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)])
         spec = eigen_symmetric(laplacian(t), want_vectors=True)

@@ -5,8 +5,6 @@ from treespectra import (
     classify_vertices,
     distance,
     from_edge_list,
-    glue_at_vertex,
-    nodes_mod3,
     parse_edge_list_text,
     path_between,
     remove_branch,
@@ -18,7 +16,6 @@ from treespectra.errors import (
     Disconnected,
     DuplicateEdge,
     EmptyInput,
-    InvalidIdentification,
     LabelOutOfRange,
     NotPendant,
     ParseError,
@@ -124,25 +121,6 @@ class TestDistanceAndPaths:
                 assert walk.vertices[0] == u and walk.vertices[-1] == v
 
 
-class TestGlue:
-    def test_p3_plus_p2_makes_star(self):
-        p3, p2 = path(3), path(2)
-        glued = glue_at_vertex(p3, p2, (2, 1))
-        assert glued.n == 4
-        assert sorted(len(a) for a in glued.adjacency[1:]) == [1, 1, 1, 3]
-
-    def test_accepts_mapping(self):
-        glued = glue_at_vertex(path(2), path(2), {2: 1})
-        assert glued.n == 3
-        assert classify_vertices(glued).majors == ()
-
-    def test_rejects_bad_identification(self):
-        with pytest.raises(InvalidIdentification):
-            glue_at_vertex(path(2), path(2), (5, 1))
-        with pytest.raises(InvalidIdentification):
-            glue_at_vertex(path(2), path(2), {1: 1, 2: 2})
-
-
 class TestRemoveBranch:
     def test_path_example(self):
         t = path(5)
@@ -165,23 +143,6 @@ class TestRemoveBranch:
     def test_must_start_at_pendant(self):
         with pytest.raises(NotPendant):
             remove_branch(path(5), TreePath((2, 3)), keep_anchor=3)
-
-
-class TestNodesMod3:
-    def test_spider_1_1_4(self):
-        t = from_edge_list([(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (6, 7)])
-        # center plus the long-leg vertex at distance 3 from it
-        assert nodes_mod3(t) == (1, 6)
-
-    def test_path_4(self):
-        # middle vertices are at distances 1 and 2 from the two ends
-        assert nodes_mod3(path(4)) == ()
-
-    def test_star(self):
-        assert nodes_mod3(star(4)) == (1,)
-
-    def test_single_vertex_vacuous(self):
-        assert nodes_mod3(single_vertex()) == (1,)
 
 
 class TestParseText:
