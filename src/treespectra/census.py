@@ -13,7 +13,6 @@ sequence, bucket by canonical shape) backs the census for small orders.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -128,20 +127,38 @@ def _centroids(tree: Tree) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _block(tree: Tree, v: int, parent: int, depth: int) -> tuple[int, ...]:
-    children = sorted(
-        (_block(tree, w, v, depth + 1) for w in tree.adjacency[v] if w != parent),
-        reverse=True,
-    )
-    out = (depth,)
-    for child in children:
-        out += child
-    return out
+def _rooted_levels(tree: Tree, root: int) -> tuple[int, ...]:
+    # Level sequence rooted at ``root`` (root at level 1) with every
+    # vertex's child blocks in decreasing order.  Children come before
+    # parents in the reversed breadth-first order, so one pass over
+    # list-indexed parent and depth arrays builds every block bottom-up,
+    # with no recursion.
+    parent = [0] * (tree.n + 1)
+    depth = [0] * (tree.n + 1)
+    depth[root] = 1
+    order = [root]
+    for v in order:
+        for w in tree.adjacency[v]:
+            if w != parent[v]:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+    child_blocks: list = [[] for _ in range(tree.n + 1)]
+    for v in reversed(order):
+        blocks = child_blocks[v]
+        child_blocks[v] = None  # frees each block once used: O(n) live, not O(n^2)
+        blocks.sort(reverse=True)
+        out = [depth[v]]
+        for block in blocks:
+            out += block
+        if v == root:
+            return tuple(out)
+        child_blocks[parent[v]].append(tuple(out))
 
 
 def canonical_levels(tree: Tree) -> tuple[int, ...]:
     """Centroid-rooted maximal level sequence; equal iff trees isomorphic."""
-    return max(_block(tree, c, 0, 1) for c in _centroids(tree))
+    return max(_rooted_levels(tree, c) for c in _centroids(tree))
 
 
 def canonical_form(tree: Tree) -> str:
@@ -175,71 +192,87 @@ def free_trees(n: int, cap: int = ORDER_CAP):
             yield tree
 
 
-def _decode_prufer(code, n: int):
-    # Heap-based decode; returns adjacency lists over 0..n-1.
-    remaining = [0] * n
-    for x in code:
-        remaining[x] += 1
-    leaves = [v for v in range(n) if remaining[v] == 0]
-    heapq.heapify(leaves)
-    adj = [[] for _ in range(n)]
-    for x in code:
-        leaf = heapq.heappop(leaves)
-        adj[leaf].append(x)
-        adj[x].append(leaf)
-        remaining[x] -= 1
-        if remaining[x] == 0:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    adj[u].append(v)
-    adj[v].append(u)
-    return adj
+def _decoded_key(code, n: int, memo: dict):
+    """Decode a Prufer code (a tuple over 0..n-1) and key its tree in one pass.
 
-
-def _free_key(adj, n: int, memo: dict) -> int:
-    # Interned canonical id: same id within one memo iff isomorphic.
-    parent = [-1] * n
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
+    Returns ``(key, parent)``.  ``key`` is an interned centroid-rooted AHU
+    id: within one ``memo``, two codes get the same key iff their trees are
+    isomorphic.  ``parent[v]`` is v's neighbour towards the root n-1, for
+    every v < n-1.
+    """
+    # Linear smallest-leaf decode: each removed leaf hangs under its code
+    # entry, and the last one under n-1, which is never removed.  A vertex
+    # is removed only after all of its children, so its rooted id (the
+    # sorted tuple of child ids) and its subtree size are final at that
+    # moment and are computed on the spot.
+    root = n - 1
+    degree = [1] * (n + 1)  # degree[n] is a sentinel that stops the leaf scan
+    for x in code:
+        degree[x] += 1
+    parent = [root] * n
+    kid_ids: list = [[] for _ in range(n)]
+    ids = [0] * n
     size = [1] * n
-    for v in reversed(order):
-        if v:
-            size[parent[v]] += size[v]
-    best = n + 1
-    centroids = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in adj[v]:
-            if parent[w] == v and w != 0:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best:
-            best = heaviest
-            centroids = [v]
-        elif heaviest == best:
-            centroids.append(v)
+    leaf_id = memo.setdefault((), len(memo))
+    half = (n + 1) // 2
+    # The vertices of size > n/2 form a path down from the root; the first
+    # one removed is its lower end, the centroid.  A vertex of size exactly
+    # n/2 is a child of the centroid and the second centroid.
+    centroid = root
+    twin = -1
+    ptr = degree.index(1)
+    leaf = ptr
+    for x in code + (root,):
+        kids = kid_ids[leaf]
+        if kids:
+            kids.sort()
+            rid = memo.setdefault(tuple(kids), len(memo))
+        else:
+            rid = leaf_id
+        ids[leaf] = rid
+        parent[leaf] = x
+        kid_ids[x].append(rid)
+        s = size[leaf]
+        size[x] += s
+        if s >= half:
+            if s + s == n:
+                twin = leaf
+            elif centroid == root:
+                centroid = leaf
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
 
-    def rooted_id(v: int, par: int) -> int:
-        key = tuple(sorted(rooted_id(w, v) for w in adj[v] if w != par))
-        rid = memo.get(key)
-        if rid is None:
-            rid = len(memo)
-            memo[key] = rid
-        return rid
-
-    return min(rooted_id(c, -1) for c in centroids)
+    # Re-root at the centroid: only the ids along the root-to-centroid path
+    # change.  ``up`` holds the id of everything above the current vertex.
+    path = [centroid]
+    while path[-1] != root:
+        path.append(parent[path[-1]])
+    up = []
+    for i in range(len(path) - 1, 0, -1):
+        kids = kid_ids[path[i]] + up
+        kids.remove(ids[path[i - 1]])
+        up = [memo.setdefault(tuple(sorted(kids)), len(memo))]
+    kids = kid_ids[centroid] + up
+    key = memo.setdefault(tuple(sorted(kids)), len(memo))
+    if twin >= 0:
+        kids.remove(ids[twin])
+        down = memo.setdefault(tuple(sorted(kids)), len(memo))
+        twin_key = memo.setdefault(tuple(sorted(kid_ids[twin] + [down])), len(memo))
+        key = min(key, twin_key)
+    return key, parent
 
 
 def prufer_count_oracle(n: int) -> int:
     """Count isomorphism classes by brute force over all n^(n-2) labeled trees.
 
-    Only sensible for n in 2..9; each decoded tree is bucketed by an
-    interned centroid-canonical shape id.
+    Only sensible for n in 2..9; each code is decoded and bucketed by an
+    interned centroid-canonical shape id in one pass.
     """
     if not 2 <= n <= 9:
         raise CapExceeded(f"brute-force census supports 2..9, got {n}")
@@ -248,8 +281,7 @@ def prufer_count_oracle(n: int) -> int:
     memo: dict = {}
     seen: set[int] = set()
     for code in product(range(n), repeat=n - 2):
-        adj = _decode_prufer(code, n)
-        seen.add(_free_key(adj, n, memo))
+        seen.add(_decoded_key(code, n, memo)[0])
     return len(seen)
 
 

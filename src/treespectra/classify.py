@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import NotExtremal, OracleDisagreement, TooFewPendants
+from .errors import InvariantViolated, NotExtremal, OracleDisagreement, TooFewPendants
 from .exact import LambdaParam, laplacian, rational_nullity
 from .trees import Tree, classify_vertices, path_between
 
@@ -277,7 +277,12 @@ def _check_attachments(tree: Tree, major: int, trio, core: set):
         anchors = {
             y for x in comp for y in tree.adjacency[x] if y in core
         }
-        assert len(anchors) == 1  # tree structure: one edge into the core
+        if len(anchors) != 1:  # tree structure: one edge into the core
+            raise InvariantViolated(
+                f"component {sorted(comp)} meets the core at {sorted(anchors)}, "
+                "not at exactly one vertex",
+                edges=tree.edges,
+            )
         by_anchor.setdefault(anchors.pop(), []).append(frozenset(comp))
 
     row_m = tree.distance_row(major)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     CongruenceViolated,
     IndexOutOfRange,
+    InvariantViolated,
     LabelOutOfRange,
     NoMajorVertex,
 )
@@ -138,10 +139,18 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
     pair = EigenPair(value=pair.value, vector=pair.vector, param=param)
     zero_vertex = k1 + 1
 
-    # The closed form guarantees these; the asserts catch integer slips.
-    assert abs(pair.vector[zero_vertex - 1]) <= ZERO_TOL
+    # The closed form guarantees these; the checks catch integer slips.
+    if abs(pair.vector[zero_vertex - 1]) > ZERO_TOL:
+        raise InvariantViolated(
+            f"closed-form path vector is {pair.vector[zero_vertex - 1]!r}, not 0, "
+            f"at vertex {zero_vertex} (k1={k1}, k2={k2}, q={q}, b={b})"
+        )
     gamma = (2 * b + 1) / (2 * q + 1)
-    assert abs(pair.vector[0] - math.cos(gamma * math.pi / 2.0)) <= 1e-12
+    if abs(pair.vector[0] - math.cos(gamma * math.pi / 2.0)) > 1e-12:
+        raise InvariantViolated(
+            f"closed-form path vector starts at {pair.vector[0]!r}, "
+            f"not cos({gamma}*pi/2) (k1={k1}, k2={k2}, q={q}, b={b})"
+        )
     return InternalZeroPath(
         pair=pair,
         zero_vertex=zero_vertex,
@@ -228,9 +237,17 @@ def _basis_recurse(tree: Tree, q: int, b: int, to_original, records, steps):
         # index is integral and the closed-form eigenvector applies directly.
         u, w = pendants
         walk = path_between(tree, u, w).vertices
-        assert len(walk) == tree.n
+        if len(walk) != tree.n:
+            raise InvariantViolated(
+                f"two-pendant tree of order {tree.n} has a {len(walk)}-vertex end-to-end walk",
+                edges=tree.edges,
+            )
         j, rem = divmod(tree.n * (2 * b + 1), 2 * q + 1)
-        assert rem == 0
+        if rem:
+            raise InvariantViolated(
+                f"bare path of order {tree.n} is not divisible by 2q+1={2 * q + 1}",
+                edges=tree.edges,
+            )
         pair = path_eigenpair(tree.n, j)
         vec = np.zeros(tree.n)
         for idx, vertex in enumerate(walk):
@@ -272,7 +289,11 @@ def _basis_recurse(tree: Tree, q: int, b: int, to_original, records, steps):
         lifted = _lift(sub, new_to_old, tree.n)
         # Every deeper vector vanishes at the anchor, so zero-padding across
         # the removed leg keeps it an eigenvector of the larger tree.
-        assert abs(lifted[anchor - 1]) <= ZERO_TOL
+        if abs(lifted[anchor - 1]) > ZERO_TOL:
+            raise InvariantViolated(
+                f"deeper eigenvector is {lifted[anchor - 1]!r}, not 0, at anchor {anchor}",
+                edges=tree.edges,
+            )
         out.append(lifted)
 
     vec = np.zeros(tree.n)

@@ -89,6 +89,15 @@ class OracleDisagreement(TreeSpectraError):
         self.edges = tuple(edges) if edges is not None else None
 
 
+class InvariantViolated(OracleDisagreement):
+    """A mathematical invariant that the code relies on failed to hold.
+
+    Raised where an exact division, a closed form or a fact of tree
+    structure is guaranteed by the mathematics, so a failure means a bug;
+    like any oracle disagreement it makes the CLI exit with code 3.
+    """
+
+
 class ParseError(TreeSpectraError):
     """Malformed edge-list text.  ``line`` is the 1-based offending line."""
 

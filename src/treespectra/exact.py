@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ZeroPolynomial
+from .errors import InvariantViolated, ZeroPolynomial
 from .trees import Tree
 
 __all__ = [
@@ -161,7 +161,8 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
             for j in range(c + 1, ncols):
                 num = pv * ri[j] - f * rr[j]
                 qt, rm = divmod(num, prev)
-                assert rm == 0, "fraction-free update must divide exactly"
+                if rm:
+                    raise InvariantViolated("fraction-free update must divide exactly")
                 ri[j] = qt
             ri[c] = 0
         prev = pv
@@ -239,7 +240,8 @@ def cyclotomic(m: int) -> IntPolynomial:
             if m % d == 0:
                 den = poly_mul(den, cyclotomic(d))
         result, rem = poly_divmod(num, den)
-        assert rem.degree < 0, "cyclotomic division must be exact"
+        if rem.degree >= 0:
+            raise InvariantViolated(f"cyclotomic division for index {m} must be exact")
     _CYCLOTOMIC_CACHE[m] = result
     return result
 
@@ -257,7 +259,8 @@ def minimal_poly_lambda(param: LambdaParam) -> IntPolynomial:
     s = r.denominator
     phi = cyclotomic(2 * s)
     deg = phi.degree
-    assert deg % 2 == 0
+    if deg % 2:
+        raise InvariantViolated(f"cyclotomic polynomial of index {2 * s} has odd degree {deg}")
     h = deg // 2
 
     # Fold the palindrome: repeatedly strip a_k * x^h * (x + 1/x)^k.
@@ -268,7 +271,8 @@ def minimal_poly_lambda(param: LambdaParam) -> IntPolynomial:
         psi[k] = a
         for i in range(k + 1):
             work[h + k - 2 * i] -= a * math.comb(k, i)
-    assert not any(work), "cyclotomic polynomial must fold exactly"
+    if any(work):
+        raise InvariantViolated(f"cyclotomic polynomial of index {2 * s} must fold exactly")
 
     # Compose psi(2 - x) by Horner over integer polynomials.
     two_minus_x = IntPolynomial((2, -1))
@@ -278,7 +282,8 @@ def minimal_poly_lambda(param: LambdaParam) -> IntPolynomial:
         acc = IntPolynomial((acc.coeffs[0] + psi[k],) + acc.coeffs[1:])
     if acc.coeffs[-1] < 0:
         acc = IntPolynomial(tuple(-c for c in acc.coeffs))
-    assert acc.coeffs[-1] == 1
+    if acc.coeffs[-1] != 1:
+        raise InvariantViolated(f"minimal polynomial of ratio {r} is not monic: {acc.coeffs}")
     return acc
 
 

@@ -1,5 +1,7 @@
+import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -39,6 +41,53 @@ def spider(*legs):
             prev = nxt
             nxt += 1
     return from_edge_list(edges)
+
+
+def caterpillar(spine):
+    # one leaf hangs off every spine vertex
+    edges = [(i, i + 1) for i in range(1, spine)]
+    edges += [(i, spine + i) for i in range(1, spine + 1)]
+    return from_edge_list(edges)
+
+
+def _child_blocks(levels, start, end):
+    # (start, end) of each child block of the block levels[start:end]
+    top = levels[start] + 1
+    blocks = []
+    i = start + 1
+    while i < end:
+        j = i + 1
+        while j < end and levels[j] > top:
+            j += 1
+        blocks.append((i, j))
+        i = j
+    return blocks
+
+
+def _rooted_aut_order(levels, start, end):
+    # identical child blocks can be permuted among themselves
+    blocks = _child_blocks(levels, start, end)
+    order = 1
+    for mult in Counter(levels[a:b] for a, b in blocks).values():
+        order *= math.factorial(mult)
+    for a, b in blocks:
+        order *= _rooted_aut_order(levels, a, b)
+    return order
+
+
+def aut_order(tree):
+    """|Aut T|, read off the centroid-rooted canonical level sequence."""
+    levels = census.canonical_levels(tree)
+    n = len(levels)
+    order = _rooted_aut_order(levels, 0, n)
+    for a, b in _child_blocks(levels, 0, n):
+        if 2 * (b - a) == n:
+            # bicentral: the child block of size n/2 is the other centroid's
+            # half; the two halves may also be swapped when identical
+            half = tuple(level - 1 for level in levels[a:b])
+            if half == levels[:a] + levels[b:]:
+                order *= 2
+    return order
 
 
 def shuffled_copy(tree, seed):
@@ -93,6 +142,23 @@ class TestCanonicalForm:
         assert canonical_form(path(4)) == "1,2,3,2"
         assert canonical_form(star(3)) == "1,2,2,2"
 
+    def test_long_path_without_recursion(self):
+        tree = canonical_relabel(shuffled_copy(path(5000), 3))
+        # rooted at a middle vertex: the 2500-vertex side first, then 2499
+        levels = (1,) + tuple(range(2, 2502)) + tuple(range(2, 2501))
+        assert census.canonical_levels(tree) == levels
+        assert canonical_relabel(tree).edges == tree.edges
+
+    def test_long_caterpillar_without_recursion(self):
+        tree = caterpillar(1500)
+        relabeled = canonical_relabel(shuffled_copy(tree, 4))
+        assert relabeled.n == 3000
+        assert canonical_form(relabeled) == canonical_form(tree)
+        assert canonical_relabel(relabeled).edges == relabeled.edges
+        assert sorted(map(len, relabeled.adjacency[1:])) == sorted(
+            map(len, tree.adjacency[1:])
+        )
+
 
 class TestPruferOracle:
     def test_agrees_with_generator(self):
@@ -104,6 +170,48 @@ class TestPruferOracle:
             prufer_count_oracle(1)
         with pytest.raises(CapExceeded):
             prufer_count_oracle(10)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_decode_is_a_bijection(self, n):
+        trees = set()
+        for code in product(range(n), repeat=n - 2):
+            _, parent = census._decoded_key(code, n, {})
+            edges = [(v, parent[v]) for v in range(n - 1)]
+            from_edge_list((u + 1, w + 1) for u, w in edges)  # raises unless a tree
+            degree = Counter(v for edge in edges for v in edge)
+            assert [degree[v] for v in range(n)] == [1 + code.count(v) for v in range(n)]
+            trees.add(frozenset(frozenset(edge) for edge in edges))
+        assert len(trees) == n ** (n - 2)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_class_sizes_are_orbit_sizes(self, n):
+        # each shape T is hit by exactly n!/|Aut T| labeled trees
+        memo = {}
+        keys = Counter(
+            census._decoded_key(code, n, memo)[0]
+            for code in product(range(n), repeat=n - 2)
+        )
+        orbits = [math.factorial(n) // aut_order(tree) for tree in free_trees(n)]
+        assert sorted(keys.values()) == sorted(orbits)
+
+    def test_aut_order_known_shapes(self):
+        assert aut_order(star(7)) == math.factorial(7)
+        assert aut_order(path(8)) == 2
+        assert aut_order(path(7)) == 2
+        assert aut_order(spider(2, 2, 2)) == 6
+        assert aut_order(spider(1, 1, 2)) == 2
+        # double star: two leaves on each centroid, and the halves swap
+        assert aut_order(from_edge_list([(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)])) == 8
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_cayley_orbit_stabilizer(self, n):
+        # sum over shapes of n!/|Aut T| counts the n^(n-2) labeled trees
+        total = 0
+        for tree in free_trees(n):
+            orbit, rem = divmod(math.factorial(n), aut_order(tree))
+            assert rem == 0
+            total += orbit
+        assert total * n * n == n**n
 
 
 class TestTreeName:

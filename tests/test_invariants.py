@@ -1,0 +1,60 @@
+"""Mathematical invariants in the package raise instead of asserting.
+
+An ``assert`` vanishes under ``python -O``; every invariant check raises
+``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from treespectra import LambdaParam, exact, minimal_poly_lambda
+from treespectra.errors import InvariantViolated
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treespectra"
+
+# x + 1 has odd degree, so it cannot be the cyclotomic polynomial of index 6
+BOGUS_CYCLOTOMIC_6 = (1, 1)
+
+
+def test_no_assert_in_package():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def test_minimal_poly_raises_on_a_broken_invariant(monkeypatch):
+    monkeypatch.setitem(exact._CYCLOTOMIC_CACHE, 6, exact.IntPolynomial(BOGUS_CYCLOTOMIC_6))
+    with pytest.raises(InvariantViolated, match="odd degree"):
+        minimal_poly_lambda(LambdaParam(1, 0))  # ratio 1/3, index 6
+
+
+def test_check_exits_3_under_optimize(tmp_path):
+    # the star K_{1,3} has the extremal eigenvalue of ratio 1/3
+    tree = tmp_path / "star.txt"
+    tree.write_text("1 2\n1 3\n1 4\n")
+    script = (
+        "import sys\n"
+        "from treespectra import exact\n"
+        "from treespectra.cli import main\n"
+        f"exact._CYCLOTOMIC_CACHE[6] = exact.IntPolynomial({BOGUS_CYCLOTOMIC_6})\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "check", str(tree)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "odd degree" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
