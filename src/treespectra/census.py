@@ -7,8 +7,10 @@ multiplicities and the numeric clusters are checked against each other;
 Free trees are produced from the classic rooted level-sequence successor
 rule, filtered down to one representative per isomorphism class by keeping
 only sequences that equal the centroid-rooted canonical form of their own
-underlying tree.  An independent brute-force count (decode every Prufer
-sequence, bucket by canonical shape) backs the census for small orders.
+underlying tree; that test is read off the sizes of the root's subtrees,
+and a tree is built only for a sequence that survives it.  An independent
+brute-force count (decode every Prufer sequence, bucket by canonical
+shape) backs the census for small orders.
 """
 
 from __future__ import annotations
@@ -187,9 +189,32 @@ def free_trees(n: int, cap: int = ORDER_CAP):
         yield single_vertex()
         return
     for seq in _level_sequences(n):
-        tree = _tree_from_levels(seq)
-        if canonical_levels(tree) == seq:
-            yield tree
+        heaviest = _heaviest_root_block(seq)
+        if heaviest + heaviest < n:
+            # The root is the only centroid, and every successor-rule
+            # sequence is already the maximal form of its rooted tree.
+            yield _tree_from_levels(seq)
+        elif heaviest + heaviest == n:
+            # Two centroids, the root and its heavy child: compare both.
+            tree = _tree_from_levels(seq)
+            if canonical_levels(tree) == seq:
+                yield tree
+        # Otherwise the root is no centroid, and the canonical form of the
+        # tree is rooted at one, so it is not this sequence.
+
+
+def _heaviest_root_block(seq) -> int:
+    # Order of the root's largest subtree.  Each subtree's block of the
+    # level sequence starts at a level-2 entry and runs to the next one.
+    n = len(seq)
+    heaviest = 0
+    start = 1
+    for _ in range(seq.count(2) - 1):
+        end = seq.index(2, start + 1)
+        if end - start > heaviest:
+            heaviest = end - start
+        start = end
+    return max(heaviest, n - start)
 
 
 def _decoded_key(code, n: int, memo: dict):
@@ -378,8 +403,7 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     )
 
 
-def _entry_for_edges(edges, tol: float = 1e-12) -> CatalogEntry:
-    tree = from_edge_list(edges) if edges else single_vertex()
+def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
     if tree.n == 1:
         return CatalogEntry(
             canonical=canonical_form(tree),
@@ -431,21 +455,17 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
     if max_n > ORDER_CAP:
         raise CapExceeded(f"order {max_n} above the supported cap {ORDER_CAP}")
-    all_edges = []
-    for n in range(1, max_n + 1):
-        for tree in free_trees(n):
-            all_edges.append(tree.edges)
-
+    trees = (tree for n in range(1, max_n + 1) for tree in free_trees(n))
+    entry_for = partial(_catalog_entry, tol=tol)
     if jobs > 1:
         # Imported here: multiprocessing adds about 2 MB to every process
         # that imports the package, and only this branch needs it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entry_for = partial(_entry_for_edges, tol=tol)
-            entries = list(pool.map(entry_for, all_edges, chunksize=16))
+            entries = list(pool.map(entry_for, trees, chunksize=16))
     else:
-        entries = [_entry_for_edges(edges, tol) for edges in all_edges]
+        entries = list(map(entry_for, trees))
 
     entries = [e for e in entries if _matches(e, filter_name)]
     entries.sort(key=lambda e: (e.n, e.canonical))

@@ -22,6 +22,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel, certify
 from .construct import eigenbasis_extremal
@@ -37,6 +39,7 @@ from .errors import (
     TooFewPendants,
     TreeSpectraError,
 )
+from .exact import laplacian
 from .numeric import numeric_rank, residual_norm
 from .trees import classify_vertices, from_edge_list, parse_edge_list_text
 
@@ -64,7 +67,10 @@ def dumps_report(obj) -> str:
 
 
 def _load_tree(path: str):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not text ({exc.reason} at byte {exc.start})") from None
     return from_edge_list(parse_edge_list_text(text))
 
 
@@ -207,7 +213,8 @@ def cmd_eigenbasis(args) -> int:
     started = time.perf_counter()
     tree = canonical_relabel(_load_tree(args.input))
     pairs, trace = eigenbasis_extremal(tree, args.q, args.b)
-    residuals = [residual_norm(tree, pair.value, pair.vector) for pair in pairs]
+    lap = np.array(laplacian(tree), dtype=float)
+    residuals = [residual_norm(tree, pair.value, pair.vector, lap=lap) for pair in pairs]
     rank = numeric_rank([pair.vector for pair in pairs], tol=1e-8)
     param = pairs[0].param
 

@@ -80,9 +80,9 @@ class InternalZeroPath:
 
 @dataclass(frozen=True)
 class GlueStep:
-    """One recursion step of the basis construction, in original labels:
-    the chosen pendant pair, the single major vertex on their path, and
-    the vertex set of the component kept for the recursive call."""
+    """One peel step of the basis construction, in original labels: the
+    chosen pendant pair, the single major vertex on their path, and the
+    vertex set of the component kept for the next step."""
 
     pendant_pair: tuple[int, int]
     anchor: int
@@ -221,86 +221,86 @@ def nullspace_with_zeros(tree: Tree, lam, zero_at=()):
     return tuple(Fraction(v) for v in ints)
 
 
-def _lift(vector: np.ndarray, new_to_old: dict[int, int], size: int) -> np.ndarray:
-    out = np.zeros(size)
-    for sub_label, old_label in new_to_old.items():
-        out[old_label - 1] = vector[sub_label - 1]
-    return out
-
-
-def _basis_recurse(tree: Tree, q: int, b: int, to_original, records, steps):
-    classes = classify_vertices(tree)
-    pendants = classes.pendants
-
-    if len(pendants) == 2:
-        # Bare path.  Its order is divisible by 2q+1, so the matching cosine
-        # index is integral and the closed-form eigenvector applies directly.
-        u, w = pendants
-        walk = path_between(tree, u, w).vertices
-        if len(walk) != tree.n:
-            raise InvariantViolated(
-                f"two-pendant tree of order {tree.n} has a {len(walk)}-vertex end-to-end walk",
-                edges=tree.edges,
-            )
-        j, rem = divmod(tree.n * (2 * b + 1), 2 * q + 1)
-        if rem:
-            raise InvariantViolated(
-                f"bare path of order {tree.n} is not divisible by 2q+1={2 * q + 1}",
-                edges=tree.edges,
-            )
-        pair = path_eigenpair(tree.n, j)
-        vec = np.zeros(tree.n)
-        for idx, vertex in enumerate(walk):
-            vec[vertex - 1] = pair.vector[idx]
-        return [vec]
-
-    for u, w in combinations(pendants, 2):
-        walk = path_between(tree, u, w)
-        majors_on = [x for x in walk.vertices if classes.degrees[x] >= 3]
-        if len(majors_on) == 1:
+def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
+    # Peel one pendant leg per step until a bare path is left.  Each step's
+    # vector is written once, in the labels of the input tree; ``to_original``
+    # maps the current component's labels back to those.
+    n = tree.n
+    edges = tree.edges
+    to_original = tuple(range(n + 1))
+    anchors = []
+    peeled = []
+    while True:
+        classes = classify_vertices(tree)
+        pendants = classes.pendants
+        if len(pendants) == 2:
+            # Bare path.  Its order is divisible by 2q+1, so the matching
+            # cosine index is integral and the closed-form eigenvector
+            # applies directly.
+            u, w = pendants
+            walk = path_between(tree, u, w).vertices
+            if len(walk) != tree.n:
+                raise InvariantViolated(
+                    f"two-pendant tree of order {tree.n} has a {len(walk)}-vertex end-to-end walk",
+                    edges=tree.edges,
+                )
+            j, rem = divmod(tree.n * (2 * b + 1), 2 * q + 1)
+            if rem:
+                raise InvariantViolated(
+                    f"bare path of order {tree.n} is not divisible by 2q+1={2 * q + 1}",
+                    edges=tree.edges,
+                )
+            bare = np.zeros(n)
+            bare[[to_original[v] - 1 for v in walk]] = path_eigenpair(tree.n, j).vector
             break
-    else:  # unreachable: some major always sees two major-free legs
-        raise NoMajorVertex("no pendant pair with a single major on its path")
 
-    anchor = majors_on[0]
-    anchor_idx = walk.vertices.index(anchor)
-    k1 = anchor_idx
-    k2 = walk.length - anchor_idx
+        for u, w in combinations(pendants, 2):
+            walk = path_between(tree, u, w)
+            majors_on = [x for x in walk.vertices if classes.degrees[x] >= 3]
+            if len(majors_on) == 1:
+                break
+        else:  # unreachable: some major always sees two major-free legs
+            raise NoMajorVertex("no pendant pair with a single major on its path")
 
-    zero_path = path_internal_zero_vector(k1, k2, q, b)
-    records.append(zero_path.record)
+        anchor = majors_on[0]
+        anchor_idx = walk.vertices.index(anchor)
+        zero_path = path_internal_zero_vector(anchor_idx, walk.length - anchor_idx, q, b)
+        records.append(zero_path.record)
 
-    leg = TreePath(walk.vertices[: anchor_idx + 1])
-    component, old_to_new = remove_branch(tree, leg, keep_anchor=anchor)
-    new_to_old = {new: old for old, new in old_to_new.items()}
-    steps.append(
-        GlueStep(
-            pendant_pair=(to_original[u], to_original[w]),
-            anchor=to_original[anchor],
-            component=tuple(sorted(to_original[old] for old in old_to_new)),
-        )
-    )
-
-    sub_to_original = {new: to_original[new_to_old[new]] for new in new_to_old}
-    sub_vectors = _basis_recurse(component, q, b, sub_to_original, records, steps)
-
-    out = []
-    for sub in sub_vectors:
-        lifted = _lift(sub, new_to_old, tree.n)
-        # Every deeper vector vanishes at the anchor, so zero-padding across
-        # the removed leg keeps it an eigenvector of the larger tree.
-        if abs(lifted[anchor - 1]) > ZERO_TOL:
-            raise InvariantViolated(
-                f"deeper eigenvector is {lifted[anchor - 1]!r}, not 0, at anchor {anchor}",
-                edges=tree.edges,
+        leg = TreePath(walk.vertices[: anchor_idx + 1])
+        component, old_to_new = remove_branch(tree, leg, keep_anchor=anchor)
+        steps.append(
+            GlueStep(
+                pendant_pair=(to_original[u], to_original[w]),
+                anchor=to_original[anchor],
+                component=tuple(sorted(to_original[old] for old in old_to_new)),
             )
-        out.append(lifted)
+        )
+        vec = np.zeros(n)
+        vec[[to_original[v] - 1 for v in walk.vertices]] = zero_path.pair.vector
+        peeled.append(vec)
+        anchors.append(to_original[anchor])
 
-    vec = np.zeros(tree.n)
-    for idx, vertex in enumerate(walk.vertices):
-        vec[vertex - 1] = zero_path.pair.vector[idx]
-    out.append(vec)
-    return out
+        sub_to_original = [0] * (component.n + 1)
+        for old, new in old_to_new.items():
+            sub_to_original[new] = to_original[old]
+        tree, to_original = component, tuple(sub_to_original)
+
+    # Deepest first: the bare path's vector, then the peeled steps in
+    # reverse.  Every vector found after a step vanishes at that step's
+    # anchor, so zero-padding across the removed leg keeps it an
+    # eigenvector of the larger tree.
+    vectors = [bare] + peeled[::-1]
+    stacked = np.array(vectors)
+    for step, anchor in enumerate(anchors):
+        deeper = stacked[: len(anchors) - step, anchor - 1]
+        bad = np.flatnonzero(np.abs(deeper) > ZERO_TOL)
+        if bad.size:
+            raise InvariantViolated(
+                f"deeper eigenvector is {float(deeper[bad[0]])!r}, not 0, at anchor {anchor}",
+                edges=edges,
+            )
+    return vectors
 
 
 def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
@@ -331,8 +331,7 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     param = LambdaParam(q, b)
     records: list[PathRecord] = []
     steps: list[GlueStep] = []
-    identity = {v: v for v in range(1, tree.n + 1)}
-    vectors = _basis_recurse(tree, q, b, identity, records, steps)
+    vectors = _peel_basis(tree, q, b, records, steps)
     pairs = [EigenPair(value=param.value, vector=v, param=param) for v in vectors]
     trace = ConstructionTrace(
         q=q,

@@ -63,22 +63,25 @@ def eigen_symmetric(matrix, tol: float = 1e-12, want_vectors: bool = False) -> S
         eigenvalues, vecs = np.linalg.eigvalsh(a), None
 
     tau = max(1e-8, 1e3 * tol * norm)
-    clusters = _cluster(eigenvalues, tau)
+    values = eigenvalues.tolist()
     return Spectrum(
-        eigenvalues=tuple(float(x) for x in eigenvalues),
-        clusters=clusters,
+        eigenvalues=tuple(values),
+        clusters=_cluster(values, tau),
         tau=tau,
         vectors=vecs,
     )
 
 
-def _cluster(sorted_values, tau: float) -> tuple[tuple[float, int], ...]:
+def _cluster(values: list[float], tau: float) -> tuple[tuple[float, int], ...]:
     clusters = []
     start = 0
-    for i in range(1, len(sorted_values) + 1):
-        if i == len(sorted_values) or sorted_values[i] - sorted_values[i - 1] > tau:
-            block = sorted_values[start:i]
-            clusters.append((float(np.mean(block)), len(block)))
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > tau:
+            if i - start == 1:
+                # np.mean of one float is that float.
+                clusters.append((values[start], 1))
+            else:
+                clusters.append((float(np.mean(values[start:i])), i - start))
             start = i
     return tuple(clusters)
 
@@ -91,13 +94,18 @@ def cluster_multiplicity(spectrum: Spectrum, value: float) -> int:
     return 0
 
 
-def residual_norm(tree: Tree, lam: float, vector) -> float:
-    """max-norm of L*x - lam*x, scaled by the max-norm of x."""
+def residual_norm(tree: Tree, lam: float, vector, *, lap: np.ndarray | None = None) -> float:
+    """max-norm of L*x - lam*x, scaled by the max-norm of x.
+
+    ``lap`` is the tree's Laplacian as a float array, for callers that
+    check many vectors of one tree; it is built from ``tree`` otherwise.
+    """
     x = np.asarray(vector, dtype=float)
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     if scale == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
-    lap = np.array(laplacian(tree), dtype=float)
+    if lap is None:
+        lap = np.array(laplacian(tree), dtype=float)
     res = lap @ x - lam * x
     return float(np.max(np.abs(res)) / scale)
 

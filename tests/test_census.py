@@ -90,6 +90,16 @@ def aut_order(tree):
     return order
 
 
+def trees_kept_by_full_canonical_filter(n):
+    """The free-tree filter written out in full: build the tree of every
+    rooted level sequence and keep it when the sequence is its canonical
+    form."""
+    for seq in census._level_sequences(n):
+        tree = census._tree_from_levels(seq)
+        if census.canonical_levels(tree) == seq:
+            yield tree
+
+
 def shuffled_copy(tree, seed):
     rng = random.Random(seed)
     perm = list(range(1, tree.n + 1))
@@ -116,6 +126,14 @@ class TestFreeTrees:
         for n in range(1, 11):
             forms = [canonical_form(t) for t in free_trees(n)]
             assert len(forms) == len(set(forms))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_same_trees_as_full_canonical_filter(self, n):
+        # same trees, same labels, same order
+        expected = list(trees_kept_by_full_canonical_filter(n))
+        got = list(free_trees(n))
+        assert got == expected
+        assert [t.original_labels for t in got] == [t.original_labels for t in expected]
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -203,7 +221,7 @@ class TestPruferOracle:
         # double star: two leaves on each centroid, and the halves swap
         assert aut_order(from_edge_list([(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)])) == 8
 
-    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("n", range(1, ORDER_CAP + 1))
     def test_cayley_orbit_stabilizer(self, n):
         # sum over shapes of n!/|Aut T| counts the n^(n-2) labeled trees
         total = 0

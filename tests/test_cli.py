@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treespectra.cli import CSV_HEADER, dumps_report, fmt_float, main
 
@@ -158,6 +164,97 @@ class TestEigenbasis:
         assert main(["eigenbasis", f, "--q", "1", "--text"]) == 0
         out = capsys.readouterr().out
         assert "vectors: 2, rank 2" in out
+
+
+    def test_star_of_1200_leaves(self, tmp_path, capsys):
+        # one peel step per leaf, far past the interpreter's recursion limit
+        f = write(tmp_path, "star.txt", "".join(f"1 {v}\n" for v in range(2, 1202)))
+        assert main(["eigenbasis", f, "--q", "1", "--text"]) == 0
+        assert "vectors: 1199, rank 1199" in capsys.readouterr().out
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process CLI run, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_input_handled(path, codes=(2,)):
+    """``check`` and ``eigenbasis`` end in one of ``codes``, never a traceback."""
+    for argv in (["check", path], ["eigenbasis", path, "--q", "1"]):
+        code, err = run_cli(argv)
+        assert code in codes, (argv, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ")
+
+
+MALFORMED = {
+    "bad_bytes.txt": b"1 2\n\xff\xfe 3\n",
+    "latin1.txt": "1 2\n2 3 # caf\xe9\n".encode("latin-1"),
+    "empty.txt": b"",
+    "blank.txt": b"\n  \n\t\n",
+    "self_loop.txt": b"1 2\n2 2\n",
+    "duplicate.txt": b"1 2\n2 3\n3 2\n",
+    "cycle.txt": b"1 2\n2 3\n3 1\n",
+    "disconnected.txt": b"1 2\n3 4\n",
+    "non_integer.txt": b"1 2\n2 x\n",
+    "float_label.txt": b"1 2\n2 3.5\n",
+    "zero_label.txt": b"0 1\n",
+    "negative_label.txt": b"1 2\n-2 3\n",
+    "one_token.txt": b"1\n",
+    "huge_label.txt": b"1 " + b"9" * 5000 + b"\n",
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exit_2_without_traceback(self, tmp_path, name):
+        f = tmp_path / name
+        f.write_bytes(MALFORMED[name])
+        assert_input_handled(str(f))
+
+    def test_directory_and_missing_file(self, tmp_path):
+        assert_input_handled(str(tmp_path))
+        assert_input_handled(str(tmp_path / "missing.txt"))
+
+    def test_undecodable_file_as_a_process(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(MALFORMED["bad_bytes.txt"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "treespectra", "check", str(f)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @settings(
+        derandomize=True,
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.one_of(
+            st.binary(max_size=80),
+            st.text(max_size=80),
+            # mostly well-formed lines over few labels, so trees, cycles,
+            # duplicates and forests all come up
+            st.lists(
+                st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=12
+            ).map(lambda pairs: "".join(f"{u} {v}\n" for u, v in pairs)),
+        )
+    )
+    def test_generated_inputs(self, data):
+        raw = data if isinstance(data, bytes) else data.encode("utf-8")
+        with tempfile.TemporaryDirectory() as d:
+            f = Path(d) / "t.txt"
+            f.write_bytes(raw)
+            assert_input_handled(str(f), codes=(0, 2))
 
 
 class TestEnumerate:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from treespectra import (
+    EigenPair,
     classify_vertices,
+    construct,
     eigenbasis_extremal,
     from_edge_list,
     numeric_rank,
@@ -17,6 +19,7 @@ from treespectra import (
 from treespectra.errors import (
     CongruenceViolated,
     IndexOutOfRange,
+    InvariantViolated,
     LabelOutOfRange,
     NoMajorVertex,
 )
@@ -158,6 +161,30 @@ class TestEigenbasisExtremal:
         assert step.pendant_pair == (2, 3)
         assert step.anchor == 1
         assert step.component == (1, 3, 4)
+        # deepest first: the bare path 3-1-4, then the peeled path 2-1-3
+        assert pairs[0].vector[1] == 0.0 and pairs[0].vector[3] != 0.0
+        assert pairs[1].vector[3] == 0.0 and pairs[1].vector[1] != 0.0
+
+    def test_star_of_1200_leaves(self):
+        # one peel step per leaf, far past the interpreter's recursion limit
+        pairs, trace = eigenbasis_extremal(star(1200), q=1)
+        assert len(pairs) == 1199
+        assert len(trace.glue_steps) == 1198
+        assert all(abs(p.vector[0]) < 1e-10 for p in pairs)
+
+    def test_deeper_vector_off_zero_at_anchor_raises(self, monkeypatch):
+        # spider(1,1,4) peels the leg 2-1 at anchor 1 and leaves the bare
+        # path 3-1-4-5-6-7; a bare-path vector that is 1 everywhere would
+        # break the zero-padding across the removed leg
+        real = construct.path_eigenpair
+
+        def ones_on_the_bare_path(n, j):
+            pair = real(n, j)
+            return EigenPair(pair.value, np.ones(n)) if n == 6 else pair
+
+        monkeypatch.setattr(construct, "path_eigenpair", ones_on_the_bare_path)
+        with pytest.raises(InvariantViolated, match="deeper eigenvector is 1.0, not 0, at anchor 1"):
+            eigenbasis_extremal(spider(1, 1, 4), q=1)
 
     def test_spider222_both_indices(self):
         t = spider(2, 2, 2)

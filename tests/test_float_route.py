@@ -9,6 +9,7 @@ the package's own enumeration or the benchmark inputs.
 
 import heapq
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from treespectra import (
     cluster_multiplicity,
     eigen_symmetric,
     extremal_lambda_set,
+    free_trees,
     from_edge_list,
     laplacian,
     multiplicity_exact,
@@ -106,6 +108,42 @@ def extremal_trees(draw):
         for _ in range(legs):
             add_path(major + 1, q + m if extend(m) else q)
     return q, from_edge_list(edges)
+
+
+def mean_per_block(sorted_values, tau):
+    """Clusters as the float route first computed them: np.mean of every block."""
+    clusters = []
+    start = 0
+    for i in range(1, len(sorted_values) + 1):
+        if i == len(sorted_values) or sorted_values[i] - sorted_values[i - 1] > tau:
+            block = sorted_values[start:i]
+            clusters.append((float(np.mean(block)), len(block)))
+            start = i
+    return tuple(clusters)
+
+
+def assert_clusters_are_block_means(tree):
+    spectrum = eigen_symmetric(laplacian(tree))
+    expected = mean_per_block(np.array(spectrum.eigenvalues), spectrum.tau)
+    assert spectrum.clusters == expected
+
+
+def test_cluster_representatives_equal_block_means_to_order_12():
+    for n in range(2, 13):
+        for tree in free_trees(n):
+            assert_clusters_are_block_means(tree)
+
+
+@SETTINGS
+@given(random_trees())
+def test_cluster_representatives_equal_block_means_on_random_trees(tree):
+    assert_clusters_are_block_means(tree)
+
+
+@SETTINGS
+@given(extremal_trees())
+def test_cluster_representatives_equal_block_means_on_extremal_trees(case):
+    assert_clusters_are_block_means(case[1])
 
 
 @SETTINGS
