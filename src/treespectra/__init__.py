@@ -19,7 +19,6 @@ from .trees import (
     classify_vertices,
     distance,
     path_between,
-    remove_branch,
 )
 from .exact import (
     LambdaParam,
@@ -44,7 +43,6 @@ from .construct import (
     ConstructionTrace,
     path_eigenpair,
     path_internal_zero_vector,
-    nullspace_with_zeros,
     eigenbasis_extremal,
 )
 from .classify import (
@@ -88,7 +86,6 @@ __all__ = [
     "classify_vertices",
     "distance",
     "path_between",
-    "remove_branch",
     # exact
     "LambdaParam",
     "IntPolynomial",
@@ -110,7 +107,6 @@ __all__ = [
     "ConstructionTrace",
     "path_eigenpair",
     "path_internal_zero_vector",
-    "nullspace_with_zeros",
     "eigenbasis_extremal",
     # classify
     "CongruenceCertificate",

@@ -95,16 +95,22 @@ class ClassificationReport:
 
 
 def pendant_distance_gcd(tree: Tree) -> int:
-    """gcd of d(u,w) + 1 over all distinct pendant pairs."""
-    pendants = classify_vertices(tree).pendants
+    """gcd of d(u,w) + 1 over all distinct pendant pairs, from one BFS.
+
+    Rooted at the smallest pendant u0 it is the gcd of d(u0,w) + 1 over the
+    other pendants w and of 2 d(u0,x) + 1 over the majors x: two pendants
+    that meet at x have d(w,w') + 1 = (d(u0,w)+1) + (d(u0,w')+1) - (2 d(u0,x)+1),
+    and every major is the meeting vertex of two pendants in different
+    branches below it.
+    """
+    classes = classify_vertices(tree)
+    pendants = classes.pendants
     if len(pendants) < 2:
         raise TooFewPendants(f"need at least two pendants, found {len(pendants)}")
-    g = 0
-    for u, w in combinations(pendants, 2):
-        g = math.gcd(g, tree.distance_row(u)[w] + 1)
-        if g == 1:
-            break
-    return g
+    row = tree.distance_row(pendants[0])
+    return math.gcd(
+        *(row[w] + 1 for w in pendants[1:]), *(2 * row[x] + 1 for x in classes.majors)
+    )
 
 
 def admissible_q(tree: Tree) -> CongruenceCertificate:
@@ -168,9 +174,8 @@ def has_unit_extremal(tree: Tree) -> bool:
 def family_membership(tree: Tree) -> FamilyFlags:
     classes = classify_vertices(tree)
     pendants = classes.pendants
-    in_q = all(
-        tree.distance_row(u)[w] % 3 == 2 for u, w in combinations(pendants, 2)
-    )
+    # every pendant pair at distance 2 (mod 3); vacuous below two pendants
+    in_q = len(pendants) < 2 or pendant_distance_gcd(tree) % 3 == 0
     is_path = not classes.majors
     in_p = is_path and tree.n % 3 == 2
 

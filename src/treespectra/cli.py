@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np

@@ -12,27 +12,17 @@ Vectors are numpy arrays indexed by ``label - 1``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    CongruenceViolated,
-    IndexOutOfRange,
-    InvariantViolated,
-    LabelOutOfRange,
-    NoMajorVertex,
-)
+from .classify import pendant_distance_gcd
+from .errors import CongruenceViolated, IndexOutOfRange, InvariantViolated, NoMajorVertex
 from .exact import LambdaParam
-from .trees import (
-    Tree,
-    TreePath,
-    classify_vertices,
-    path_between,
-    remove_branch,
-)
+from .trees import Tree, classify_vertices
 
 __all__ = [
     "EigenPair",
@@ -42,7 +32,6 @@ __all__ = [
     "ConstructionTrace",
     "path_eigenpair",
     "path_internal_zero_vector",
-    "nullspace_with_zeros",
     "eigenbasis_extremal",
 ]
 
@@ -158,133 +147,85 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
     )
 
 
-def nullspace_with_zeros(tree: Tree, lam, zero_at=()):
-    """One exact rational kernel vector of L - lam*I vanishing on ``zero_at``.
-
-    Returns an integer-normalized tuple of Fractions (first nonzero entry
-    positive, content 1), or None when the constrained kernel is trivial.
-    Deterministic: the free coordinate chosen is the smallest one.
-    """
-    from .exact import laplacian
-
-    lam = Fraction(lam)
-    n = tree.n
-    lap = laplacian(tree)
-    rows = [
-        [Fraction(lap[i][j] - (lam if i == j else 0)) for j in range(n)]
-        for i in range(n)
-    ]
-    for j in sorted(set(zero_at)):
-        if not 1 <= j <= n:
-            raise LabelOutOfRange(f"constraint label {j} not in 1..{n}")
-        constraint = [Fraction(0)] * n
-        constraint[j - 1] = Fraction(1)
-        rows.append(constraint)
-
-    # Reduced row echelon form over the rationals.
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-
-    free = [c for c in range(n) if c not in pivot_cols]
-    if not free:
-        return None
-    f0 = free[0]
-    x = [Fraction(0)] * n
-    x[f0] = Fraction(1)
-    for row_idx, c in enumerate(pivot_cols):
-        x[c] = -rows[row_idx][f0]
-
-    # Clear denominators, divide by content, make the first nonzero positive.
-    den = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * den) for v in x]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
-    # Peel one pendant leg per step until a bare path is left.  Each step's
-    # vector is written once, in the labels of the input tree; ``to_original``
-    # maps the current component's labels back to those.
+    # Peel one pendant leg per step until a bare path is left, on the input
+    # tree's own labels: ``deg`` holds live degrees and a peeled vertex drops
+    # to degree 0.  A leg runs from a pendant through live degree-2 vertices
+    # and stops before the first vertex of another degree, its major.
+    # Peeling leaves the anchor at degree >= 2, so the live pendants are
+    # always the input pendants not yet peeled.
     n = tree.n
-    edges = tree.edges
-    to_original = tuple(range(n + 1))
+    adj = tree.adjacency
+    deg = [len(a) for a in adj]
+    live = list(range(1, n + 1))
+
+    def walk(prev: int, v: int) -> tuple[list[int], int]:
+        passed = []
+        while deg[v] == 2:
+            passed.append(v)
+            prev, v = v, next(y for y in adj[v] if y != prev and deg[y])
+        return passed, v
+
+    legs: dict[int, list[int]] = {}
+    at: dict[int, list[int]] = {}  # major -> pendants whose leg ends there, ascending
+    for u in range(1, n + 1):
+        if deg[u] == 1:
+            passed, major = walk(u, adj[u][0])
+            legs[u] = [u, *passed]
+            at.setdefault(major, []).append(u)
+
     anchors = []
     peeled = []
-    while True:
-        classes = classify_vertices(tree)
-        pendants = classes.pendants
-        if len(pendants) == 2:
-            # Bare path.  Its order is divisible by 2q+1, so the matching
-            # cosine index is integral and the closed-form eigenvector
-            # applies directly.
-            u, w = pendants
-            walk = path_between(tree, u, w).vertices
-            if len(walk) != tree.n:
-                raise InvariantViolated(
-                    f"two-pendant tree of order {tree.n} has a {len(walk)}-vertex end-to-end walk",
-                    edges=tree.edges,
-                )
-            j, rem = divmod(tree.n * (2 * b + 1), 2 * q + 1)
-            if rem:
-                raise InvariantViolated(
-                    f"bare path of order {tree.n} is not divisible by 2q+1={2 * q + 1}",
-                    edges=tree.edges,
-                )
-            bare = np.zeros(n)
-            bare[[to_original[v] - 1 for v in walk]] = path_eigenpair(tree.n, j).vector
-            break
-
-        for u, w in combinations(pendants, 2):
-            walk = path_between(tree, u, w)
-            majors_on = [x for x in walk.vertices if classes.degrees[x] >= 3]
-            if len(majors_on) == 1:
-                break
-        else:  # unreachable: some major always sees two major-free legs
-            raise NoMajorVertex("no pendant pair with a single major on its path")
-
-        anchor = majors_on[0]
-        anchor_idx = walk.vertices.index(anchor)
-        zero_path = path_internal_zero_vector(anchor_idx, walk.length - anchor_idx, q, b)
+    while len(legs) > 2:
+        # The first pendant pair in label order whose path meets exactly one
+        # major: two legs that end at the same major.
+        shared = [(group, major) for major, group in at.items() if len(group) >= 2]
+        if not shared:  # unreachable: some major always sees two major-free legs
+            raise InvariantViolated(
+                "no pendant pair with a single major on its path", edges=tree.edges
+            )
+        group, anchor = min(shared)
+        u, w = group[:2]
+        leg_u, leg_w = legs.pop(u), legs[w]
+        zero_path = path_internal_zero_vector(len(leg_u), len(leg_w), q, b)
         records.append(zero_path.record)
 
-        leg = TreePath(walk.vertices[: anchor_idx + 1])
-        component, old_to_new = remove_branch(tree, leg, keep_anchor=anchor)
-        steps.append(
-            GlueStep(
-                pendant_pair=(to_original[u], to_original[w]),
-                anchor=to_original[anchor],
-                component=tuple(sorted(to_original[old] for old in old_to_new)),
-            )
-        )
         vec = np.zeros(n)
-        vec[[to_original[v] - 1 for v in walk.vertices]] = zero_path.pair.vector
+        vec[[v - 1 for v in (*leg_u, anchor, *reversed(leg_w))]] = zero_path.pair.vector
         peeled.append(vec)
-        anchors.append(to_original[anchor])
+        anchors.append(anchor)
 
-        sub_to_original = [0] * (component.n + 1)
-        for old, new in old_to_new.items():
-            sub_to_original[new] = to_original[old]
-        tree, to_original = component, tuple(sub_to_original)
+        for v in leg_u:
+            deg[v] = 0
+            del live[bisect_left(live, v)]
+        deg[anchor] -= 1
+        group.remove(u)
+        if deg[anchor] == 2 and len(group) == 1:
+            # w's leg now runs on through the anchor to the next major.
+            passed, major = walk(leg_w[-1], anchor)
+            leg_w.extend(passed)
+            del at[anchor]
+            insort(at.setdefault(major, []), w)
+        steps.append(GlueStep(pendant_pair=(u, w), anchor=anchor, component=tuple(live)))
+
+    # Bare path.  Its order is divisible by 2q+1, so the matching cosine
+    # index is integral and the closed-form eigenvector applies directly.
+    u, w = sorted(legs)
+    passed, last = walk(u, adj[u][0])
+    path = [u, *passed, last]
+    if last != w or len(path) != len(live):
+        raise InvariantViolated(
+            f"two-pendant tree of order {len(live)} has a {len(path)}-vertex end-to-end walk",
+            edges=tree.edges,
+        )
+    j, rem = divmod(len(live) * (2 * b + 1), 2 * q + 1)
+    if rem:
+        raise InvariantViolated(
+            f"bare path of order {len(live)} is not divisible by 2q+1={2 * q + 1}",
+            edges=tree.edges,
+        )
+    bare = np.zeros(n)
+    bare[[v - 1 for v in path]] = path_eigenpair(len(live), j).vector
 
     # Deepest first: the bare path's vector, then the peeled steps in
     # reverse.  Every vector found after a step vanishes at that step's
@@ -298,7 +239,7 @@ def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
         if bad.size:
             raise InvariantViolated(
                 f"deeper eigenvector is {float(deeper[bad[0]])!r}, not 0, at anchor {anchor}",
-                edges=edges,
+                edges=tree.edges,
             )
     return vectors
 
@@ -320,13 +261,15 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     if not classes.majors:
         raise NoMajorVertex("tree is a path; extremal multiplicity is trivial there")
     modulus = 2 * q + 1
-    for u, w in combinations(classes.pendants, 2):
-        d = tree.distance_row(u)[w]
-        if d % modulus != 2 * q:
-            raise CongruenceViolated(
-                f"pendant pair ({u}, {w}) at distance {d}, "
-                f"need == {2 * q} (mod {modulus})"
-            )
+    if pendant_distance_gcd(tree) % modulus:
+        # Name the first offending pair; only a failing tree pays for the scan.
+        for u, w in combinations(classes.pendants, 2):
+            d = tree.distance_row(u)[w]
+            if d % modulus != 2 * q:
+                raise CongruenceViolated(
+                    f"pendant pair ({u}, {w}) at distance {d}, "
+                    f"need == {2 * q} (mod {modulus})"
+                )
 
     param = LambdaParam(q, b)
     records: list[PathRecord] = []

@@ -29,14 +29,6 @@ class LabelOutOfRange(TreeSpectraError):
     """A vertex label is missing from the tree or is not a positive integer."""
 
 
-class AnchorNotOnPath(TreeSpectraError):
-    """The anchor passed to a branch removal is not the final path vertex."""
-
-
-class NotPendant(TreeSpectraError):
-    """The vertex was required to have degree one."""
-
-
 class CongruenceViolated(TreeSpectraError):
     """Distances or parameters break a required congruence."""
 

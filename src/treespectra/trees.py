@@ -3,7 +3,7 @@
 A :class:`Tree` lives on the contiguous label set ``1..n``.  Construction
 goes through :func:`from_edge_list`, which relabels arbitrary positive
 integer labels by first appearance and rejects anything that is not a tree.
-:func:`remove_branch` returns a new tree; nothing here mutates.
+Nothing here mutates a tree.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.
@@ -16,13 +16,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
-    AnchorNotOnPath,
     CycleDetected,
     Disconnected,
     DuplicateEdge,
     EmptyInput,
     LabelOutOfRange,
-    NotPendant,
     ParseError,
     SelfLoop,
 )
@@ -37,7 +35,6 @@ __all__ = [
     "classify_vertices",
     "distance",
     "path_between",
-    "remove_branch",
 ]
 
 
@@ -264,44 +261,3 @@ def path_between(tree: Tree, u: int, v: int) -> TreePath:
     while walk[-1] != u:
         walk.append(parent[walk[-1]])
     return TreePath(tuple(reversed(walk)))
-
-
-def remove_branch(tree: Tree, path, keep_anchor: int):
-    """Delete a pendant path except its final (anchor) vertex.
-
-    ``path`` runs from a pendant to ``keep_anchor``; every vertex on it but
-    the anchor is removed, and the component containing the anchor is
-    returned relabeled to ``1..n'`` (ascending old-label order), together
-    with the old-to-new label map.
-    """
-    vertices = tuple(path.vertices) if isinstance(path, TreePath) else tuple(path)
-    if not vertices:
-        raise AnchorNotOnPath("empty path")
-    for v in vertices:
-        _check_label(tree, v)
-    for a, b in zip(vertices, vertices[1:]):
-        if b not in tree.adjacency[a]:
-            raise ValueError(f"{a} and {b} are not adjacent; not a path in the tree")
-    if keep_anchor != vertices[-1]:
-        raise AnchorNotOnPath(f"anchor {keep_anchor} is not the last path vertex")
-    if tree.degree(vertices[0]) != 1:
-        raise NotPendant(f"path must start at a pendant, {vertices[0]} has degree {tree.degree(vertices[0])}")
-
-    removed = set(vertices[:-1])
-    component = {keep_anchor}
-    queue = deque([keep_anchor])
-    while queue:
-        x = queue.popleft()
-        for y in tree.adjacency[x]:
-            if y not in removed and y not in component:
-                component.add(y)
-                queue.append(y)
-    survivors = sorted(component)
-    label_map = {old: i for i, old in enumerate(survivors, start=1)}
-    edges = [
-        (label_map[a], label_map[b])
-        for a, b in tree.edges
-        if a in component and b in component
-    ]
-    originals = tuple(tree.original_labels[old - 1] for old in survivors)
-    return _build(len(survivors), edges, original_labels=originals), label_map

@@ -1,11 +1,17 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_float_route import SETTINGS, extremal_trees, prufer_tree
 
 from treespectra import (
     LambdaParam,
     admissible_q,
     classify_m1,
+    classify_vertices,
     extremal_lambda_set,
     family_membership,
     free_trees,
@@ -64,6 +70,44 @@ class TestCongruenceCertificate:
         assert cert.admissible_moduli == (3, 5, 15)
         assert cert.q_list == (1, 2, 7)
         assert cert.is_path
+
+
+def pairwise_pendant_gcd(tree):
+    """The definition, pair by pair: gcd of d(u,w) + 1 over pendant pairs."""
+    pendants = classify_vertices(tree).pendants
+    return math.gcd(*(tree.distance_row(u)[w] + 1 for u, w in combinations(pendants, 2)))
+
+
+@st.composite
+def prufer_trees(draw):
+    n = draw(st.integers(2, 300))
+    seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+    return prufer_tree(seq)
+
+
+class TestPendantGcdAgainstPairs:
+    def test_every_tree_to_order_12(self):
+        for n in range(2, 13):
+            for tree in free_trees(n):
+                g = pairwise_pendant_gcd(tree)
+                assert pendant_distance_gcd(tree) == g
+                assert family_membership(tree).in_q == (g % 3 == 0)
+
+    @settings(SETTINGS)
+    @given(prufer_trees())
+    def test_random_trees_to_order_300(self, tree):
+        assert pendant_distance_gcd(tree) == pairwise_pendant_gcd(tree)
+
+    @settings(SETTINGS)
+    @given(extremal_trees(max_n=300, max_q=5, max_majors=6, max_legs=5))
+    def test_extremal_trees_to_order_300(self, case):
+        q, tree = case
+        g = pendant_distance_gcd(tree)
+        assert g == pairwise_pendant_gcd(tree)
+        assert g % (2 * q + 1) == 0
+
+    def test_in_q_vacuous_below_two_pendants(self):
+        assert family_membership(single_vertex()).in_q
 
 
 class TestIsExtremal:

@@ -11,16 +11,15 @@ from treespectra import (
     eigenbasis_extremal,
     from_edge_list,
     numeric_rank,
-    nullspace_with_zeros,
     path_eigenpair,
     path_internal_zero_vector,
     residual_norm,
+    trees,
 )
 from treespectra.errors import (
     CongruenceViolated,
     IndexOutOfRange,
     InvariantViolated,
-    LabelOutOfRange,
     NoMajorVertex,
 )
 
@@ -115,36 +114,6 @@ class TestInternalZeroVector:
             path_internal_zero_vector(1, 1, q=0, b=0)
 
 
-class TestNullspaceWithZeros:
-    def test_star_constrained(self):
-        vec = nullspace_with_zeros(star(3), 1, zero_at=(2,))
-        assert vec == (0, 0, 1, -1)
-
-    def test_p3_unconstrained(self):
-        assert nullspace_with_zeros(path(3), 1) == (1, 0, -1)
-
-    def test_trivial_kernel(self):
-        assert nullspace_with_zeros(path(4), 1) is None
-
-    def test_fraction_eigenvalue(self):
-        # kernel of L itself is all-ones regardless of tree
-        assert nullspace_with_zeros(star(4), Fraction(0)) == (1, 1, 1, 1, 1)
-
-    def test_bad_constraint_label(self):
-        with pytest.raises(LabelOutOfRange):
-            nullspace_with_zeros(star(3), 1, zero_at=(5,))
-
-    def test_result_is_in_kernel(self):
-        from treespectra import laplacian
-
-        t = spider(1, 1, 4)
-        vec = nullspace_with_zeros(t, 1, zero_at=(2,))
-        lap = laplacian(t)
-        for i in range(t.n):
-            s = sum(Fraction(lap[i][j]) * vec[j] for j in range(t.n))
-            assert s == vec[i]
-
-
 class TestEigenbasisExtremal:
     def test_star_basis(self):
         t = star(3)
@@ -186,6 +155,14 @@ class TestEigenbasisExtremal:
         with pytest.raises(InvariantViolated, match="deeper eigenvector is 1.0, not 0, at anchor 1"):
             eigenbasis_extremal(spider(1, 1, 4), q=1)
 
+    def test_no_pair_at_one_major_raises(self):
+        # not a tree: a triangle with one leg at each corner, so no two legs
+        # share a major; the peel must fail as an invariant, not crash
+        graph = trees._build(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
+        with pytest.raises(InvariantViolated, match="no pendant pair with a single major") as info:
+            construct._peel_basis(graph, 1, 0, [], [])
+        assert info.value.edges == graph.edges
+
     def test_spider222_both_indices(self):
         t = spider(2, 2, 2)
         for b, lam in ((0, 2 * (1 - math.cos(math.pi / 5))),
@@ -213,7 +190,8 @@ class TestEigenbasisExtremal:
                 assert abs(p.vector[v - 1]) < 1e-10
 
     def test_two_major_tree(self):
-        # legs (1,1) at each end of a 3-edge path between the majors
+        # legs (1,1) at each end of a 3-edge path between the majors; after
+        # relabeling the majors are 2 and 6 and the pendants 1, 3, 7, 8
         t = from_edge_list(
             [(1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8)]
         )
@@ -222,7 +200,19 @@ class TestEigenbasisExtremal:
         assert numeric_rank([p.vector for p in pairs]) == 3
         for p in pairs:
             assert residual_norm(t, p.value, p.vector) < 1e-10
-        assert len(trace.glue_steps) == 2
+        # peeling leg 1-2 drops major 2 to degree 2, so the leg of pendant 3
+        # runs on through 2, 4 and 5 to major 6 in the second step
+        assert (trace.q, trace.b, trace.gamma) == (1, 0, Fraction(1, 3))
+        assert trace.path_records == (
+            construct.PathRecord(k1=1, k2=1, n1=0, n2=0, delta=1),
+            construct.PathRecord(k1=4, k2=1, n1=1, n2=0, delta=2),
+        )
+        assert trace.glue_steps == (
+            construct.GlueStep(pendant_pair=(1, 3), anchor=2, component=(2, 3, 4, 5, 6, 7, 8)),
+            construct.GlueStep(pendant_pair=(3, 7), anchor=6, component=(6, 7, 8)),
+        )
+        supports = [tuple(np.flatnonzero(np.abs(p.vector) > 1e-12) + 1) for p in pairs]
+        assert supports == [(7, 8), (3, 4, 5, 7), (1, 3)]
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(CongruenceViolated):

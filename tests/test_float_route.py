@@ -4,10 +4,13 @@ Random trees come from uniformly drawn Prufer sequences (orders 13..60);
 extremal trees are built from the congruence rule: legs of length = q
 (mod 2q+1) at every major vertex, majors joined by paths of length = 0
 (mod 2q+1).  Both generators live here so the test shares no code with
-the package's own enumeration or the benchmark inputs.
+the package's own enumeration or the benchmark inputs.  The explicit
+eigenbasis is checked on extremal trees up to order 200, against the
+peel rule written out pair by pair.
 """
 
 import heapq
+from itertools import combinations
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -17,15 +20,20 @@ from treespectra import (
     classify_vertices,
     cluster_multiplicity,
     eigen_symmetric,
+    eigenbasis_extremal,
     extremal_lambda_set,
     free_trees,
     from_edge_list,
     laplacian,
     multiplicity_exact,
+    numeric_rank,
+    path_between,
     rational_nullity,
+    residual_norm,
 )
 
 EXTREMAL_MAX_N = 45  # char_poly is O(n^4) in pure Python; keeps the suite fast
+BASIS_MAX_N = 200  # the basis construction alone reaches further
 
 SETTINGS = settings(
     derandomize=True,
@@ -62,17 +70,18 @@ def random_trees(draw):
 
 
 @st.composite
-def extremal_trees(draw):
-    """A non-path tree of order <= EXTREMAL_MAX_N whose pendant gcd is a multiple of 2q+1.
+def extremal_trees(draw, max_n=EXTREMAL_MAX_N, max_q=4, max_majors=3, max_legs=3):
+    """A non-path tree of order <= max_n whose pendant gcd is a multiple of 2q+1.
 
+    Up to max_majors majors carry up to max_legs legs each, q <= max_q.
     Legs have length q or 3q+1 and inter-major paths length m or 2m.  The
     smallest tree for the drawn shape is laid out first; each optional
     extension (a longer leg or path, one more leg) is drawn only while the
-    order stays within the cap.
+    order stays within the cap, which must fit the smallest shape.
     """
-    q = draw(st.integers(1, 4))
+    q = draw(st.integers(1, max_q))
     m = 2 * q + 1
-    majors = draw(st.integers(1, 3))
+    majors = draw(st.integers(1, max_majors))
     # major i > 0 hangs off an earlier major
     parents = [draw(st.integers(0, i - 1)) for i in range(1, majors)]
     links = [0] * majors
@@ -80,7 +89,7 @@ def extremal_trees(draw):
         links[i] += 1
         links[parent] += 1
     min_legs = [max(1, 3 - k) for k in links]  # every major keeps degree >= 3
-    slack = EXTREMAL_MAX_N - (majors + (majors - 1) * (m - 1) + q * sum(min_legs))
+    slack = max_n - (majors + (majors - 1) * (m - 1) + q * sum(min_legs))
 
     def extend(cost):
         nonlocal slack
@@ -90,7 +99,7 @@ def extremal_trees(draw):
         return False
 
     edges = []
-    labels = iter(range(majors + 1, EXTREMAL_MAX_N + 1))
+    labels = iter(range(majors + 1, max_n + 1))
 
     def add_path(start, length):
         prev = start
@@ -104,7 +113,7 @@ def extremal_trees(draw):
         length = 2 * m if extend(m) else m
         edges.append((add_path(parent + 1, length - 1), i + 1))
     for major in range(majors):
-        legs = min_legs[major] + sum(extend(q) for _ in range(3 - min_legs[major]))
+        legs = min_legs[major] + sum(extend(q) for _ in range(max_legs - min_legs[major]))
         for _ in range(legs):
             add_path(major + 1, q + m if extend(m) else q)
     return q, from_edge_list(edges)
@@ -167,3 +176,43 @@ def test_float_clusters_reach_p_minus_1_on_extremal_trees(case):
     for param in params:
         assert cluster_multiplicity(spectrum, param.value) == p - 1
         assert multiplicity_exact(tree, param) == p - 1
+
+
+def first_single_major_pair(tree, component):
+    """The peel rule as first written, on the subtree spanned by ``component``.
+
+    Over pairs of the component's pendants in label order, the first pair
+    whose path has exactly one vertex of component degree >= 3; returns the
+    pair and that vertex.
+    """
+    members = set(component)
+    degree = {v: sum(y in members for y in tree.adjacency[v]) for v in component}
+    pendants = [v for v in component if degree[v] == 1]
+    for u, w in combinations(pendants, 2):
+        majors_on = [x for x in path_between(tree, u, w).vertices if degree[x] >= 3]
+        if len(majors_on) == 1:
+            return (u, w), majors_on[0]
+    return None
+
+
+@settings(SETTINGS, max_examples=40)
+@given(extremal_trees(max_n=BASIS_MAX_N, max_q=5, max_majors=6, max_legs=5), st.data())
+def test_eigenbasis_on_extremal_trees_past_order_12(case, data):
+    q, tree = case
+    # relabel by a drawn edge order, so pendant label order varies too
+    tree = from_edge_list(data.draw(st.permutations(tree.edges)))
+    p = len(classify_vertices(tree).pendants)
+    lap = np.array(laplacian(tree), dtype=float)
+    for b in range(q):
+        pairs, trace = eigenbasis_extremal(tree, q, b)
+        assert len(pairs) == p - 1
+        assert numeric_rank([pair.vector for pair in pairs]) == p - 1
+        for pair in pairs:
+            assert residual_norm(tree, pair.value, pair.vector, lap=lap) <= 1e-10
+
+    component = tuple(range(1, tree.n + 1))
+    for step in trace.glue_steps:
+        assert (step.pendant_pair, step.anchor) == first_single_major_pair(tree, component)
+        leg = path_between(tree, step.pendant_pair[0], step.anchor).vertices[:-1]
+        assert step.component == tuple(v for v in component if v not in leg)
+        component = step.component

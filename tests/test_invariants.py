@@ -2,6 +2,8 @@
 
 An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
+The package sources also carry no unused imports; no linter is installed,
+so an AST walk checks it.
 """
 
 import ast
@@ -28,6 +30,36 @@ def test_no_assert_in_package():
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        # names listed in __all__ are re-exports, hence used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    offenders = [
+        f"{path.name}:{line} {name}"
+        for path in sources
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert offenders == []
 

@@ -1,23 +1,19 @@
 import pytest
 
 from treespectra import (
-    TreePath,
     classify_vertices,
     distance,
     from_edge_list,
     parse_edge_list_text,
     path_between,
-    remove_branch,
     single_vertex,
 )
 from treespectra.errors import (
-    AnchorNotOnPath,
     CycleDetected,
     Disconnected,
     DuplicateEdge,
     EmptyInput,
     LabelOutOfRange,
-    NotPendant,
     ParseError,
     SelfLoop,
 )
@@ -119,30 +115,6 @@ class TestDistanceAndPaths:
                 walk = path_between(t, u, v)
                 assert walk.length == distance(t, u, v)
                 assert walk.vertices[0] == u and walk.vertices[-1] == v
-
-
-class TestRemoveBranch:
-    def test_path_example(self):
-        t = path(5)
-        sub, label_map = remove_branch(t, TreePath((1, 2, 3)), keep_anchor=3)
-        assert sub.n == 3
-        assert sub.edges == ((1, 2), (2, 3))
-        assert label_map == {3: 1, 4: 2, 5: 3}
-
-    def test_drops_side_branches_beyond_anchor(self):
-        # removing a full leg of a star leaves the rest intact
-        t = star(3)
-        sub, label_map = remove_branch(t, TreePath((2, 1)), keep_anchor=1)
-        assert sub.n == 3
-        assert set(label_map) == {1, 3, 4}
-
-    def test_anchor_must_be_last(self):
-        with pytest.raises(AnchorNotOnPath):
-            remove_branch(path(5), TreePath((1, 2, 3)), keep_anchor=2)
-
-    def test_must_start_at_pendant(self):
-        with pytest.raises(NotPendant):
-            remove_branch(path(5), TreePath((2, 3)), keep_anchor=3)
 
 
 class TestParseText:
