@@ -23,8 +23,9 @@ print(f"pendants {list(cls.pendants)}, majors {list(cls.majors)}")
 
 print("\npendant pair distances:")
 for i, u in enumerate(cls.pendants):
+    row = tree.distance_row(u)
     for w in cls.pendants[i + 1:]:
-        d = tree.distance_row(u)[w]
+        d = row[w]
         print(f"  d({u},{w}) = {d}, d+1 = {d + 1}")
 
 cert = admissible_q(tree)

@@ -15,6 +15,7 @@ shape) backs the census for small orders.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -449,7 +450,8 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     Each entry of order >= 2 passes :func:`certify`; any disagreement
     raises OracleDisagreement carrying the offending edge list.  Entries are
     sorted by (n, canonical form).  ``jobs > 1`` fans the per-tree work out
-    to worker processes, order preserved.
+    to worker processes, order preserved; the pool never has more workers
+    than the machine has CPUs.
     """
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
@@ -457,12 +459,13 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
         raise CapExceeded(f"order {max_n} above the supported cap {ORDER_CAP}")
     trees = (tree for n in range(1, max_n + 1) for tree in free_trees(n))
     entry_for = partial(_catalog_entry, tol=tol)
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: multiprocessing adds about 2 MB to every process
         # that imports the package, and only this branch needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(entry_for, trees, chunksize=16))
     else:
         entries = list(map(entry_for, trees))

@@ -121,7 +121,7 @@ def admissible_q(tree: Tree) -> CongruenceCertificate:
         g=g,
         admissible_moduli=moduli,
         q_list=tuple((m - 1) // 2 for m in moduli),
-        is_path=not classify_vertices(tree).majors,
+        is_path=max(map(len, tree.adjacency)) <= 2,
     )
 
 
@@ -150,6 +150,10 @@ def extremal_lambda_set(tree: Tree) -> tuple[LambdaParam, ...]:
         )
     if not extremal:
         raise NotExtremal(f"no admissible modulus divides the pendant gcd {cert.g}")
+    return _lambda_params(cert)
+
+
+def _lambda_params(cert: CongruenceCertificate) -> tuple[LambdaParam, ...]:
     by_ratio: dict[Fraction, LambdaParam] = {}
     for q in cert.q_list:
         for b in range(q):
@@ -198,21 +202,24 @@ def _omega_type(sorted_residues) -> str | None:
     return None
 
 
-def _component_eligibility(tree: Tree, comp: frozenset, anchor: int):
+def _component_eligibility(tree: Tree, comp: frozenset, anchor: int, row_m):
     """Can a hanging component be accounted as a path piece or a mod-3 piece?
 
     Path piece: together with its anchor it forms a path hung at an end,
     on 2 (mod 3) vertices, i.e. every component vertex has degree <= 2 and
     |comp| == 1 (mod 3).  Mod-3 piece: every tree pendant inside lies at
-    distance 1 (mod 3) from the anchor and pairwise at distance 2 (mod 3).
+    distance 1 (mod 3) from the anchor and pairwise at distance 2 (mod 3);
+    two such pendants meeting at x lie 2 + d(anchor, x) apart (mod 3) and
+    the meeting vertices are the majors inside, so majors must sit at 0.
+    The component hangs below the vertex of ``row_m``, so d(anchor, x) is
+    row_m[x] - row_m[anchor].
     """
-    leaves = [x for x in comp if tree.degree(x) == 1]
-    path_ok = (
-        all(tree.degree(x) <= 2 for x in comp) and len(comp) % 3 == 1
-    )
-    row_anchor = tree.distance_row(anchor)
-    q_ok = all(row_anchor[x] % 3 == 1 for x in leaves) and all(
-        tree.distance_row(x)[y] % 3 == 2 for x, y in combinations(leaves, 2)
+    degrees = [len(tree.adjacency[x]) for x in comp]
+    path_ok = max(degrees) <= 2 and len(comp) % 3 == 1
+    q_ok = all(
+        (row_m[x] - row_m[anchor]) % 3 == (1 if deg == 1 else 0)
+        for x, deg in zip(comp, degrees)
+        if deg != 2
     )
     return path_ok, q_ok
 
@@ -249,8 +256,7 @@ def in_gamma(tree: Tree):
             omega = _omega_type(residues)
             if omega is None:
                 continue
-            core = set().union(*paths)
-            ok, attachments = _check_attachments(tree, major, trio, core)
+            ok, attachments = _check_attachments(tree, row_m, paths)
             if ok:
                 return True, GammaWitness(
                     major=major,
@@ -262,8 +268,13 @@ def in_gamma(tree: Tree):
     return False, None
 
 
-def _check_attachments(tree: Tree, major: int, trio, core: set):
+def _check_attachments(tree: Tree, row_m, paths):
     # Components of the tree minus the core, each hanging at one core vertex.
+    # The legs leave the major by distinct edges, so every other core vertex
+    # lies on one leg; all distances are differences along the major's row.
+    major = paths[0][0]
+    leg_end = {v: leg[-1] for leg in paths for v in leg[1:]}
+    core = set(leg_end) | {major}
     unseen = set(range(1, tree.n + 1)) - core
     by_anchor: dict[int, list[frozenset]] = {}
     while unseen:
@@ -290,22 +301,16 @@ def _check_attachments(tree: Tree, major: int, trio, core: set):
             )
         by_anchor.setdefault(anchors.pop(), []).append(frozenset(comp))
 
-    row_m = tree.distance_row(major)
     attachments = []
     for anchor, comps in sorted(by_anchor.items()):
         if anchor == major:
-            anchor_ok = any(row_m[u] % 3 == 1 for u in trio)
+            anchor_ok = any(row_m[leg[-1]] % 3 == 1 for leg in paths)
         else:
-            owner = next(
-                u
-                for u in trio
-                if row_m[anchor] + tree.distance_row(anchor)[u] == row_m[u]
-            )
-            anchor_ok = tree.distance_row(anchor)[owner] % 3 == 1
+            anchor_ok = (row_m[leg_end[anchor]] - row_m[anchor]) % 3 == 1
         if not anchor_ok:
             return False, ()
 
-        elig = [_component_eligibility(tree, comp, anchor) for comp in comps]
+        elig = [_component_eligibility(tree, comp, anchor, row_m) for comp in comps]
         if any(not p and not q for p, q in elig):
             return False, ()
         q_only = sum(1 for p, q in elig if q and not p)
@@ -335,25 +340,22 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     combinatorial verdict and the exact rational nullity must agree, else
     OracleDisagreement.
     """
-    classes = classify_vertices(tree)
-    p = len(classes.pendants)
+    p = len(classify_vertices(tree).pendants)
     if p < 2:
         raise TooFewPendants("classification needs at least two pendants")
     exact = rational_nullity(laplacian(tree), Fraction(1))
     cert = admissible_q(tree)
     extremal = cert.is_path or bool(cert.q_list)
-    lambda_set = extremal_lambda_set(tree) if extremal and not cert.is_path else ()
+    lambda_set = _lambda_params(cert) if extremal and not cert.is_path else ()
 
     witness = None
     if cert.is_path:
         m1_class = "p-1" if tree.n % 3 == 0 else "p-2"
+    elif cert.g % 3 == 0:  # every pendant pair at distance 2 (mod 3)
+        m1_class = "p-1"
     else:
-        flags = family_membership(tree)
-        if flags.in_q:
-            m1_class = "p-1"
-        else:
-            verdict, witness = in_gamma(tree)
-            m1_class = "p-2" if verdict else "other"
+        verdict, witness = in_gamma(tree)
+        m1_class = "p-2" if verdict else "other"
 
     expected = {"p-1": p - 1, "p-2": p - 2}.get(m1_class)
     if expected is not None and exact != expected:

@@ -26,34 +26,12 @@ import numpy as np
 from . import __version__
 from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel, certify
 from .construct import eigenbasis_extremal
-from .errors import (
-    CapExceeded,
-    CongruenceViolated,
-    InvalidTree,
-    LabelOutOfRange,
-    NoMajorVertex,
-    NotExtremal,
-    OracleDisagreement,
-    ParseError,
-    TooFewPendants,
-    TreeSpectraError,
-)
+from .errors import OracleDisagreement, ParseError, TreeSpectraError
 from .exact import laplacian
 from .numeric import numeric_rank, residual_norm
 from .trees import classify_vertices, from_edge_list, parse_edge_list_text
 
 SCHEMA_VERSION = 1
-
-_USAGE_ERRORS = (
-    ParseError,
-    InvalidTree,
-    LabelOutOfRange,
-    CongruenceViolated,
-    NoMajorVertex,
-    NotExtremal,
-    TooFewPendants,
-    CapExceeded,
-)
 
 
 def fmt_float(x: float) -> str:
@@ -362,6 +340,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    """argparse type for --jobs: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treespectra",
@@ -396,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--filter", choices=FILTERS, default="all")
     p_enum.add_argument("--format", choices=("csv", "json", "dot"), default="csv")
     p_enum.add_argument("--out", help="output file (or directory for dot)")
-    p_enum.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_enum.add_argument(
+        "--jobs", type=_jobs, default=1, help="worker processes (>= 1), capped at the CPU count"
+    )
     p_enum.add_argument("--tol", type=_tolerance, default=1e-12, help=_TOL_HELP)
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -416,13 +407,7 @@ def main(argv=None) -> int:
         if exc.edges:
             sys.stderr.write(f"offending edges: {list(exc.edges)}\n")
         return 3
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except TreeSpectraError as exc:  # anything else package-raised is misuse
+    except (TreeSpectraError, OSError) as exc:  # bad input, parameters or files
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -263,13 +262,16 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     modulus = 2 * q + 1
     if pendant_distance_gcd(tree) % modulus:
         # Name the first offending pair; only a failing tree pays for the scan.
-        for u, w in combinations(classes.pendants, 2):
-            d = tree.distance_row(u)[w]
-            if d % modulus != 2 * q:
-                raise CongruenceViolated(
-                    f"pendant pair ({u}, {w}) at distance {d}, "
-                    f"need == {2 * q} (mod {modulus})"
-                )
+        pendants = classes.pendants
+        for i, u in enumerate(pendants):
+            row = tree.distance_row(u)
+            for w in pendants[i + 1:]:
+                d = row[w]
+                if d % modulus != 2 * q:
+                    raise CongruenceViolated(
+                        f"pendant pair ({u}, {w}) at distance {d}, "
+                        f"need == {2 * q} (mod {modulus})"
+                    )
 
     param = LambdaParam(q, b)
     records: list[PathRecord] = []

@@ -45,39 +45,29 @@ class Tree:
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v`` (index 0 is a
     placeholder).  ``original_labels[i-1]`` remembers what label ``i`` was
     called before :func:`from_edge_list` relabeled, purely for reporting.
-
-    Breadth-first distance rows are memoized in ``_dist_rows``; each row is
-    written atomically under the interpreter lock, so concurrent readers in
-    threads are safe, and worker processes simply rebuild their own cache.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
     original_labels: tuple[int, ...] = field(compare=False, repr=False, default=())
-    _dist_rows: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def degree(self, v: int) -> int:
-        _check_label(self, v)
-        return len(self.adjacency[v])
 
     def distance_row(self, u: int) -> tuple[int, ...]:
-        """All distances from ``u``, indexed by label (slot 0 unused)."""
+        """All distances from ``u``, indexed by label (slot 0 unused).
+
+        One breadth-first search per call: nothing is cached.
+        """
         _check_label(self, u)
-        row = self._dist_rows.get(u)
-        if row is None:
-            dist = [-1] * (self.n + 1)
-            dist[u] = 0
-            queue = deque([u])
-            while queue:
-                x = queue.popleft()
-                for y in self.adjacency[x]:
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        queue.append(y)
-            row = tuple(dist)
-            self._dist_rows[u] = row
-        return row
+        dist = [-1] * (self.n + 1)
+        dist[u] = 0
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in self.adjacency[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return tuple(dist)
 
 
 @dataclass(frozen=True)

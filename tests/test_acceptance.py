@@ -140,12 +140,13 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
                 continue
             p = len(cls.pendants)
             trees_checked += 1
+            major_rows = [tree.distance_row(m) for m in cls.majors]
             for q in cert.q_list:
                 modulus = 2 * q + 1
                 forced = [
                     v
                     for v in range(1, tree.n + 1)
-                    if any(tree.distance_row(m)[v] % modulus == 0 for m in cls.majors)
+                    if any(row[v] % modulus == 0 for row in major_rows)
                 ]
                 assert set(cls.majors) <= set(forced)
                 for b in range(q):
@@ -275,14 +276,15 @@ def test_criterion_7_supporting_lemmas(trees_by_n):
             cls = classify_vertices(tree)
             if not cls.majors:
                 continue
+            rows = {u: tree.distance_row(u) for u in cls.pendants}
             for q in range(1, 6):
                 m = 2 * q + 1
                 pairwise = all(
-                    tree.distance_row(u)[w] % m == 2 * q
+                    rows[u][w] % m == 2 * q
                     for u, w in combinations(cls.pendants, 2)
                 )
                 to_major = all(
-                    tree.distance_row(u)[v] % m == q
+                    rows[u][v] % m == q
                     for u in cls.pendants
                     for v in cls.majors
                 )

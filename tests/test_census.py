@@ -1,17 +1,22 @@
+import concurrent.futures
 import math
+import os
 import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
+import treespectra.classify as classify_module
 from treespectra import (
     ORDER_CAP,
+    Tree,
     build_catalog,
     canonical_form,
     canonical_relabel,
     census,
     certify,
+    classify_m1,
     free_trees,
     from_edge_list,
     prufer_count_oracle,
@@ -289,6 +294,37 @@ class TestBuildCatalog:
         with pytest.raises(OracleDisagreement):
             build_catalog(5, jobs=jobs, tol=1e-2)
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # A recording stand-in: no process is started, whatever jobs asks for.
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        serial = build_catalog(4)
+        assert build_catalog(4, jobs=10**6) == serial
+        assert requested == [] or requested[0] <= (os.cpu_count() or 1)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        requested.clear()
+        for jobs in (10**6, 3, 2, 1):
+            assert build_catalog(4, jobs=jobs) == serial
+        assert requested == [3, 3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_catalog(4, jobs=10**6) == serial
+        assert requested == [3, 3, 2]
+
     def test_validation(self):
         with pytest.raises(CapExceeded):
             build_catalog(ORDER_CAP + 1)
@@ -323,3 +359,25 @@ class TestCertify:
         assert cert.lambda_rows == ()
         assert cert.m1_numeric == cert.report.m1_exact
         assert char_poly_orders == []
+
+    def test_classify_m1_builds_the_certificate_once(self, monkeypatch):
+        # spider(1,1,4) is in the mod-3 family: one vertex classification for
+        # p, one inside admissible_q, and the pendant gcd's single BFS row
+        calls = Counter()
+        real_classify = classify_module.classify_vertices
+        real_row = Tree.distance_row
+
+        def counting_classify(tree):
+            calls["classify_vertices"] += 1
+            return real_classify(tree)
+
+        def counting_row(tree, u):
+            calls["distance_row"] += 1
+            return real_row(tree, u)
+
+        monkeypatch.setattr(classify_module, "classify_vertices", counting_classify)
+        monkeypatch.setattr(Tree, "distance_row", counting_row)
+        report = classify_m1(spider(1, 1, 4))
+        assert report.m1_class == "p-1"
+        assert calls["classify_vertices"] <= 2
+        assert calls["distance_row"] == 1

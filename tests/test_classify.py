@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from test_float_route import SETTINGS, extremal_trees, prufer_tree
 
 from treespectra import (
     LambdaParam,
+    Tree,
     admissible_q,
     classify_m1,
     classify_vertices,
@@ -22,6 +22,7 @@ from treespectra import (
     pendant_distance_gcd,
     single_vertex,
 )
+from treespectra.classify import _component_eligibility
 from treespectra.errors import NotExtremal, TooFewPendants
 
 
@@ -75,12 +76,16 @@ class TestCongruenceCertificate:
 def pairwise_pendant_gcd(tree):
     """The definition, pair by pair: gcd of d(u,w) + 1 over pendant pairs."""
     pendants = classify_vertices(tree).pendants
-    return math.gcd(*(tree.distance_row(u)[w] + 1 for u, w in combinations(pendants, 2)))
+    g = 0
+    for i, u in enumerate(pendants):
+        row = tree.distance_row(u)
+        g = math.gcd(g, *(row[w] + 1 for w in pendants[i + 1:]))
+    return g
 
 
 @st.composite
-def prufer_trees(draw):
-    n = draw(st.integers(2, 300))
+def prufer_trees(draw, max_n=300):
+    n = draw(st.integers(2, max_n))
     seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
     return prufer_tree(seq)
 
@@ -108,6 +113,67 @@ class TestPendantGcdAgainstPairs:
 
     def test_in_q_vacuous_below_two_pendants(self):
         assert family_membership(single_vertex()).in_q
+
+
+def pairwise_mod3_piece(tree, comp, anchor):
+    """The definition of a mod-3 piece: every pendant inside at distance
+    1 (mod 3) from the anchor, and every pair of them at distance 2 (mod 3)."""
+    leaves = sorted(x for x in comp if len(tree.adjacency[x]) == 1)
+    row_anchor = tree.distance_row(anchor)
+    if any(row_anchor[x] % 3 != 1 for x in leaves):
+        return False
+    for i, x in enumerate(leaves):
+        row = tree.distance_row(x)
+        if any(row[y] % 3 != 2 for y in leaves[i + 1:]):
+            return False
+    return True
+
+
+def components_off(tree, anchor):
+    """Vertex sets of the components of T - anchor."""
+    comps = []
+    for root in tree.adjacency[anchor]:
+        comp, stack = {root}, [root]
+        while stack:
+            x = stack.pop()
+            for y in tree.adjacency[x]:
+                if y != anchor and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def assert_meeting_vertex_rule(tree):
+    # Every component hangs below every vertex outside it, so each such
+    # vertex's row may stand in for the major's.
+    rows = [None] + [tree.distance_row(v) for v in range(1, tree.n + 1)]
+    for anchor in range(1, tree.n + 1):
+        for comp in components_off(tree, anchor):
+            want = pairwise_mod3_piece(tree, comp, anchor)
+            for top in range(1, tree.n + 1):
+                if top not in comp:
+                    got = _component_eligibility(tree, comp, anchor, rows[top])[1]
+                    assert got == want, (tree.edges, anchor, sorted(comp), top)
+
+
+class TestMeetingVertexRule:
+    def test_every_tree_to_order_12(self):
+        pieces = 0
+        for n in range(2, 13):
+            for tree in free_trees(n):
+                assert_meeting_vertex_rule(tree)
+                pieces += sum(
+                    pairwise_mod3_piece(tree, comp, a)
+                    for a in range(1, n + 1)
+                    for comp in components_off(tree, a)
+                )
+        assert pieces > 0
+
+    @settings(SETTINGS)
+    @given(prufer_trees(max_n=60))
+    def test_random_trees_to_order_60(self, tree):
+        assert_meeting_vertex_rule(tree)
 
 
 class TestIsExtremal:
@@ -208,6 +274,23 @@ class TestInGamma:
         assert in_gamma(spider(1, 2, 2)) == (False, None)
         assert in_gamma(star(3)) == (False, None)
         assert in_gamma(path(7)) == (False, None)
+
+    def test_one_distance_row_per_major(self, monkeypatch):
+        # three majors, components hanging off the legs and no valid triple
+        # anywhere: every distance in the scan comes off the majors' rows
+        tree = from_edge_list(
+            [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (7, 8), (7, 9), (4, 10)]
+        )
+        rows = []
+        real = Tree.distance_row
+
+        def counting(t, u):
+            rows.append(u)
+            return real(t, u)
+
+        monkeypatch.setattr(Tree, "distance_row", counting)
+        assert in_gamma(tree) == (False, None)
+        assert rows == list(classify_vertices(tree).majors)
 
 
 class TestClassifyM1:

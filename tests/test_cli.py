@@ -128,6 +128,13 @@ class TestExitCodes:
             assert "--tol" in err
             assert "Traceback" not in err
 
+    def test_bad_jobs_is_2(self, capsys):
+        for value in ("0", "-3", "two", "1.5"):
+            assert main(["enumerate", "--max-n", "4", f"--jobs={value}"]) == 2
+            err = capsys.readouterr().err
+            assert "--jobs" in err
+            assert "Traceback" not in err
+
     def test_oracle_disagreement_is_3(self, tmp_path, capsys, monkeypatch):
         # A numeric route that finds no eigenvalue anywhere disagrees with
         # the exact routes inside certify, which check and enumerate share.

@@ -177,12 +177,12 @@ class TestEigenbasisExtremal:
     def test_zeros_at_majors_and_congruent_vertices(self):
         t = spider(1, 1, 4)
         pairs, _ = eigenbasis_extremal(t, q=1)
-        majors = classify_vertices(t).majors
+        major_rows = [t.distance_row(m) for m in classify_vertices(t).majors]
         forced = {
             v
             for v in range(1, t.n + 1)
-            for m in majors
-            if t.distance_row(m)[v] % 3 == 0
+            for row in major_rows
+            if row[v] % 3 == 0
         }
         assert forced == {1, 6}
         for p in pairs:

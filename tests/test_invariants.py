@@ -3,10 +3,13 @@
 An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
 The package sources also carry no unused imports; no linter is installed,
-so an AST walk checks it.
+so an AST walk checks it.  Every function the benchmark's tracer wraps
+must exist.
 """
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,8 @@ import pytest
 from treespectra import LambdaParam, exact, minimal_poly_lambda
 from treespectra.errors import InvariantViolated
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treespectra"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "treespectra"
 
 # x + 1 has odd degree, so it cannot be the cyclotomic polynomial of index 6
 BOGUS_CYCLOTOMIC_6 = (1, 1)
@@ -62,6 +66,30 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert offenders == []
+
+
+def test_traced_functions_exist():
+    # The benchmark's tracer patches these names with getattr; read the
+    # table without importing the benchmark, so a renamed or deleted
+    # function fails here rather than in a traced run.
+    source = (REPO / "bench" / "tracing.py").read_text()
+    (wrapped,) = [
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    table = ast.literal_eval(wrapped)
+    assert table
+    missing = [
+        f"treespectra.{module}.{name}"
+        for module, names in table.items()
+        for name in names
+        if not inspect.isfunction(
+            getattr(importlib.import_module(f"treespectra.{module}"), name, None)
+        )
+    ]
+    assert missing == []
 
 
 def test_minimal_poly_raises_on_a_broken_invariant(monkeypatch):
