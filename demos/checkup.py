@@ -6,7 +6,6 @@ and what happens at eigenvalue 1."""
 from treespectra import (
     admissible_q,
     classify_m1,
-    classify_vertices,
     eigen_symmetric,
     extremal_lambda_set,
     from_edge_list,
@@ -17,14 +16,13 @@ from treespectra import (
 # a spider with legs 1, 1, 4: three pendants, one major vertex
 tree = from_edge_list([(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (6, 7)])
 
-cls = classify_vertices(tree)
 print(f"tree on {tree.n} vertices, edges {list(tree.edges)}")
-print(f"pendants {list(cls.pendants)}, majors {list(cls.majors)}")
+print(f"pendants {list(tree.pendants)}, majors {list(tree.majors)}")
 
 print("\npendant pair distances:")
-for i, u in enumerate(cls.pendants):
+for i, u in enumerate(tree.pendants):
     row = tree.distance_row(u)
-    for w in cls.pendants[i + 1:]:
+    for w in tree.pendants[i + 1:]:
         d = row[w]
         print(f"  d({u},{w}) = {d}, d+1 = {d + 1}")
 
@@ -33,7 +31,7 @@ print(f"\ngcd of d+1 over pairs: {cert.g}")
 print(f"admissible odd moduli: {list(cert.admissible_moduli)} -> q values {list(cert.q_list)}")
 
 params = extremal_lambda_set(tree)
-p = len(cls.pendants)
+p = len(tree.pendants)
 print(f"\neigenvalues reaching multiplicity p-1 = {p - 1}:")
 for prm in params:
     print(f"  lambda = 2(1 - cos({prm.ratio} pi)) = {prm.value:.12f}")

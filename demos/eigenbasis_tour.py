@@ -10,7 +10,6 @@ multiplicity 2 at both roots of the modulus-5 cosine family.
 import numpy as np
 
 from treespectra import (
-    classify_vertices,
     eigenbasis_extremal,
     from_edge_list,
     numeric_rank,
@@ -18,9 +17,8 @@ from treespectra import (
 )
 
 tree = from_edge_list([(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
-cls = classify_vertices(tree)
-p = len(cls.pendants)
-print(f"spider(2,2,2): {p} pendants, major at {cls.majors[0]}")
+p = len(tree.pendants)
+print(f"spider(2,2,2): {p} pendants, major at {tree.majors[0]}")
 print("pendant distances are all 4, so 5 | d+1 and q = 2 is admissible\n")
 
 for b in (0, 1):

@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .trees import (
     Tree,
     TreePath,
-    VertexClassification,
     from_edge_list,
     single_vertex,
     parse_edge_list_text,
-    classify_vertices,
     distance,
     path_between,
 )
@@ -79,11 +77,9 @@ __all__ = [
     # trees
     "Tree",
     "TreePath",
-    "VertexClassification",
     "from_edge_list",
     "single_vertex",
     "parse_edge_list_text",
-    "classify_vertices",
     "distance",
     "path_between",
     # exact

@@ -32,7 +32,7 @@ from .exact import (
     root_multiplicity,
 )
 from .numeric import Spectrum, cluster_multiplicity, eigen_symmetric
-from .trees import Tree, classify_vertices, from_edge_list, single_vertex
+from .trees import Tree, _build
 
 __all__ = [
     "ORDER_CAP",
@@ -87,13 +87,16 @@ def _level_sequences(n: int):
 
 def _tree_from_levels(levels) -> Tree:
     # Parent of each position is the most recent position one level up.
+    # Position k is vertex k, so the edges form a tree on 1..n whose labels
+    # first appear in order: the checks and relabeling of from_edge_list
+    # would change nothing.
     last_at = {levels[0]: 1}
     edges = []
     for pos in range(1, len(levels)):
         level = levels[pos]
         edges.append((last_at[level - 1], pos + 1))
         last_at[level] = pos + 1
-    return from_edge_list(edges)
+    return _build(len(levels), edges)
 
 
 def _centroids(tree: Tree) -> tuple[int, ...]:
@@ -170,12 +173,10 @@ def canonical_form(tree: Tree) -> str:
 
 def canonical_relabel(tree: Tree) -> Tree:
     """The same tree rebuilt with labels 1..n in canonical preorder."""
-    if tree.n == 1:
-        return single_vertex()
     return _tree_from_levels(canonical_levels(tree))
 
 
-def free_trees(n: int, cap: int = ORDER_CAP):
+def free_trees(n: int):
     """Yield one representative per isomorphism class of trees on n vertices.
 
     A rooted level sequence survives exactly when it coincides with the
@@ -184,11 +185,8 @@ def free_trees(n: int, cap: int = ORDER_CAP):
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"order {n} above the supported cap {cap}")
-    if n == 1:
-        yield single_vertex()
-        return
+    if n > ORDER_CAP:
+        raise CapExceeded(f"order {n} above the supported cap {ORDER_CAP}")
     for seq in _level_sequences(n):
         heaviest = _heaviest_root_block(seq)
         if heaviest + heaviest < n:
@@ -313,13 +311,12 @@ def prufer_count_oracle(n: int) -> int:
 
 def tree_name(tree: Tree) -> str:
     """Human name for the common shapes: P_n, K_{1,k}, spider(...); else ''."""
-    classes = classify_vertices(tree)
-    if not classes.majors:
+    if not tree.majors:
         return f"P_{tree.n}"
-    if len(classes.majors) == 1:
-        center = classes.majors[0]
+    if len(tree.majors) == 1:
+        center = tree.majors[0]
         row = tree.distance_row(center)
-        legs = sorted(row[u] for u in classes.pendants)
+        legs = sorted(row[u] for u in tree.pendants)
         if all(leg == 1 for leg in legs):
             return f"K_{{1,{len(legs)}}}"
         return "spider(" + ",".join(map(str, legs)) + ")"

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import InvariantViolated, NotExtremal, OracleDisagreement, TooFewPendants
 from .exact import LambdaParam, laplacian, rational_nullity
-from .trees import Tree, classify_vertices, path_between
+from .trees import Tree, path_between
 
 __all__ = [
     "CongruenceCertificate",
@@ -103,13 +103,12 @@ def pendant_distance_gcd(tree: Tree) -> int:
     and every major is the meeting vertex of two pendants in different
     branches below it.
     """
-    classes = classify_vertices(tree)
-    pendants = classes.pendants
+    pendants = tree.pendants
     if len(pendants) < 2:
         raise TooFewPendants(f"need at least two pendants, found {len(pendants)}")
     row = tree.distance_row(pendants[0])
     return math.gcd(
-        *(row[w] + 1 for w in pendants[1:]), *(2 * row[x] + 1 for x in classes.majors)
+        *(row[w] + 1 for w in pendants[1:]), *(2 * row[x] + 1 for x in tree.majors)
     )
 
 
@@ -121,7 +120,7 @@ def admissible_q(tree: Tree) -> CongruenceCertificate:
         g=g,
         admissible_moduli=moduli,
         q_list=tuple((m - 1) // 2 for m in moduli),
-        is_path=max(map(len, tree.adjacency)) <= 2,
+        is_path=not tree.majors,
     )
 
 
@@ -176,17 +175,15 @@ def has_unit_extremal(tree: Tree) -> bool:
 
 
 def family_membership(tree: Tree) -> FamilyFlags:
-    classes = classify_vertices(tree)
-    pendants = classes.pendants
+    pendants = tree.pendants
     # every pendant pair at distance 2 (mod 3); vacuous below two pendants
     in_q = len(pendants) < 2 or pendant_distance_gcd(tree) % 3 == 0
-    is_path = not classes.majors
-    in_p = is_path and tree.n % 3 == 2
+    in_p = not tree.majors and tree.n % 3 == 2
 
     omega = None
-    if len(classes.majors) == 1 and len(pendants) == 3:
+    if len(tree.majors) == 1 and len(pendants) == 3:
         # One major and three pendants force a three-legged spider.
-        center = classes.majors[0]
+        center = tree.majors[0]
         row = tree.distance_row(center)
         omega = _omega_type(sorted(row[u] % 3 for u in pendants))
     return FamilyFlags(in_q=in_q, in_p=in_p, omega=omega)
@@ -240,12 +237,11 @@ def in_gamma(tree: Tree):
     Returns ``(verdict, witness-or-None)``; the witness is the first found,
     scanning majors in ascending order and pendant triples lexicographically.
     """
-    classes = classify_vertices(tree)
-    pendants = classes.pendants
-    if len(pendants) < 3 or not classes.majors:
+    pendants = tree.pendants
+    if len(pendants) < 3 or not tree.majors:
         return False, None
 
-    for major in classes.majors:
+    for major in tree.majors:
         row_m = tree.distance_row(major)
         for trio in combinations(pendants, 3):
             paths = [path_between(tree, major, u).vertices for u in trio]
@@ -340,7 +336,7 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     combinatorial verdict and the exact rational nullity must agree, else
     OracleDisagreement.
     """
-    p = len(classify_vertices(tree).pendants)
+    p = len(tree.pendants)
     if p < 2:
         raise TooFewPendants("classification needs at least two pendants")
     exact = rational_nullity(laplacian(tree), Fraction(1))

@@ -9,7 +9,8 @@ produce identical output.
 JSON output is byte-stable: floating values are rendered as 15-significant-
 digit strings, rationals as "num/den" strings, polynomials as integer
 coefficient arrays (low degree first), and keys are emitted sorted.  Exit
-codes: 0 success, 2 bad input or parameters, 3 oracle disagreement.
+codes: 0 success, 2 bad input or parameters, 3 oracle disagreement
+(including an eigenbasis whose rank or residuals fail its certificate).
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ from .construct import eigenbasis_extremal
 from .errors import OracleDisagreement, ParseError, TreeSpectraError
 from .exact import laplacian
 from .numeric import numeric_rank, residual_norm
-from .trees import classify_vertices, from_edge_list, parse_edge_list_text
+from .trees import from_edge_list, parse_edge_list_text
 
 SCHEMA_VERSION = 1
+
+# Largest residual (relative to the vector's max-norm) an eigenbasis may
+# show and still be reported; the bound acceptance criterion 4 checks.
+_RESIDUAL_MAX = 1e-10
 
 
 def fmt_float(x: float) -> str:
@@ -53,10 +58,9 @@ def _load_tree(path: str):
 
 def _envelope(command: str, parameters: dict, tree, payload: dict, started: float) -> dict:
     if tree is not None:
-        classes = classify_vertices(tree)
         echo = {
             "n": tree.n,
-            "p": len(classes.pendants),
+            "p": len(tree.pendants),
             "edges": [[u, v] for u, v in tree.edges],
         }
     else:
@@ -193,6 +197,16 @@ def cmd_eigenbasis(args) -> int:
     lap = np.array(laplacian(tree), dtype=float)
     residuals = [residual_norm(tree, pair.value, pair.vector, lap=lap) for pair in pairs]
     rank = numeric_rank([pair.vector for pair in pairs], tol=1e-8)
+    if rank != len(pairs):
+        raise OracleDisagreement(
+            f"eigenbasis rank is {rank}, not p-1={len(pairs)}", edges=tree.edges
+        )
+    worst = max(residuals)
+    if worst > _RESIDUAL_MAX:
+        raise OracleDisagreement(
+            f"eigenbasis residual is {fmt_float(worst)}, above {fmt_float(_RESIDUAL_MAX)}",
+            edges=tree.edges,
+        )
     param = pairs[0].param
 
     payload = {
@@ -234,7 +248,7 @@ def cmd_eigenbasis(args) -> int:
         lines = [
             f"lambda = {payload['lambda']} (ratio {payload['ratio']})",
             f"vectors: {payload['count']}, rank {payload['rank']}",
-            f"max residual: {fmt_float(max(residuals))}",
+            f"max residual: {fmt_float(worst)}",
         ]
         if args.out:
             lines.append(f"written to {args.out}")

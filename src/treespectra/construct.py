@@ -21,7 +21,7 @@ import numpy as np
 from .classify import pendant_distance_gcd
 from .errors import CongruenceViolated, IndexOutOfRange, InvariantViolated, NoMajorVertex
 from .exact import LambdaParam
-from .trees import Tree, classify_vertices
+from .trees import Tree
 
 __all__ = [
     "EigenPair",
@@ -167,11 +167,10 @@ def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
 
     legs: dict[int, list[int]] = {}
     at: dict[int, list[int]] = {}  # major -> pendants whose leg ends there, ascending
-    for u in range(1, n + 1):
-        if deg[u] == 1:
-            passed, major = walk(u, adj[u][0])
-            legs[u] = [u, *passed]
-            at.setdefault(major, []).append(u)
+    for u in tree.pendants:
+        passed, major = walk(u, adj[u][0])
+        legs[u] = [u, *passed]
+        at.setdefault(major, []).append(u)
 
     anchors = []
     peeled = []
@@ -256,13 +255,12 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
         raise CongruenceViolated(f"q must be a positive integer, got {q!r}")
     if not (isinstance(b, int) and 0 <= b < q):
         raise CongruenceViolated(f"b must lie in [0, q), got b={b!r}, q={q}")
-    classes = classify_vertices(tree)
-    if not classes.majors:
+    if not tree.majors:
         raise NoMajorVertex("tree is a path; extremal multiplicity is trivial there")
     modulus = 2 * q + 1
     if pendant_distance_gcd(tree) % modulus:
         # Name the first offending pair; only a failing tree pays for the scan.
-        pendants = classes.pendants
+        pendants = tree.pendants
         for i, u in enumerate(pendants):
             row = tree.distance_row(u)
             for w in pendants[i + 1:]:

@@ -8,7 +8,7 @@ against each other in the test suite.  Vectors are indexed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +31,16 @@ class Spectrum:
 
     ``clusters`` holds (representative, multiplicity) pairs where the
     representative is the cluster mean; consecutive eigenvalues belong to
-    one cluster while their gap stays within tau.  ``vectors`` (when
-    requested) has one orthonormal column per eigenvalue, in the same
-    order.
+    one cluster while their gap stays within tau.
     """
 
     eigenvalues: tuple[float, ...]
     clusters: tuple[tuple[float, int], ...]
     tau: float
-    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def eigen_symmetric(matrix, tol: float = 1e-12, want_vectors: bool = False) -> Spectrum:
-    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigvalsh``/``eigh``).
+def eigen_symmetric(matrix, tol: float = 1e-12) -> Spectrum:
+    """Eigenvalues of a symmetric matrix from LAPACK (``numpy.linalg.eigvalsh``).
 
     The clustering tolerance is ``tau = max(1e-8, 1e3 * tol * ||M||)``,
     with ``||M||`` the Frobenius norm of the input.  Raises NonSymmetric
@@ -57,18 +54,12 @@ def eigen_symmetric(matrix, tol: float = 1e-12, want_vectors: bool = False) -> S
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not symmetric")
     norm = float(np.linalg.norm(a))
-    if want_vectors:
-        eigenvalues, vecs = np.linalg.eigh(a)
-    else:
-        eigenvalues, vecs = np.linalg.eigvalsh(a), None
-
     tau = max(1e-8, 1e3 * tol * norm)
-    values = eigenvalues.tolist()
+    values = np.linalg.eigvalsh(a).tolist()
     return Spectrum(
         eigenvalues=tuple(values),
         clusters=_cluster(values, tau),
         tau=tau,
-        vectors=vecs,
     )
 
 

@@ -1,9 +1,11 @@
 """Labeled trees and the combinatorial helpers everything else builds on.
 
-A :class:`Tree` lives on the contiguous label set ``1..n``.  Construction
-goes through :func:`from_edge_list`, which relabels arbitrary positive
-integer labels by first appearance and rejects anything that is not a tree.
-Nothing here mutates a tree.
+A :class:`Tree` lives on the contiguous label set ``1..n``.  Input from
+outside goes through :func:`from_edge_list`, which relabels arbitrary
+positive integer labels by first appearance and rejects anything that is
+not a tree; the package's own generators, whose edges are a tree on
+``1..n`` by construction, use the internal ``_build``.  Nothing here
+mutates a tree.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.
@@ -28,11 +30,9 @@ from .errors import (
 __all__ = [
     "Tree",
     "TreePath",
-    "VertexClassification",
     "from_edge_list",
     "single_vertex",
     "parse_edge_list_text",
-    "classify_vertices",
     "distance",
     "path_between",
 ]
@@ -45,12 +45,23 @@ class Tree:
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v`` (index 0 is a
     placeholder).  ``original_labels[i-1]`` remembers what label ``i`` was
     called before :func:`from_edge_list` relabeled, purely for reporting.
+    ``pendants`` (degree 1) and ``majors`` (degree >= 3) are the sorted
+    label tuples of those degree classes, derived from ``adjacency`` once at
+    construction.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
     original_labels: tuple[int, ...] = field(compare=False, repr=False, default=())
+    pendants: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    majors: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        adj = self.adjacency
+        labels = range(1, self.n + 1)
+        object.__setattr__(self, "pendants", tuple(v for v in labels if len(adj[v]) == 1))
+        object.__setattr__(self, "majors", tuple(v for v in labels if len(adj[v]) >= 3))
 
     def distance_row(self, u: int) -> tuple[int, ...]:
         """All distances from ``u``, indexed by label (slot 0 unused).
@@ -79,21 +90,6 @@ class TreePath:
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
-class VertexClassification:
-    """Degree-based vertex classes.  All label tuples are sorted.
-
-    pendants: degree 1; majors: degree >= 3; quasi_pendants: vertices
-    adjacent to at least one pendant.  ``degrees[v]`` is the degree of ``v``
-    (slot 0 unused).
-    """
-
-    pendants: tuple[int, ...]
-    majors: tuple[int, ...]
-    quasi_pendants: tuple[int, ...]
-    degrees: tuple[int, ...]
 
 
 def _check_label(tree: Tree, v) -> None:
@@ -209,20 +205,6 @@ def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
             raise ParseError(f"line {lineno}: labels must be positive", line=lineno)
         pairs.append((u, v))
     return tuple(pairs)
-
-
-def classify_vertices(tree: Tree) -> VertexClassification:
-    degrees = tuple(len(a) for a in tree.adjacency)
-    pendants = tuple(v for v in range(1, tree.n + 1) if degrees[v] == 1)
-    majors = tuple(v for v in range(1, tree.n + 1) if degrees[v] >= 3)
-    quasi = tuple(
-        v
-        for v in range(1, tree.n + 1)
-        if any(degrees[w] == 1 for w in tree.adjacency[v])
-    )
-    return VertexClassification(
-        pendants=pendants, majors=majors, quasi_pendants=quasi, degrees=degrees
-    )
 
 
 def distance(tree: Tree, u: int, v: int) -> int:

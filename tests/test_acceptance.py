@@ -22,7 +22,6 @@ from treespectra import (
     build_catalog,
     canonical_form,
     char_poly,
-    classify_vertices,
     eigen_symmetric,
     eigenbasis_extremal,
     extremal_lambda_set,
@@ -65,13 +64,12 @@ def trees_by_n():
 
 @pytest.fixture(scope="module")
 def unit_sweep(trees_by_n):
-    # (tree, classification, exact multiplicity of eigenvalue 1) per tree
-    rows = []
-    for trees in trees_by_n.values():
-        for t in trees:
-            cls = classify_vertices(t)
-            rows.append((t, cls, rational_nullity(laplacian(t), Fraction(1))))
-    return rows
+    # (tree, exact multiplicity of eigenvalue 1) per tree
+    return [
+        (t, rational_nullity(laplacian(t), Fraction(1)))
+        for trees in trees_by_n.values()
+        for t in trees
+    ]
 
 
 def test_criterion_1_exhaustive_cross_check():
@@ -95,8 +93,8 @@ def test_criterion_1_exhaustive_cross_check():
 
 def test_criterion_2_unit_extremal_decider(unit_sweep):
     # has_unit_extremal <=> m(T,1) = p-1, exhaustively for n <= 12
-    for tree, cls, nullity in unit_sweep:
-        p = len(cls.pendants)
+    for tree, nullity in unit_sweep:
+        p = len(tree.pendants)
         assert has_unit_extremal(tree) == (nullity == p - 1), tree.edges
     print(
         f"\nPASS criterion 2: unit-eigenvalue decider matches the exact "
@@ -108,9 +106,9 @@ def test_criterion_3_gamma_decider(unit_sweep):
     # in_gamma <=> m(T,1) = p-2, over non-paths with >= 3 pendants, n <= 12
     checked = 0
     hits = 0
-    for tree, cls, nullity in unit_sweep:
-        p = len(cls.pendants)
-        if not cls.majors or p < 3:
+    for tree, nullity in unit_sweep:
+        p = len(tree.pendants)
+        if not tree.majors or p < 3:
             continue
         verdict, witness = in_gamma(tree)
         assert verdict == (nullity == p - 2), tree.edges
@@ -132,15 +130,14 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
     bases_checked = 0
     for trees in trees_by_n.values():
         for tree in trees:
-            cls = classify_vertices(tree)
-            if not cls.majors:
+            if not tree.majors:
                 continue
             flag, cert = is_extremal(tree)
             if not flag:
                 continue
-            p = len(cls.pendants)
+            p = len(tree.pendants)
             trees_checked += 1
-            major_rows = [tree.distance_row(m) for m in cls.majors]
+            major_rows = [tree.distance_row(m) for m in tree.majors]
             for q in cert.q_list:
                 modulus = 2 * q + 1
                 forced = [
@@ -148,7 +145,7 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
                     for v in range(1, tree.n + 1)
                     if any(row[v] % modulus == 0 for row in major_rows)
                 ]
-                assert set(cls.majors) <= set(forced)
+                assert set(tree.majors) <= set(forced)
                 for b in range(q):
                     pairs, trace = eigenbasis_extremal(tree, q, b)
                     assert len(pairs) == p - 1
@@ -173,7 +170,7 @@ def test_criterion_5_lambda_values(trees_by_n):
     seen_ratios = set()
     for trees in trees_by_n.values():
         for tree in trees:
-            if not classify_vertices(tree).majors:
+            if not tree.majors:
                 continue
             flag, _ = is_extremal(tree)
             if not flag:
@@ -238,7 +235,7 @@ def test_criterion_7_supporting_lemmas(trees_by_n):
     for n in range(2, 11):
         for tree in free_trees(n):
             base = rational_nullity(laplacian(tree), Fraction(1))
-            for u in classify_vertices(tree).pendants:
+            for u in tree.pendants:
                 kept = [e for e in tree.edges if u not in e]
                 sub = from_edge_list(kept) if kept else single_vertex()
                 after = rational_nullity(laplacian(sub), Fraction(1))
@@ -254,9 +251,10 @@ def test_criterion_7_supporting_lemmas(trees_by_n):
     # (e) unit multiplicity is at least pendants minus quasi-pendants
     for trees in trees_by_n.values():
         for tree in trees:
-            cls = classify_vertices(tree)
+            # quasi-pendants: the vertices adjacent to some pendant
+            quasi = {tree.adjacency[u][0] for u in tree.pendants}
             nullity = rational_nullity(laplacian(tree), Fraction(1))
-            assert nullity >= len(cls.pendants) - len(cls.quasi_pendants)
+            assert nullity >= len(tree.pendants) - len(quasi)
 
     # (f) integer Laplacian eigenvalues >= 2 of a tree are simple and
     # divide the order
@@ -273,20 +271,19 @@ def test_criterion_7_supporting_lemmas(trees_by_n):
     # are the same condition on trees with a major vertex
     for trees in trees_by_n.values():
         for tree in trees:
-            cls = classify_vertices(tree)
-            if not cls.majors:
+            if not tree.majors:
                 continue
-            rows = {u: tree.distance_row(u) for u in cls.pendants}
+            rows = {u: tree.distance_row(u) for u in tree.pendants}
             for q in range(1, 6):
                 m = 2 * q + 1
                 pairwise = all(
                     rows[u][w] % m == 2 * q
-                    for u, w in combinations(cls.pendants, 2)
+                    for u, w in combinations(tree.pendants, 2)
                 )
                 to_major = all(
                     rows[u][v] % m == q
-                    for u in cls.pendants
-                    for v in cls.majors
+                    for u in tree.pendants
+                    for v in tree.majors
                 )
                 assert pairwise == to_major, (tree.edges, q)
 

@@ -7,7 +7,6 @@ from itertools import product
 
 import pytest
 
-import treespectra.classify as classify_module
 from treespectra import (
     ORDER_CAP,
     Tree,
@@ -361,23 +360,25 @@ class TestCertify:
         assert char_poly_orders == []
 
     def test_classify_m1_builds_the_certificate_once(self, monkeypatch):
-        # spider(1,1,4) is in the mod-3 family: one vertex classification for
-        # p, one inside admissible_q, and the pendant gcd's single BFS row
+        # spider(1,1,4) is in the mod-3 family: p and the congruence read the
+        # tree's own pendants and majors, with no tree built along the way,
+        # and the pendant gcd takes a single BFS row
+        tree = spider(1, 1, 4)
         calls = Counter()
-        real_classify = classify_module.classify_vertices
+        real_post_init = Tree.__post_init__
         real_row = Tree.distance_row
 
-        def counting_classify(tree):
-            calls["classify_vertices"] += 1
-            return real_classify(tree)
+        def counting_post_init(self):
+            calls["post_init"] += 1
+            real_post_init(self)
 
         def counting_row(tree, u):
             calls["distance_row"] += 1
             return real_row(tree, u)
 
-        monkeypatch.setattr(classify_module, "classify_vertices", counting_classify)
+        monkeypatch.setattr(Tree, "__post_init__", counting_post_init)
         monkeypatch.setattr(Tree, "distance_row", counting_row)
-        report = classify_m1(spider(1, 1, 4))
+        report = classify_m1(tree)
         assert report.m1_class == "p-1"
-        assert calls["classify_vertices"] <= 2
+        assert calls["post_init"] == 0
         assert calls["distance_row"] == 1

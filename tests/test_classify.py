@@ -11,7 +11,6 @@ from treespectra import (
     Tree,
     admissible_q,
     classify_m1,
-    classify_vertices,
     extremal_lambda_set,
     family_membership,
     free_trees,
@@ -75,7 +74,7 @@ class TestCongruenceCertificate:
 
 def pairwise_pendant_gcd(tree):
     """The definition, pair by pair: gcd of d(u,w) + 1 over pendant pairs."""
-    pendants = classify_vertices(tree).pendants
+    pendants = tree.pendants
     g = 0
     for i, u in enumerate(pendants):
         row = tree.distance_row(u)
@@ -290,7 +289,7 @@ class TestInGamma:
 
         monkeypatch.setattr(Tree, "distance_row", counting)
         assert in_gamma(tree) == (False, None)
-        assert rows == list(classify_vertices(tree).majors)
+        assert rows == list(tree.majors)
 
 
 class TestClassifyM1:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from treespectra import construct
 from treespectra.cli import CSV_HEADER, dumps_report, fmt_float, main
 
 K13 = "# a star\n1 2\n1 3\n1 4\n"
@@ -172,6 +173,22 @@ class TestEigenbasis:
         out = capsys.readouterr().out
         assert "vectors: 2, rank 2" in out
 
+    @pytest.mark.parametrize(
+        "spoil, quantity",
+        [
+            (lambda vectors: [vectors[0][::-1], *vectors[1:]], "residual is 2,"),
+            (lambda vectors: [vectors[0], vectors[0], *vectors[2:]], "rank is 1,"),
+        ],
+        ids=["reversed", "duplicated"],
+    )
+    def test_failed_certificate_is_3(self, tmp_path, capsys, monkeypatch, spoil, quantity):
+        real = construct._peel_basis
+        monkeypatch.setattr(construct, "_peel_basis", lambda *args: spoil(real(*args)))
+        assert main(["eigenbasis", write(tmp_path, "t.txt", SPIDER114), "--q", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"oracle disagreement: eigenbasis {quantity}" in captured.err
+        assert "offending edges" in captured.err
 
     def test_star_of_1200_leaves(self, tmp_path, capsys):
         # one peel step per leaf, far past the interpreter's recursion limit

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treespectra import (
-    classify_vertices,
     cluster_multiplicity,
     eigen_symmetric,
     eigenbasis_extremal,
@@ -161,7 +160,7 @@ def test_float_clusters_match_exact_nullity_on_random_trees(tree):
     lap = laplacian(tree)
     spectrum = eigen_symmetric(lap)
     assert cluster_multiplicity(spectrum, 1.0) == rational_nullity(lap, 1)
-    p = len(classify_vertices(tree).pendants)
+    p = len(tree.pendants)
     assert max(mult for _, mult in spectrum.clusters) <= p - 1
 
 
@@ -169,7 +168,7 @@ def test_float_clusters_match_exact_nullity_on_random_trees(tree):
 @given(extremal_trees())
 def test_float_clusters_reach_p_minus_1_on_extremal_trees(case):
     q, tree = case
-    p = len(classify_vertices(tree).pendants)
+    p = len(tree.pendants)
     spectrum = eigen_symmetric(laplacian(tree))
     params = extremal_lambda_set(tree)
     assert any(param.ratio.denominator == 2 * q + 1 for param in params)
@@ -201,7 +200,7 @@ def test_eigenbasis_on_extremal_trees_past_order_12(case, data):
     q, tree = case
     # relabel by a drawn edge order, so pendant label order varies too
     tree = from_edge_list(data.draw(st.permutations(tree.edges)))
-    p = len(classify_vertices(tree).pendants)
+    p = len(tree.pendants)
     lap = np.array(laplacian(tree), dtype=float)
     for b in range(q):
         pairs, trace = eigenbasis_extremal(tree, q, b)

@@ -4,12 +4,14 @@ An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
 The package sources also carry no unused imports; no linter is installed,
 so an AST walk checks it.  Every function the benchmark's tracer wraps
-must exist.
+must exist, and the demos and the README quickstart must run.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +92,33 @@ def test_traced_functions_exist():
         )
     ]
     assert missing == []
+
+
+def _readme_python_block():
+    (block,) = re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.DOTALL)
+    return block
+
+
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[str(path)] for path in DEMOS] + [["-c", _readme_python_block()]],
+    ids=[path.name for path in DEMOS] + ["README"],
+)
+def test_examples_run(argv, tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_minimal_poly_raises_on_a_broken_invariant(monkeypatch):

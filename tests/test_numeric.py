@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from treespectra import (
-    classify_vertices,
     cluster_multiplicity,
     eigen_symmetric,
     free_trees,
@@ -55,15 +54,6 @@ class TestEigenSymmetric:
         with pytest.raises(NonSymmetric):
             eigen_symmetric(((bad, 0.0), (0.0, 1.0)))
 
-    def test_vectors_are_orthonormal_eigenvectors(self):
-        t = from_edge_list([(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)])
-        spec = eigen_symmetric(laplacian(t), want_vectors=True)
-        L = np.array(laplacian(t), float)
-        V = spec.vectors
-        assert np.allclose(V.T @ V, np.eye(t.n), atol=1e-10)
-        for i, lam in enumerate(spec.eigenvalues):
-            assert np.max(np.abs(L @ V[:, i] - lam * V[:, i])) < 1e-9
-
     def test_matches_path_closed_form(self):
         n = 17
         spec = eigen_symmetric(laplacian(path(n)))
@@ -81,7 +71,7 @@ class TestClusters:
         # no cluster can exceed p-1 for trees on >= 3 vertices
         for n in range(3, 10):
             for tree in free_trees(n):
-                p = len(classify_vertices(tree).pendants)
+                p = len(tree.pendants)
                 spec = eigen_symmetric(laplacian(tree))
                 assert max(m for _, m in spec.clusters) <= p - 1
 

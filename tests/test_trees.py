@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from test_classify import prufer_trees
+from test_float_route import SETTINGS
 
 from treespectra import (
-    classify_vertices,
+    Tree,
+    canonical_relabel,
     distance,
+    free_trees,
     from_edge_list,
     parse_edge_list_text,
     path_between,
@@ -65,32 +70,52 @@ class TestFromEdgeList:
     def test_single_vertex(self):
         t = single_vertex()
         assert t.n == 1 and t.edges == ()
-        assert classify_vertices(t).pendants == ()
+        assert t.pendants == () and t.majors == ()
+        assert list(free_trees(1)) == [t]
+        assert canonical_relabel(t) == t
+
+
+def degree_scan(tree, keep):
+    return tuple(v for v in range(1, tree.n + 1) if keep(len(tree.adjacency[v])))
 
 
 class TestClassifyVertices:
+    """The degree classes a Tree carries: pendants (degree 1), majors (>= 3)."""
+
     def test_star(self):
-        cls = classify_vertices(star(3))
-        assert cls.pendants == (2, 3, 4)
-        assert cls.majors == (1,)
-        assert cls.quasi_pendants == (1,)
-        assert cls.degrees[1] == 3
+        t = star(3)
+        assert t.pendants == (2, 3, 4)
+        assert t.majors == (1,)
 
     def test_path_has_no_majors(self):
-        cls = classify_vertices(path(5))
-        assert cls.majors == ()
-        assert cls.pendants == (1, 5)
-        assert cls.quasi_pendants == (2, 4)
+        t = path(5)
+        assert t.majors == ()
+        assert t.pendants == (1, 5)
 
-    def test_quasi_pendants_need_not_be_major(self):
-        # spider(2,2,2): only the mid-leg vertices touch a pendant
+    def test_spider_has_one_major(self):
         t = from_edge_list([(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
-        cls = classify_vertices(t)
-        assert cls.majors == (1,)
-        assert cls.quasi_pendants == (2, 4, 6)
+        assert t.majors == (1,)
+        assert t.pendants == (3, 5, 7)
 
-    def test_both_ends_of_an_edge_can_be_quasi(self):
-        assert classify_vertices(path(2)).quasi_pendants == (1, 2)
+    def test_both_ends_of_an_edge_can_be_pendants(self):
+        assert path(2).pendants == (1, 2)
+        assert path(2).majors == ()
+
+    def test_every_tree_to_order_12(self):
+        for n in range(1, 13):
+            for t in free_trees(n):
+                assert t.pendants == degree_scan(t, lambda d: d == 1)
+                assert t.majors == degree_scan(t, lambda d: d >= 3)
+
+    @settings(SETTINGS)
+    @given(prufer_trees())
+    def test_random_trees_to_order_300(self, t):
+        assert t.pendants == degree_scan(t, lambda d: d == 1)
+        assert t.majors == degree_scan(t, lambda d: d >= 3)
+
+    def test_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            Tree(n=1, edges=(), adjacency=((), ()), pendants=())
 
 
 class TestDistanceAndPaths:
