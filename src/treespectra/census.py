@@ -7,18 +7,22 @@ multiplicities and the numeric clusters are checked against each other;
 Free trees are produced from the classic rooted level-sequence successor
 rule, filtered down to one representative per isomorphism class by keeping
 only sequences that equal the centroid-rooted canonical form of their own
-underlying tree; that test is read off the sizes of the root's subtrees,
-and a tree is built only for a sequence that survives it.  An independent
-brute-force count (decode every Prufer sequence, bucket by canonical
-shape) backs the census for small orders.
+underlying tree.  That test is read off the sequence itself: the sizes of
+the root's subtrees, and for a tree with two centroids a comparison with
+the sequence re-rooted at the other one.  A tree is built only for a
+sequence that survives it.  An independent brute-force count backs the
+census for small orders: numpy decodes every Prufer code in blocks to a
+bracket word of its rooted tree, and only the distinct words are keyed.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+
+import numpy as np
 
 from .classify import ClassificationReport, classify_m1
 from .errors import CapExceeded, OracleDisagreement
@@ -193,11 +197,10 @@ def free_trees(n: int):
             # The root is the only centroid, and every successor-rule
             # sequence is already the maximal form of its rooted tree.
             yield _tree_from_levels(seq)
-        elif heaviest + heaviest == n:
-            # Two centroids, the root and its heavy child: compare both.
-            tree = _tree_from_levels(seq)
-            if canonical_levels(tree) == seq:
-                yield tree
+        elif heaviest + heaviest == n and seq >= _rerooted_at_heavy_child(seq):
+            # Two centroids, the root and its heavy child: the sequence is
+            # the maximal form rooted at the first, so compare the second's.
+            yield _tree_from_levels(seq)
         # Otherwise the root is no centroid, and the canonical form of the
         # tree is rooted at one, so it is not this sequence.
 
@@ -216,97 +219,149 @@ def _heaviest_root_block(seq) -> int:
     return max(heaviest, n - start)
 
 
-def _decoded_key(code, n: int, memo: dict):
-    """Decode a Prufer code (a tuple over 0..n-1) and key its tree in one pass.
+def _blocks(seq, top: int) -> list:
+    # Split a run of subtree blocks, each starting at an entry equal to top.
+    starts = [i for i, level in enumerate(seq) if level == top]
+    return [seq[a:b] for a, b in zip(starts, starts[1:] + [len(seq)])]
 
-    Returns ``(key, parent)``.  ``key`` is an interned centroid-rooted AHU
-    id: within one ``memo``, two codes get the same key iff their trees are
-    isomorphic.  ``parent[v]`` is v's neighbour towards the root n-1, for
-    every v < n-1.
+
+def _rerooted_at_heavy_child(seq) -> tuple[int, ...]:
+    # Maximal level sequence of the same tree rooted at the root's child of
+    # n/2 vertices: that child's own blocks, one level up, and the rest of
+    # the tree, one level down, as one more child block; all in decreasing
+    # order, as _rooted_levels sorts them.  Removing a block and shifting
+    # levels keeps the rest of each block list decreasing.
+    n = len(seq)
+    blocks = _blocks(seq[1:], 2)
+    heavy = next(i for i, block in enumerate(blocks) if len(block) + len(block) == n)
+    rest = (2,) + tuple(
+        level + 1 for i, block in enumerate(blocks) if i != heavy for level in block
+    )
+    kids = _blocks(tuple(level - 1 for level in blocks[heavy][1:]), 2) + [rest]
+    kids.sort(reverse=True)
+    return (1,) + tuple(level for kid in kids for level in kid)
+
+
+# Rows decoded per numpy pass.  A constant chosen for memory: each of the
+# per-row arrays of one block stays under 80 kB at n = 9.
+_PRUFER_BLOCK = 1024
+
+
+def _prufer_blocks(n: int):
+    """Decode all n^(n-2) Prufer codes over 0..n-1, one block of rows at a time.
+
+    Yields ``(digits, leaves, words)`` per block.  Row r of ``digits`` is a
+    code, the base-n digits of a running index.  Step i removes the leaf
+    ``leaves[r, i]`` and hangs it under ``digits[r, i]``; the last leaf hangs
+    under n-1, which is never removed.  ``words[r]`` is the decoded tree's
+    bracket code, rooted at n-1 with children in removal order: a 1 bit,
+    then ``1 <child codes> 0`` for each child.  Equal words mean isomorphic
+    trees, but one isomorphism class spans several words.
     """
-    # Linear smallest-leaf decode: each removed leaf hangs under its code
-    # entry, and the last one under n-1, which is never removed.  A vertex
-    # is removed only after all of its children, so its rooted id (the
-    # sorted tuple of child ids) and its subtree size are final at that
-    # moment and are computed on the spot.
-    root = n - 1
-    degree = [1] * (n + 1)  # degree[n] is a sentinel that stops the leaf scan
-    for x in code:
-        degree[x] += 1
-    parent = [root] * n
-    kid_ids: list = [[] for _ in range(n)]
-    ids = [0] * n
-    size = [1] * n
-    leaf_id = memo.setdefault((), len(memo))
-    half = (n + 1) // 2
-    # The vertices of size > n/2 form a path down from the root; the first
-    # one removed is its lower end, the centroid.  A vertex of size exactly
-    # n/2 is a child of the centroid and the second centroid.
-    centroid = root
-    twin = -1
-    ptr = degree.index(1)
-    leaf = ptr
-    for x in code + (root,):
-        kids = kid_ids[leaf]
-        if kids:
-            kids.sort()
-            rid = memo.setdefault(tuple(kids), len(memo))
-        else:
-            rid = leaf_id
-        ids[leaf] = rid
-        parent[leaf] = x
-        kid_ids[x].append(rid)
-        s = size[leaf]
-        size[x] += s
-        if s >= half:
-            if s + s == n:
-                twin = leaf
-            elif centroid == root:
-                centroid = leaf
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
+    m = n - 2
+    total = n**m
+    lowest = np.zeros(1 << n, dtype=np.int64)  # lowest[1 << v] == v
+    lowest[1 << np.arange(n)] = np.arange(n)
+    for start in range(0, total, _PRUFER_BLOCK):
+        stop = min(start + _PRUFER_BLOCK, total)
+        rows = stop - start
+        index = np.arange(start, stop)
+        digits = np.empty((rows, m), dtype=np.int64)
+        for j in range(m - 1, -1, -1):
+            index, digits[:, j] = np.divmod(index, n)
+        # suffix[r, i]: bitmask of the vertices that occur at or after step i.
+        suffix = np.bitwise_or.accumulate(np.left_shift(1, digits)[:, ::-1], axis=1)[:, ::-1]
+        base = np.arange(0, rows * n, n)
+        alive = np.full(rows, (1 << (n - 1)) - 1)  # every vertex left but the root
+        # Per vertex, flattened by row: the sentinel bit and the codes of the
+        # children removed so far, and the subtree size.  A vertex is removed
+        # only after its children, so both are final when it is.
+        word = np.ones(rows * n, dtype=np.int64)
+        size = np.ones(rows * n, dtype=np.int64)
+        leaves = np.empty((rows, n - 1), dtype=np.int64)
+        for i in range(n - 1):
+            # The removed leaf is the smallest live vertex absent from the rest of the code.
+            free = alive & ~suffix[:, i] if i < m else alive
+            low = free & -free
+            leaves[:, i] = leaf = lowest[low]
+            at = base + leaf
+            up = base + (digits[:, i] if i < m else n - 1)
+            s = size[at]
+            # The leaf's own code is its sentinel as the opening 1, its
+            # children's codes, and a closing 0: 2*s bits.
+            word[up] = (word[up] << (s + s)) | (word[at] << 1)
+            size[up] += s
+            alive ^= low
+        yield digits, leaves, word[base + n - 1]
 
-    # Re-root at the centroid: only the ids along the root-to-centroid path
-    # change.  ``up`` holds the id of everything above the current vertex.
-    path = [centroid]
-    while path[-1] != root:
-        path.append(parent[path[-1]])
-    up = []
-    for i in range(len(path) - 1, 0, -1):
-        kids = kid_ids[path[i]] + up
-        kids.remove(ids[path[i - 1]])
-        up = [memo.setdefault(tuple(sorted(kids)), len(memo))]
-    kids = kid_ids[centroid] + up
-    key = memo.setdefault(tuple(sorted(kids)), len(memo))
-    if twin >= 0:
-        kids.remove(ids[twin])
-        down = memo.setdefault(tuple(sorted(kids)), len(memo))
-        twin_key = memo.setdefault(tuple(sorted(kid_ids[twin] + [down])), len(memo))
-        key = min(key, twin_key)
-    return key, parent
+
+def _plane_edges(word: int, n: int) -> list[tuple[int, int]]:
+    # Edges (child, parent) of the rooted plane tree a bracket word spells,
+    # on vertices 0..n-1 with the root at 0.
+    edges = []
+    stack = [0]
+    for bit in range(2 * n - 3, -1, -1):
+        if word >> bit & 1:
+            child = len(edges) + 1
+            edges.append((child, stack[-1]))
+            stack.append(child)
+        else:
+            stack.pop()
+    return edges
+
+
+def _free_key(n: int, edges) -> str:
+    """Free-tree key of a tree on vertices 0..n-1: equal iff isomorphic.
+
+    The minimum over all roots of the AHU string, where a vertex's string is
+    its children's strings, sorted and wrapped in one pair of brackets.
+    """
+    adjacency: list = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    best = None
+    for root in range(n):
+        parent = [-1] * n
+        parent[root] = root
+        order = [root]
+        for v in order:
+            for w in adjacency[v]:
+                if parent[w] < 0:
+                    parent[w] = v
+                    order.append(w)
+        kids: list = [[] for _ in range(n)]
+        for v in reversed(order):  # children first, the root last
+            code = "(" + "".join(sorted(kids[v])) + ")"
+            kids[parent[v]].append(code)
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def _prufer_classes(n: int) -> Counter:
+    # Number of labeled trees in each isomorphism class, by free-tree key.
+    tally = np.zeros(1 << (2 * n - 1), dtype=np.int64)  # labeled trees per word
+    for _, _, words in _prufer_blocks(n):
+        np.add.at(tally, words, 1)
+    classes: Counter = Counter()
+    for word in np.flatnonzero(tally).tolist():
+        classes[_free_key(n, _plane_edges(word, n))] += int(tally[word])
+    return classes
 
 
 def prufer_count_oracle(n: int) -> int:
     """Count isomorphism classes by brute force over all n^(n-2) labeled trees.
 
-    Only sensible for n in 2..9; each code is decoded and bucketed by an
-    interned centroid-canonical shape id in one pass.
+    Only sensible for n in 2..9.  Every Prufer code is decoded, in numpy
+    blocks, to a bracket word of its tree rooted at n-1; only the distinct
+    words (at most Catalan(n-1) of them) are rebuilt and keyed, by the
+    minimum over all roots of the AHU string.  Nothing here shares code with
+    the level-sequence generator it checks.
     """
     if not 2 <= n <= 9:
         raise CapExceeded(f"brute-force census supports 2..9, got {n}")
-    if n == 2:
-        return 1
-    memo: dict = {}
-    seen: set[int] = set()
-    for code in product(range(n), repeat=n - 2):
-        seen.add(_decoded_key(code, n, memo)[0])
-    return len(seen)
+    return len(_prufer_classes(n))
 
 
 def tree_name(tree: Tree) -> str:

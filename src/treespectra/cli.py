@@ -16,6 +16,7 @@ codes: 0 success, 2 bad input or parameters, 3 oracle disagreement
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -365,7 +366,13 @@ def _jobs(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared.
+
+    Parsing reads the parser and never changes it, so every call to
+    :func:`main` can reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="treespectra",
         description="Certificates for trees whose Laplacian reaches the "

@@ -3,7 +3,6 @@ import math
 import os
 import random
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -139,6 +138,35 @@ class TestFreeTrees:
         assert got == expected
         assert [t.original_labels for t in got] == [t.original_labels for t in expected]
 
+    @pytest.mark.parametrize("n", range(2, 15, 2))
+    def test_bicentral_rule_matches_canonical_levels(self, n):
+        # the old rule builds the tree and compares the sequence with its
+        # canonical form; the re-rooted sequence is the second centroid's
+        decided = 0
+        for seq in census._level_sequences(n):
+            if 2 * census._heaviest_root_block(seq) != n:
+                continue
+            tree = census._tree_from_levels(seq)
+            rerooted = census._rerooted_at_heavy_child(seq)
+            (other,) = [c for c in census._centroids(tree) if c != 1]
+            assert rerooted == census._rooted_levels(tree, other)
+            assert (seq >= rerooted) == (census.canonical_levels(tree) == seq)
+            decided += 1
+        assert decided > 0
+
+    def test_builds_only_the_trees_it_yields(self, monkeypatch):
+        built = Counter()
+        real_post_init = Tree.__post_init__
+
+        def counting_post_init(self):
+            built[self.n] += 1
+            real_post_init(self)
+
+        monkeypatch.setattr(Tree, "__post_init__", counting_post_init)
+        for n in range(1, 13):
+            assert sum(1 for _ in free_trees(n)) == built[n]
+        assert sum(built.values()) == 987
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             list(free_trees(0))
@@ -193,28 +221,83 @@ class TestPruferOracle:
         with pytest.raises(CapExceeded):
             prufer_count_oracle(10)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_decode_is_a_bijection(self, n):
         trees = set()
-        for code in product(range(n), repeat=n - 2):
-            _, parent = census._decoded_key(code, n, {})
-            edges = [(v, parent[v]) for v in range(n - 1)]
-            from_edge_list((u + 1, w + 1) for u, w in edges)  # raises unless a tree
-            degree = Counter(v for edge in edges for v in edge)
-            assert [degree[v] for v in range(n)] == [1 + code.count(v) for v in range(n)]
-            trees.add(frozenset(frozenset(edge) for edge in edges))
-        assert len(trees) == n ** (n - 2)
+        rows = 0
+        for digits, leaves, _ in census._prufer_blocks(n):
+            for code, removed in zip(digits.tolist(), leaves.tolist()):
+                assert code == [rows // n**j % n for j in range(n - 3, -1, -1)]
+                rows += 1
+                edges = list(zip(removed, code + [n - 1]))
+                from_edge_list((u + 1, w + 1) for u, w in edges)  # raises unless a tree
+                degree = Counter(v for edge in edges for v in edge)
+                assert [degree[v] for v in range(n)] == [1 + code.count(v) for v in range(n)]
+                trees.add(frozenset(frozenset(edge) for edge in edges))
+        assert rows == len(trees) == n ** (n - 2)
 
-    @pytest.mark.parametrize("n", range(3, 8))
+    def test_decode_takes_the_smallest_leaf(self):
+        # the textbook decode, one code at a time, on every order-6 code
+        n = 6
+        for digits, leaves, _ in census._prufer_blocks(n):
+            for code, removed in zip(digits.tolist(), leaves.tolist()):
+                degree = [1 + code.count(v) for v in range(n)]
+                expected = []
+                for x in code:
+                    leaf = degree.index(1)
+                    expected.append(leaf)
+                    degree[leaf] = 0
+                    degree[x] -= 1
+                expected.append(degree.index(1))
+                assert removed == expected
+
+    def test_words_spell_the_tree_rooted_at_n_minus_1(self):
+        # the bracket word written out recursively, children in removal order;
+        # _plane_edges rebuilds a plane tree that spells the same word
+        n = 7
+
+        def spell(children, v):
+            return "".join("1" + spell(children, c) + "0" for c in children[v])
+
+        for digits, leaves, words in census._prufer_blocks(n):
+            for code, removed, word in zip(digits.tolist(), leaves.tolist(), words.tolist()):
+                children = {v: [] for v in range(n)}
+                for leaf, parent in zip(removed, code + [n - 1]):
+                    children[parent].append(leaf)
+                assert word == int("1" + spell(children, n - 1), 2)
+
+                rebuilt = {v: [] for v in range(n)}
+                for child, parent in census._plane_edges(word, n):
+                    rebuilt[parent].append(child)
+                assert word == int("1" + spell(rebuilt, 0), 2)
+
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_class_sizes_are_orbit_sizes(self, n):
         # each shape T is hit by exactly n!/|Aut T| labeled trees
-        memo = {}
-        keys = Counter(
-            census._decoded_key(code, n, memo)[0]
-            for code in product(range(n), repeat=n - 2)
-        )
+        sizes = census._prufer_classes(n).values()
         orbits = [math.factorial(n) // aut_order(tree) for tree in free_trees(n)]
-        assert sorted(keys.values()) == sorted(orbits)
+        assert sorted(sizes) == sorted(orbits)
+        assert sum(sizes) == n ** (n - 2)
+
+    def test_oracle_is_independent_of_the_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not use the generator")
+
+        for name in ("free_trees", "canonical_levels", "_rooted_levels", "_level_sequences"):
+            monkeypatch.setattr(census, name, refuse)
+        assert prufer_count_oracle(7) == 11
+
+    def test_free_key_matches_canonical_form(self):
+        # keys are equal exactly when canonical forms are, under relabelings
+        keys = {}
+        for n in range(1, 11):
+            for i, tree in enumerate(free_trees(n)):
+                form = canonical_form(tree)
+                for seed in (i, 5000 + i, 9000 + i):
+                    copy = shuffled_copy(tree, seed) if n > 1 else tree
+                    key = census._free_key(n, [(u - 1, v - 1) for u, v in copy.edges])
+                    assert keys.setdefault(key, form) == form
+        assert len(keys) == sum(KNOWN_COUNTS.values())
 
     def test_aut_order_known_shapes(self):
         assert aut_order(star(7)) == math.factorial(7)

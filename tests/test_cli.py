@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treespectra import construct
+from treespectra import cli, construct
 from treespectra.cli import CSV_HEADER, dumps_report, fmt_float, main
 
 K13 = "# a star\n1 2\n1 3\n1 4\n"
@@ -112,6 +113,42 @@ class TestExitCodes:
         assert main([]) == 2
         assert main(["check"]) == 2
         assert main(["--help"]) == 0
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        # repeated calls reuse one parser, with the same exit codes and stderr
+        constructed = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        f = write(tmp_path, "t.txt", K13)
+        calls = (
+            ["check", f],
+            ["check"],
+            ["eigenbasis", f, "--q", "x"],
+            ["enumerate", "--max-n", "3", "--jobs", "0"],
+            ["check", "/nonexistent/tree.txt"],
+        )
+        rounds = []
+        for _ in range(3):
+            outcomes = []
+            for argv in calls:
+                code = main(argv)
+                outcomes.append((code, capsys.readouterr().err))
+            rounds.append(outcomes)
+        # one top-level parser and one per subcommand, all in the first round
+        assert constructed == [
+            "treespectra",
+            "treespectra check",
+            "treespectra eigenbasis",
+            "treespectra enumerate",
+        ]
+        assert [code for code, _ in rounds[0]] == [0, 2, 2, 2, 2]
+        assert rounds[0] == rounds[1] == rounds[2]
 
     def test_bad_tol_is_2(self, tmp_path, capsys):
         f = write(tmp_path, "t.txt", SPIDER114)
