@@ -5,7 +5,7 @@ and what happens at eigenvalue 1."""
 
 from treespectra import (
     admissible_q,
-    classify_m1,
+    certify,
     eigen_symmetric,
     extremal_lambda_set,
     from_edge_list,
@@ -44,6 +44,10 @@ for prm in params:
     near = [x for x in spectrum.eigenvalues if abs(x - prm.value) < 1e-8]
     print(f"  numeric eigenvalues  {[f'{x:.12f}' for x in near]}")
 
-report = classify_m1(tree)
-print(f"\nat eigenvalue 1: multiplicity {report.m1_exact} (class {report.m1_class})")
+# certify checks the combinatorial class against the exact and numeric m(T,1)
+checked = certify(tree)
+print(
+    f"\nat eigenvalue 1: multiplicity {checked.m1_exact} "
+    f"(class {checked.report.m1_class})"
+)
 print("full spectrum:", ", ".join(f"{x:.6f}" for x in spectrum.eigenvalues))

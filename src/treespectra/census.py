@@ -1,8 +1,10 @@
 """Exhaustive generation of unlabeled trees and the cross-checked catalog.
 
-:func:`certify` is the one place where the congruence rule, the exact
-multiplicities and the numeric clusters are checked against each other;
-``check`` and the catalog both go through it.
+This is the only module that compares routes.  :func:`certify` checks the
+combinatorial verdicts against the exact multiplicities and the numeric
+clusters, from one Laplacian per tree; ``check`` and the catalog both go
+through it.  :func:`certify_basis` checks a constructed eigenbasis against
+the float Laplacian: its rank and its residuals.
 
 Free trees are produced from the classic rooted level-sequence successor
 rule, filtered down to one representative per isomorphism class by keeping
@@ -20,11 +22,13 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from .classify import ClassificationReport, classify_m1
+from .construct import ConstructionTrace, EigenPair, eigenbasis_extremal
 from .errors import CapExceeded, OracleDisagreement
 from .exact import (
     IntPolynomial,
@@ -35,7 +39,7 @@ from .exact import (
     rational_nullity,
     root_multiplicity,
 )
-from .numeric import Spectrum, cluster_multiplicity, eigen_symmetric
+from .numeric import Spectrum, cluster_multiplicity, eigen_symmetric, numeric_rank, residual_norm
 from .trees import Tree, _build
 
 __all__ = [
@@ -44,6 +48,8 @@ __all__ = [
     "LambdaRow",
     "Certificate",
     "certify",
+    "BasisCertificate",
+    "certify_basis",
     "free_trees",
     "canonical_levels",
     "canonical_form",
@@ -392,15 +398,16 @@ class LambdaRow:
 class Certificate:
     """A tree's verdicts after every route agreed on them.
 
-    ``report`` is the combinatorial verdict (already checked against the
-    exact nullity at 1), ``spectrum`` the float route, ``lambda_rows`` one
-    row per extremal eigenvalue, ``m1_numeric`` the numeric m(T,1) and
-    ``reaches_p_minus_1`` whether some numeric cluster has size p-1.
+    ``report`` is the combinatorial verdict, ``spectrum`` the float route,
+    ``lambda_rows`` one row per extremal eigenvalue, ``m1_exact`` and
+    ``m1_numeric`` the exact and numeric m(T,1), and ``reaches_p_minus_1``
+    whether some numeric cluster has size p-1.
     """
 
     report: ClassificationReport
     spectrum: Spectrum
     lambda_rows: tuple[LambdaRow, ...]
+    m1_exact: int
     m1_numeric: int
     reaches_p_minus_1: bool
 
@@ -408,16 +415,30 @@ class Certificate:
 def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     """Run the oracle gauntlet on a tree with at least two vertices.
 
-    The congruence rule, the exact multiplicities (one characteristic
-    polynomial per tree, built only when some eigenvalue is extremal) and
-    the numeric clusters must agree on the extremal verdict, on the
-    multiplicity p-1 of every extremal eigenvalue, and on m(T,1); any
-    disagreement raises OracleDisagreement naming the quantity, each
-    route's value and the tree's edges.
+    The combinatorial verdicts, the exact multiplicities (one Laplacian per
+    tree, and one characteristic polynomial, built only when some
+    eigenvalue is extremal) and the numeric clusters must agree on m(T,1),
+    on the extremal verdict and on the multiplicity p-1 of every extremal
+    eigenvalue; any disagreement raises OracleDisagreement naming the
+    quantity, each route's value and the tree's edges.
     """
     report = classify_m1(tree)
     p = report.p
     lap = laplacian(tree)
+    m1_exact = rational_nullity(lap, Fraction(1))
+    expected = {"p-1": p - 1, "p-2": p - 2}.get(report.m1_class)
+    if expected is not None and m1_exact != expected:
+        raise OracleDisagreement(
+            f"combinatorial class {report.m1_class} predicts m(T,1)={expected} "
+            f"but exact nullity is {m1_exact}",
+            edges=tree.edges,
+        )
+    if expected is None and m1_exact in (p - 1, p - 2):
+        raise OracleDisagreement(
+            f"exact nullity {m1_exact} hits p-1 or p-2 but no family matched",
+            edges=tree.edges,
+        )
+
     spectrum = eigen_symmetric(lap, tol=tol)
     has_big_cluster = any(mult == p - 1 for _, mult in spectrum.clusters)
     if report.extremal != has_big_cluster:
@@ -442,18 +463,63 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
         rows.append(LambdaRow(param=param, minimal_poly=mu, exact=exact, numeric=numeric))
 
     m1_numeric = cluster_multiplicity(spectrum, 1.0)
-    if m1_numeric != report.m1_exact:
+    if m1_numeric != m1_exact:
         raise OracleDisagreement(
-            f"m(T,1) disagrees: numeric {m1_numeric}, exact {report.m1_exact}",
+            f"m(T,1) disagrees: numeric {m1_numeric}, exact {m1_exact}",
             edges=tree.edges,
         )
     return Certificate(
         report=report,
         spectrum=spectrum,
         lambda_rows=tuple(rows),
+        m1_exact=m1_exact,
         m1_numeric=m1_numeric,
         reaches_p_minus_1=has_big_cluster,
     )
+
+
+# Largest residual (relative to the vector's max-norm) an eigenbasis may
+# show and still be reported; the bound acceptance criterion 4 checks.
+_RESIDUAL_MAX = 1e-10
+
+
+@dataclass(frozen=True)
+class BasisCertificate:
+    """An explicit eigenbasis after its rank and residuals passed.
+
+    ``pairs`` and ``trace`` are what :func:`eigenbasis_extremal` built;
+    ``residuals`` holds each vector's scaled residual, in the same order,
+    and ``rank`` the numeric rank of the vectors, which equals p-1.
+    """
+
+    pairs: tuple[EigenPair, ...]
+    trace: ConstructionTrace
+    residuals: tuple[float, ...]
+    rank: int
+
+
+def certify_basis(tree: Tree, q: int, b: int = 0) -> BasisCertificate:
+    """Construct the p-1 eigenvectors for one extremal eigenvalue and check them.
+
+    The vectors must have full numeric rank and every residual must stay
+    within 1e-10 of the vector's max-norm, measured on the float Laplacian;
+    either failure raises OracleDisagreement with the tree's edges.
+    """
+    pairs, trace = eigenbasis_extremal(tree, q, b)
+    lap = np.array(laplacian(tree), dtype=float)
+    residuals = tuple(residual_norm(tree, pair.value, pair.vector, lap=lap) for pair in pairs)
+    rank = numeric_rank([pair.vector for pair in pairs], tol=1e-8)
+    if rank != len(pairs):
+        raise OracleDisagreement(
+            f"eigenbasis rank is {rank}, not p-1={len(pairs)}", edges=tree.edges
+        )
+    worst = max(residuals)
+    if worst > _RESIDUAL_MAX:
+        raise OracleDisagreement(
+            f"eigenbasis residual is {worst:.15g}, above {_RESIDUAL_MAX:.15g}",
+            edges=tree.edges,
+        )
+    return BasisCertificate(pairs=tuple(pairs), trace=trace, residuals=residuals, rank=rank)
 
 
 def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
@@ -470,7 +536,8 @@ def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
             edges=(),
         )
 
-    report = certify(tree, tol).report
+    cert = certify(tree, tol)
+    report = cert.report
     return CatalogEntry(
         canonical=canonical_form(tree),
         n=tree.n,
@@ -478,7 +545,7 @@ def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
         extremal=report.extremal,
         lambda_ratios=tuple(str(prm.ratio) for prm in report.lambda_set),
         m1_class=report.m1_class,
-        m1_exact=report.m1_exact,
+        m1_exact=cert.m1_exact,
         name=tree_name(tree),
         edges=tree.edges,
     )

@@ -7,6 +7,10 @@ eigenvalues are 2(1 - cos((2b+1)pi/(2q+1))).  This module also classifies
 the multiplicity of the specific eigenvalue 1: it is p-1 exactly on the
 mod-3 family, and p-2 exactly on a three-legged-core family decided by
 :func:`in_gamma`.
+
+Every verdict here is combinatorial, read off pendant distances alone;
+no matrix is built.  The exact and floating-point routes that check these
+verdicts live in :mod:`treespectra.census`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InvariantViolated, NotExtremal, OracleDisagreement, TooFewPendants
-from .exact import LambdaParam, laplacian, rational_nullity
+from .errors import InvariantViolated, NotExtremal, TooFewPendants
+from .exact import LambdaParam
 from .trees import Tree, path_between
 
 __all__ = [
@@ -89,7 +93,6 @@ class ClassificationReport:
     certificate: CongruenceCertificate
     extremal: bool
     lambda_set: tuple[LambdaParam, ...]
-    m1_exact: int
     m1_class: str
     gamma_witness: GammaWitness | None
 
@@ -328,18 +331,17 @@ def _check_attachments(tree: Tree, row_m, paths):
 
 
 def classify_m1(tree: Tree) -> ClassificationReport:
-    """Full verdict at eigenvalue 1, cross-checked against the exact nullity.
+    """Full combinatorial verdict at eigenvalue 1, read off the tree alone.
 
     m(T,1) = p-1 exactly on paths of order divisible by 3 and on trees
     whose pendant pairs all sit at distance 2 (mod 3); m(T,1) = p-2 exactly
-    on paths of other orders and on the :func:`in_gamma` family.  The
-    combinatorial verdict and the exact rational nullity must agree, else
-    OracleDisagreement.
+    on paths of other orders and on the :func:`in_gamma` family.  Nothing
+    here computes a spectrum: :func:`treespectra.census.certify` checks the
+    verdict against the exact nullity and the numeric clusters.
     """
     p = len(tree.pendants)
     if p < 2:
         raise TooFewPendants("classification needs at least two pendants")
-    exact = rational_nullity(laplacian(tree), Fraction(1))
     cert = admissible_q(tree)
     extremal = cert.is_path or bool(cert.q_list)
     lambda_set = _lambda_params(cert) if extremal and not cert.is_path else ()
@@ -353,26 +355,12 @@ def classify_m1(tree: Tree) -> ClassificationReport:
         verdict, witness = in_gamma(tree)
         m1_class = "p-2" if verdict else "other"
 
-    expected = {"p-1": p - 1, "p-2": p - 2}.get(m1_class)
-    if expected is not None and exact != expected:
-        raise OracleDisagreement(
-            f"combinatorial class {m1_class} predicts m(T,1)={expected} "
-            f"but exact nullity is {exact}",
-            edges=tree.edges,
-        )
-    if expected is None and exact in (p - 1, p - 2):
-        raise OracleDisagreement(
-            f"exact nullity {exact} hits p-1 or p-2 but no family matched",
-            edges=tree.edges,
-        )
-
     return ClassificationReport(
         n=tree.n,
         p=p,
         certificate=cert,
         extremal=extremal,
         lambda_set=lambda_set,
-        m1_exact=exact,
         m1_class=m1_class,
         gamma_witness=witness,
     )

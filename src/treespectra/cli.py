@@ -4,7 +4,8 @@ Three subcommands: ``check`` (full verdict for one tree), ``eigenbasis``
 (construct and certify the p-1 eigenvectors), ``enumerate`` (cross-checked
 catalog of all small trees).  Input trees arrive as edge-list text files;
 every report first relabels the tree canonically so isomorphic inputs
-produce identical output.
+produce identical output.  This module only parses and serializes: every
+verdict and every cross-check comes from :mod:`treespectra.census`.
 
 JSON output is byte-stable: floating values are rendered as 15-significant-
 digit strings, rationals as "num/den" strings, polynomials as integer
@@ -21,23 +22,15 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel, certify
-from .construct import eigenbasis_extremal
+from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel, certify, certify_basis
 from .errors import OracleDisagreement, ParseError, TreeSpectraError
-from .exact import laplacian
-from .numeric import numeric_rank, residual_norm
 from .trees import from_edge_list, parse_edge_list_text
 
 SCHEMA_VERSION = 1
-
-# Largest residual (relative to the vector's max-norm) an eigenbasis may
-# show and still be reported; the bound acceptance criterion 4 checks.
-_RESIDUAL_MAX = 1e-10
 
 
 def fmt_float(x: float) -> str:
@@ -78,25 +71,6 @@ def _envelope(command: str, parameters: dict, tree, payload: dict, started: floa
     }
 
 
-def _witness_dict(witness):
-    if witness is None:
-        return None
-    return {
-        "major": witness.major,
-        "endpoints": list(witness.endpoints),
-        "leg_residues": list(witness.leg_residues),
-        "omega": witness.omega,
-        "attachments": [
-            {
-                "anchor": a.anchor,
-                "vertices": list(a.vertices),
-                "family": a.family,
-            }
-            for a in witness.attachments
-        ],
-    }
-
-
 def _check_payload(tree, tol: float) -> dict:
     cert = certify(tree, tol)
     report = cert.report
@@ -114,6 +88,7 @@ def _check_payload(tree, tol: float) -> dict:
         for row in cert.lambda_rows
     ]
     congruence = report.certificate
+    witness = report.gamma_witness
     return {
         "congruence": {
             "g": congruence.g,
@@ -124,9 +99,9 @@ def _check_payload(tree, tol: float) -> dict:
         "is_extremal": report.extremal,
         "lambda_set": lambda_rows,
         "m1": {
-            "exact": report.m1_exact,
+            "exact": cert.m1_exact,
             "class": report.m1_class,
-            "gamma_witness": _witness_dict(report.gamma_witness),
+            "gamma_witness": asdict(witness) if witness else None,
         },
         "oracles": {
             "numeric_cluster_reaches_p_minus_1": cert.reaches_p_minus_1,
@@ -172,7 +147,7 @@ def _check_text(payload: dict, tree) -> str:
     if m1["gamma_witness"]:
         w = m1["gamma_witness"]
         lines.append(
-            f"core witness: major {w['major']}, endpoints {w['endpoints']}, "
+            f"core witness: major {w['major']}, endpoints {list(w['endpoints'])}, "
             f"type {w['omega']}, {len(w['attachments'])} attachment(s)"
         )
     lines.append("oracles: all routes agree")
@@ -194,20 +169,8 @@ def cmd_check(args) -> int:
 def cmd_eigenbasis(args) -> int:
     started = time.perf_counter()
     tree = canonical_relabel(_load_tree(args.input))
-    pairs, trace = eigenbasis_extremal(tree, args.q, args.b)
-    lap = np.array(laplacian(tree), dtype=float)
-    residuals = [residual_norm(tree, pair.value, pair.vector, lap=lap) for pair in pairs]
-    rank = numeric_rank([pair.vector for pair in pairs], tol=1e-8)
-    if rank != len(pairs):
-        raise OracleDisagreement(
-            f"eigenbasis rank is {rank}, not p-1={len(pairs)}", edges=tree.edges
-        )
-    worst = max(residuals)
-    if worst > _RESIDUAL_MAX:
-        raise OracleDisagreement(
-            f"eigenbasis residual is {fmt_float(worst)}, above {fmt_float(_RESIDUAL_MAX)}",
-            edges=tree.edges,
-        )
+    basis = certify_basis(tree, args.q, args.b)
+    pairs, trace = basis.pairs, basis.trace
     param = pairs[0].param
 
     payload = {
@@ -216,15 +179,12 @@ def cmd_eigenbasis(args) -> int:
         "ratio": str(param.ratio),
         "lambda": fmt_float(param.value),
         "count": len(pairs),
-        "rank": rank,
-        "residuals": [fmt_float(r) for r in residuals],
+        "rank": basis.rank,
+        "residuals": [fmt_float(r) for r in basis.residuals],
         "vectors": [[fmt_float(x) for x in pair.vector] for pair in pairs],
         "trace": {
             "gamma": str(trace.gamma),
-            "path_records": [
-                {"k1": r.k1, "k2": r.k2, "n1": r.n1, "n2": r.n2, "delta": r.delta}
-                for r in trace.path_records
-            ],
+            "path_records": [asdict(r) for r in trace.path_records],
             "glue_steps": [
                 {
                     "pendant_pair": list(s.pendant_pair),
@@ -249,7 +209,7 @@ def cmd_eigenbasis(args) -> int:
         lines = [
             f"lambda = {payload['lambda']} (ratio {payload['ratio']})",
             f"vectors: {payload['count']}, rank {payload['rank']}",
-            f"max residual: {fmt_float(worst)}",
+            f"max residual: {fmt_float(max(basis.residuals))}",
         ]
         if args.out:
             lines.append(f"written to {args.out}")
@@ -257,20 +217,6 @@ def cmd_eigenbasis(args) -> int:
     else:
         sys.stdout.write(dumps_report(envelope))
     return 0
-
-
-def _entry_dict(entry) -> dict:
-    return {
-        "n": entry.n,
-        "canonical": entry.canonical,
-        "name": entry.name,
-        "p": entry.p,
-        "extremal": entry.extremal,
-        "lambda_ratios": list(entry.lambda_ratios),
-        "m1_class": entry.m1_class,
-        "m1_exact": entry.m1_exact,
-        "edges": [[u, v] for u, v in entry.edges],
-    }
 
 
 CSV_HEADER = "n,canonical,name,p,extremal,lambda_ratios,m1_class,m1_exact,edges"
@@ -319,7 +265,7 @@ def cmd_enumerate(args) -> int:
         }
         payload = {
             "count": len(entries),
-            "entries": [_entry_dict(e) for e in entries],
+            "entries": [asdict(e) for e in entries],
         }
         body = dumps_report(_envelope("enumerate", parameters, None, payload, started))
 
@@ -355,8 +301,8 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _jobs(text: str) -> int:
-    """argparse type for --jobs: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type for --max-n and --jobs: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -402,12 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.set_defaults(func=cmd_eigenbasis)
 
     p_enum = sub.add_parser("enumerate", help="catalog all trees up to an order")
-    p_enum.add_argument("--max-n", type=int, required=True, help=f"largest order, <= {ORDER_CAP}")
+    p_enum.add_argument(
+        "--max-n", type=_positive_int, required=True, help=f"largest order, 1..{ORDER_CAP}"
+    )
     p_enum.add_argument("--filter", choices=FILTERS, default="all")
     p_enum.add_argument("--format", choices=("csv", "json", "dot"), default="csv")
     p_enum.add_argument("--out", help="output file (or directory for dot)")
     p_enum.add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes (>= 1), capped at the CPU count"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes (>= 1), capped at the CPU count",
     )
     p_enum.add_argument("--tol", type=_tolerance, default=1e-12, help=_TOL_HELP)
     p_enum.set_defaults(func=cmd_enumerate)

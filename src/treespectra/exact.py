@@ -81,10 +81,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def __call__(self, x):
         # Horner; works for int, Fraction and float arguments alike.
         acc = 0 * x

@@ -43,17 +43,14 @@ class Tree:
     """Immutable tree on labels ``1..n``.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v`` (index 0 is a
-    placeholder).  ``original_labels[i-1]`` remembers what label ``i`` was
-    called before :func:`from_edge_list` relabeled, purely for reporting.
-    ``pendants`` (degree 1) and ``majors`` (degree >= 3) are the sorted
-    label tuples of those degree classes, derived from ``adjacency`` once at
-    construction.
+    placeholder).  ``pendants`` (degree 1) and ``majors`` (degree >= 3) are
+    the sorted label tuples of those degree classes, derived from
+    ``adjacency`` once at construction.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    original_labels: tuple[int, ...] = field(compare=False, repr=False, default=())
     pendants: tuple[int, ...] = field(init=False, compare=False, repr=False)
     majors: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -107,20 +104,16 @@ def _as_label(x) -> int:
     return x
 
 
-def _build(n: int, edges, original_labels=None) -> Tree:
+def _build(n: int, edges) -> Tree:
     # Internal constructor: callers guarantee edges already form a tree on 1..n.
     adj = [[] for _ in range(n + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    if original_labels is None:
-        original_labels = tuple(range(1, n + 1))
     return Tree(
         n=n,
         edges=tuple((min(u, v), max(u, v)) for u, v in edges),
-        adjacency=adjacency,
-        original_labels=tuple(original_labels),
+        adjacency=tuple(tuple(sorted(a)) for a in adj),
     )
 
 
@@ -176,7 +169,7 @@ def from_edge_list(pairs) -> Tree:
     if len({find(v) for v in range(1, n + 1)}) > 1:
         raise Disconnected("edge list spans more than one component")
 
-    return _build(n, edges, original_labels=tuple(relabel))
+    return _build(n, edges)
 
 
 def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:

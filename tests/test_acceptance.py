@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from shapes import path
 
 from treespectra import (
     IntPolynomial,
@@ -49,12 +50,6 @@ ORDER = 12
 CENSUS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def path(n):
-    if n == 1:
-        return single_vertex()
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
 
 
 @pytest.fixture(scope="module")

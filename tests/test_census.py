@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from shapes import caterpillar, path, spider, star
 
 from treespectra import (
     ORDER_CAP,
@@ -14,9 +15,13 @@ from treespectra import (
     canonical_relabel,
     census,
     certify,
+    classify,
     classify_m1,
+    construct,
+    exact,
     free_trees,
     from_edge_list,
+    numeric,
     prufer_count_oracle,
     tree_name,
 )
@@ -24,33 +29,6 @@ from treespectra.errors import CapExceeded, OracleDisagreement
 
 # one isomorphism class per row; the classic census of free trees
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
-
-
-def path(n):
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
-
-
-def star(k):
-    return from_edge_list([(1, i) for i in range(2, k + 2)])
-
-
-def spider(*legs):
-    edges = []
-    nxt = 2
-    for length in legs:
-        prev = 1
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return from_edge_list(edges)
-
-
-def caterpillar(spine):
-    # one leaf hangs off every spine vertex
-    edges = [(i, i + 1) for i in range(1, spine)]
-    edges += [(i, spine + i) for i in range(1, spine + 1)]
-    return from_edge_list(edges)
 
 
 def _child_blocks(levels, start, end):
@@ -136,7 +114,6 @@ class TestFreeTrees:
         expected = list(trees_kept_by_full_canonical_filter(n))
         got = list(free_trees(n))
         assert got == expected
-        assert [t.original_labels for t in got] == [t.original_labels for t in expected]
 
     @pytest.mark.parametrize("n", range(2, 15, 2))
     def test_bicentral_rule_matches_canonical_levels(self, n):
@@ -439,7 +416,7 @@ class TestCertify:
         cert = certify(spider(1, 1, 2))
         assert not cert.report.extremal
         assert cert.lambda_rows == ()
-        assert cert.m1_numeric == cert.report.m1_exact
+        assert cert.m1_numeric == cert.m1_exact == 1
         assert char_poly_orders == []
 
     def test_classify_m1_builds_the_certificate_once(self, monkeypatch):
@@ -465,3 +442,68 @@ class TestCertify:
         assert report.m1_class == "p-1"
         assert calls["post_init"] == 0
         assert calls["distance_row"] == 1
+
+    def test_laplacian_built_once_per_certify(self, monkeypatch):
+        # the exact nullity at 1, the float spectrum and the characteristic
+        # polynomial all read one matrix; every module that could build
+        # another is watched
+        orders = []
+        real = exact.laplacian
+
+        def counting(tree, signless=False):
+            orders.append(tree.n)
+            return real(tree, signless)
+
+        for module in (census, classify, construct, exact, numeric):
+            if hasattr(module, "laplacian"):
+                monkeypatch.setattr(module, "laplacian", counting)
+        certify(spider(3, 3, 3))  # extremal, so char_poly runs too
+        certify(spider(1, 1, 2))  # m(T,1) = p-2 through in_gamma
+        assert orders == [10, 5]
+
+    @pytest.mark.parametrize(
+        "legs, nullity, message",
+        [
+            ((1, 1, 4), 0, "combinatorial class p-1 predicts m(T,1)=2 but exact nullity is 0"),
+            ((1, 1, 2), 2, "combinatorial class p-2 predicts m(T,1)=1 but exact nullity is 2"),
+            ((1, 2, 2), 1, "exact nullity 1 hits p-1 or p-2 but no family matched"),
+        ],
+    )
+    def test_exact_m1_is_checked_first(self, monkeypatch, legs, nullity, message):
+        # a wrong exact nullity is named before any float route runs
+        def no_float_route(*args, **kwargs):
+            raise AssertionError("float route ran before the exact check")
+
+        monkeypatch.setattr(census, "rational_nullity", lambda matrix, lam: nullity)
+        monkeypatch.setattr(census, "eigen_symmetric", no_float_route)
+        tree = spider(*legs)
+        with pytest.raises(OracleDisagreement) as info:
+            certify(tree)
+        assert str(info.value) == message
+        assert info.value.edges == tree.edges
+
+
+class TestCertifyBasis:
+    def test_spider_basis(self):
+        # legs 1, 1, 4 are all = 1 (mod 3): q = 1, p - 1 = 2 vectors
+        basis = census.certify_basis(spider(1, 1, 4), 1)
+        assert basis.rank == len(basis.pairs) == len(basis.residuals) == 2
+        assert all(r <= 1e-10 for r in basis.residuals)
+        assert basis.trace.q == 1 and basis.trace.b == 0
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda v: [v[0], v[0]], "eigenbasis rank is 1, not p-1=2"),
+            (lambda v: [v[0][::-1], v[1]], "eigenbasis residual is 4, above 1e-10"),
+        ],
+        ids=["duplicated", "reversed"],
+    )
+    def test_failed_basis_raises(self, monkeypatch, spoil, message):
+        real = construct._peel_basis
+        monkeypatch.setattr(construct, "_peel_basis", lambda *args: spoil(real(*args)))
+        tree = spider(1, 1, 4)
+        with pytest.raises(OracleDisagreement) as info:
+            census.certify_basis(tree, 1)
+        assert str(info.value) == message
+        assert info.value.edges == tree.edges

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_float_route import SETTINGS, extremal_trees, prufer_tree
+from shapes import path, prufer_tree, spider, star
+from test_float_route import SETTINGS, extremal_trees
 
 from treespectra import (
     LambdaParam,
     Tree,
     admissible_q,
+    certify,
     classify_m1,
     extremal_lambda_set,
     family_membership,
@@ -23,26 +25,6 @@ from treespectra import (
 )
 from treespectra.classify import _component_eligibility
 from treespectra.errors import NotExtremal, TooFewPendants
-
-
-def path(n):
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
-
-
-def star(k):
-    return from_edge_list([(1, i) for i in range(2, k + 2)])
-
-
-def spider(*legs):
-    edges = []
-    nxt = 2
-    for length in legs:
-        prev = 1
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return from_edge_list(edges)
 
 
 class TestCongruenceCertificate:
@@ -299,20 +281,20 @@ class TestClassifyM1:
         assert rep.extremal
         assert rep.lambda_set == (LambdaParam(1, 0),)
         assert rep.m1_class == "p-1"
-        assert rep.m1_exact == 2
         assert rep.gamma_witness is None
+        assert certify(star(3)).m1_exact == 2
 
     def test_gamma_report(self):
         rep = classify_m1(spider(1, 1, 2))
         assert rep.m1_class == "p-2"
-        assert rep.m1_exact == 1
         assert rep.gamma_witness is not None
+        assert certify(spider(1, 1, 2)).m1_exact == 1
 
     def test_other_report(self):
         rep = classify_m1(spider(1, 2, 2))
         assert rep.m1_class == "other"
-        assert rep.m1_exact == 0
         assert not rep.extremal
+        assert certify(spider(1, 2, 2)).m1_exact == 0
 
     def test_path_reports(self):
         assert classify_m1(path(6)).m1_class == "p-1"
@@ -324,7 +306,8 @@ class TestClassifyM1:
             classify_m1(single_vertex())
 
     def test_cross_check_holds_small(self):
-        # classify_m1 raises OracleDisagreement internally on any mismatch
+        # certify raises OracleDisagreement on any mismatch between the
+        # combinatorial class and the exact or numeric m(T,1)
         for n in range(2, 9):
             for tree in free_trees(n):
-                classify_m1(tree)
+                assert certify(tree).report == classify_m1(tree)

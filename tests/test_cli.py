@@ -173,6 +173,15 @@ class TestExitCodes:
             assert "--jobs" in err
             assert "Traceback" not in err
 
+    def test_bad_max_n_is_2(self, capsys):
+        # below order 1 there is nothing to catalog: rejected like --jobs 0
+        for value in ("0", "-3"):
+            assert main(["enumerate", f"--max-n={value}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--max-n: must be an integer >= 1" in captured.err
+            assert "Traceback" not in captured.err
+
     def test_oracle_disagreement_is_3(self, tmp_path, capsys, monkeypatch):
         # A numeric route that finds no eigenvalue anywhere disagrees with
         # the exact routes inside certify, which check and enumerate share.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from shapes import path, spider, star
 
 from treespectra import (
     EigenPair,
@@ -23,26 +24,6 @@ from treespectra.errors import (
 )
 
 S3 = math.sqrt(3) / 2
-
-
-def path(n):
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
-
-
-def star(k):
-    return from_edge_list([(1, i) for i in range(2, k + 2)])
-
-
-def spider(*legs):
-    edges = []
-    nxt = 2
-    for length in legs:
-        prev = 1
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return from_edge_list(edges)
 
 
 class TestPathEigenpair:

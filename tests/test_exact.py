@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from shapes import path, star
 
 from treespectra import (
     IntPolynomial,
@@ -17,14 +18,6 @@ from treespectra import (
 )
 from treespectra.errors import ZeroPolynomial
 from treespectra.exact import poly_divmod, poly_mul
-
-
-def path(n):
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
-
-
-def star(k):
-    return from_edge_list([(1, i) for i in range(2, k + 2)])
 
 
 class TestLambdaParam:
@@ -170,10 +163,6 @@ class TestPolyHelpers:
     def test_divmod_remainder(self):
         q, r = poly_divmod(IntPolynomial((1, 0, 1)), IntPolynomial((1, 1)))
         assert r.coeffs == (2,)
-
-    def test_content(self):
-        assert IntPolynomial((4, -6, 2)).content == 2
-        assert IntPolynomial(()).content == 0
 
 
 class TestMultiplicityExact:

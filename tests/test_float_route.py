@@ -9,12 +9,12 @@ eigenbasis is checked on extremal trees up to order 200, against the
 peel rule written out pair by pair.
 """
 
-import heapq
 from itertools import combinations
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from shapes import prufer_tree
 
 from treespectra import (
     cluster_multiplicity,
@@ -40,25 +40,6 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def prufer_tree(seq):
-    """Decode a Prufer sequence over labels 1..len(seq)+2 into a tree."""
-    n = len(seq) + 2
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return from_edge_list(edges)
 
 
 @st.composite

@@ -3,8 +3,9 @@
 An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
 The package sources also carry no unused imports; no linter is installed,
-so an AST walk checks it.  Every function the benchmark's tracer wraps
-must exist, and the demos and the README quickstart must run.
+so an AST walk checks it.  Another AST walk checks that only ``census``
+compares routes.  Every function the benchmark's tracer wraps must exist,
+and the demos and the README quickstart must run.
 """
 
 import ast
@@ -68,6 +69,47 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert offenders == []
+
+
+def _imports(path):
+    """(module, names) of every import in a package source, relative ones as '.x'."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, []) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            out.append((module, [alias.name for alias in node.names]))
+    return out
+
+
+def test_route_comparisons_live_in_census():
+    # classify decides from the tree alone, the CLI only serializes, and
+    # every OracleDisagreement (not its InvariantViolated subclass) is
+    # raised where the routes are compared
+    classify_from_exact = [
+        names for module, names in _imports(PACKAGE / "classify.py") if module == ".exact"
+    ]
+    assert classify_from_exact == [["LambdaParam"]]
+
+    routes = {".exact", ".numeric", ".construct"}
+    cli_imports = [
+        (module, names)
+        for module, names in _imports(PACKAGE / "cli.py")
+        if module in routes
+        or module.split(".")[0] == "numpy"
+        or (module == "." and routes & {f".{name}" for name in names})
+    ]
+    assert cli_imports == []
+
+    raisers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "OracleDisagreement" in (getattr(node.func, f, None) for f in ("id", "attr"))
+    }
+    assert raisers == {"census.py"}
 
 
 def test_traced_functions_exist():

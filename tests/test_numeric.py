@@ -2,25 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from shapes import path, star
 
 from treespectra import (
     cluster_multiplicity,
     eigen_symmetric,
     free_trees,
-    from_edge_list,
     laplacian,
     numeric_rank,
     residual_norm,
 )
 from treespectra.errors import EmptyInput, NonSymmetric, ZeroVector
-
-
-def path(n):
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
-
-
-def star(k):
-    return from_edge_list([(1, i) for i in range(2, k + 2)])
 
 
 class TestEigenSymmetric:

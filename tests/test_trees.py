@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from shapes import path, star
 from test_classify import prufer_trees
 from test_float_route import SETTINGS
 
@@ -24,20 +25,11 @@ from treespectra.errors import (
 )
 
 
-def path(n):
-    return from_edge_list([(i, i + 1) for i in range(1, n)])
-
-
-def star(k):
-    return from_edge_list([(1, i) for i in range(2, k + 2)])
-
-
 class TestFromEdgeList:
     def test_relabels_by_first_appearance(self):
         t = from_edge_list([(10, 7), (7, 99)])
         assert t.n == 3
         assert t.edges == ((1, 2), (2, 3))
-        assert t.original_labels == (10, 7, 99)
 
     def test_adjacency_sorted(self):
         t = from_edge_list([(1, 4), (1, 2), (1, 3)])
