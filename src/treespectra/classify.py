@@ -237,6 +237,12 @@ def in_gamma(tree: Tree):
     residues; a mod-3 group needs at least two components so the anchor is
     interior to it.
 
+    The scan reads each triple's leg residues off the major's distance row
+    and builds the three legs only for triples of an Omega type; the legs
+    then decide the distinct-first-step rule and the attachments.  Each test
+    only filters the same scan, so their order changes neither the verdict
+    nor the witness.
+
     Returns ``(verdict, witness-or-None)``; the witness is the first found,
     scanning majors in ascending order and pendant triples lexicographically.
     """
@@ -247,14 +253,13 @@ def in_gamma(tree: Tree):
     for major in tree.majors:
         row_m = tree.distance_row(major)
         for trio in combinations(pendants, 3):
+            omega = _omega_type(sorted(row_m[u] % 3 for u in trio))
+            if omega is None:
+                continue
             paths = [path_between(tree, major, u).vertices for u in trio]
             first_steps = {p[1] for p in paths}
             if len(first_steps) < 3:
                 continue  # legs must leave m by distinct edges
-            residues = sorted(row_m[u] % 3 for u in trio)
-            omega = _omega_type(residues)
-            if omega is None:
-                continue
             ok, attachments = _check_attachments(tree, row_m, paths)
             if ok:
                 return True, GammaWitness(

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,19 @@ from treespectra import (
     has_unit_extremal,
     in_gamma,
     is_extremal,
+    laplacian,
+    path_between,
     pendant_distance_gcd,
+    rational_nullity,
     single_vertex,
 )
-from treespectra.classify import _component_eligibility
+from treespectra import classify
+from treespectra.classify import (
+    GammaWitness,
+    _check_attachments,
+    _component_eligibility,
+    _omega_type,
+)
 from treespectra.errors import NotExtremal, TooFewPendants
 
 
@@ -65,8 +75,8 @@ def pairwise_pendant_gcd(tree):
 
 
 @st.composite
-def prufer_trees(draw, max_n=300):
-    n = draw(st.integers(2, max_n))
+def prufer_trees(draw, max_n=300, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
     return prufer_tree(seq)
 
@@ -272,6 +282,77 @@ class TestInGamma:
         monkeypatch.setattr(Tree, "distance_row", counting)
         assert in_gamma(tree) == (False, None)
         assert rows == list(tree.majors)
+
+    def test_no_legs_without_an_omega_residue(self, monkeypatch):
+        # spider(3, 3, 3, 3): g = 7, so classify_m1 reaches in_gamma, and
+        # every leg has residue 0, so no triple has an Omega type
+        calls = []
+        real = classify.path_between
+
+        def counting(tree, u, w):
+            calls.append((u, w))
+            return real(tree, u, w)
+
+        monkeypatch.setattr(classify, "path_between", counting)
+        tree = spider(3, 3, 3, 3)
+        assert pendant_distance_gcd(tree) == 7
+        assert in_gamma(tree) == (False, None)
+        assert calls == []
+        assert in_gamma(spider(1, 1, 2))[0]
+        assert calls == [(1, 2), (1, 3), (1, 5)]
+
+
+def in_gamma_by_triple_scan(tree):
+    """The reference triple scan, with no shortcut: three legs built for
+    every pendant triple at every major, then the distinct-first-step rule,
+    the Omega type and the attachments, in that order."""
+    pendants = tree.pendants
+    if len(pendants) < 3 or not tree.majors:
+        return False, None
+
+    for major in tree.majors:
+        row_m = tree.distance_row(major)
+        for trio in combinations(pendants, 3):
+            paths = [path_between(tree, major, u).vertices for u in trio]
+            first_steps = {p[1] for p in paths}
+            if len(first_steps) < 3:
+                continue  # legs must leave m by distinct edges
+            residues = sorted(row_m[u] % 3 for u in trio)
+            omega = _omega_type(residues)
+            if omega is None:
+                continue
+            ok, attachments = _check_attachments(tree, row_m, paths)
+            if ok:
+                return True, GammaWitness(
+                    major=major,
+                    endpoints=trio,
+                    leg_residues=tuple(row_m[u] % 3 for u in trio),
+                    omega=omega,
+                    attachments=attachments,
+                )
+    return False, None
+
+
+class TestInGammaAgainstTripleScan:
+    def test_every_tree_to_order_12(self):
+        members = 0
+        for n in range(2, 13):
+            for tree in free_trees(n):
+                got = in_gamma(tree)
+                assert got == in_gamma_by_triple_scan(tree), tree.edges
+                members += got[0]
+        assert members > 0
+
+    @settings(SETTINGS, max_examples=60)
+    @given(prufer_trees(min_n=13, max_n=30))
+    def test_random_trees_13_to_30(self, tree):
+        verdict, witness = in_gamma(tree)
+        assert (verdict, witness) == in_gamma_by_triple_scan(tree)
+        # a path has no major and m(T,1) = p-2 off the multiples of 3, so
+        # the equivalence with the exact nullity holds for non-paths
+        if tree.majors:
+            m1 = rational_nullity(laplacian(tree), 1)
+            assert verdict == (m1 == len(tree.pendants) - 2)
 
 
 class TestClassifyM1:
