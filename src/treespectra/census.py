@@ -14,7 +14,8 @@ the root's subtrees, and for a tree with two centroids a comparison with
 the sequence re-rooted at the other one.  A tree is built only for a
 sequence that survives it.  An independent brute-force count backs the
 census for small orders: numpy decodes every Prufer code in blocks to a
-bracket word of its rooted tree, and only the distinct words are keyed.
+bracket word of its rooted tree, and only the distinct words are keyed,
+rooted at their centers.
 """
 
 from __future__ import annotations
@@ -248,57 +249,88 @@ def _rerooted_at_heavy_child(seq) -> tuple[int, ...]:
     return (1,) + tuple(level for kid in kids for level in kid)
 
 
-# Rows decoded per numpy pass.  A constant chosen for memory: each of the
-# per-row arrays of one block stays under 80 kB at n = 9.
-_PRUFER_BLOCK = 1024
+# Rows per numpy pass, at most.  A pass covers the n^k codes that share
+# their high n-2-k digits, for the largest such k; the low digits and their
+# vertex masks are built once per call and reused by every pass.  The cap
+# bounds transient memory: the census benchmark (n up to 8) peaked at
+# 32.1 MB RSS with 8192 rows and at 38.4 MB with 32768, no faster.
+_PRUFER_ROWS = 8192
 
 
 def _prufer_blocks(n: int):
     """Decode all n^(n-2) Prufer codes over 0..n-1, one block of rows at a time.
 
-    Yields ``(digits, leaves, words)`` per block.  Row r of ``digits`` is a
-    code, the base-n digits of a running index.  Step i removes the leaf
-    ``leaves[r, i]`` and hangs it under ``digits[r, i]``; the last leaf hangs
-    under n-1, which is never removed.  ``words[r]`` is the decoded tree's
-    bracket code, rooted at n-1 with children in removal order: a 1 bit,
-    then ``1 <child codes> 0`` for each child.  Equal words mean isomorphic
+    Yields ``(digits, leaves, words)`` per block, in running-index order.
+    Row r of ``digits`` (uint8) is a code, the base-n digits of a running
+    index.  Step i removes the leaf ``leaves[r, i]`` (uint8) and hangs it
+    under ``digits[r, i]``; the last leaf hangs under n-1, which is never
+    removed.  ``words[r]`` (int32) is the decoded tree's bracket code,
+    rooted at n-1 with children in removal order: a 1 bit, then
+    ``1 <child codes> 0`` for each child.  Equal words mean isomorphic
     trees, but one isomorphism class spans several words.
+
+    A block holds the n^k codes that share their high n-2-k digits, k as
+    large as ``_PRUFER_ROWS`` allows; the low digits, and the masks of the
+    vertices absent from each of their suffixes, are the same in every
+    block.  Vertex masks are uint16.  The leaf is the lowest live vertex
+    absent from the rest of the code, and its index is the exponent of
+    that mask bit; a child's code of s vertices is 2s bits long, read off
+    as an exponent too.  Words stay below 2^17, so float32 holds both
+    exactly.
     """
     m = n - 2
-    total = n**m
-    lowest = np.zeros(1 << n, dtype=np.int64)  # lowest[1 << v] == v
-    lowest[1 << np.arange(n)] = np.arange(n)
-    for start in range(0, total, _PRUFER_BLOCK):
-        stop = min(start + _PRUFER_BLOCK, total)
-        rows = stop - start
-        index = np.arange(start, stop)
-        digits = np.empty((rows, m), dtype=np.int64)
-        for j in range(m - 1, -1, -1):
-            index, digits[:, j] = np.divmod(index, n)
-        # suffix[r, i]: bitmask of the vertices that occur at or after step i.
-        suffix = np.bitwise_or.accumulate(np.left_shift(1, digits)[:, ::-1], axis=1)[:, ::-1]
-        base = np.arange(0, rows * n, n)
-        alive = np.full(rows, (1 << (n - 1)) - 1)  # every vertex left but the root
-        # Per vertex, flattened by row: the sentinel bit and the codes of the
-        # children removed so far, and the subtree size.  A vertex is removed
-        # only after its children, so both are final when it is.
-        word = np.ones(rows * n, dtype=np.int64)
-        size = np.ones(rows * n, dtype=np.int64)
-        leaves = np.empty((rows, n - 1), dtype=np.int64)
+    k = 0
+    while k < m and n ** (k + 1) <= _PRUFER_ROWS:
+        k += 1
+    h = m - k
+    rows = n**k
+    low = np.empty((rows, k), dtype=np.uint8)
+    index = np.arange(rows)
+    for j in range(k - 1, -1, -1):
+        index, low[:, j] = np.divmod(index, n)
+    # absent[r, j]: the vertices that occur nowhere in low digits j.. of row r.
+    present = np.left_shift(1, low.astype(np.uint16))
+    absent = ~np.bitwise_or.accumulate(present[:, ::-1], axis=1)[:, ::-1]
+    absent_low = absent[:, 0] if k else np.full(rows, 0xFFFF, dtype=np.uint16)
+    # word[v * rows + r]: the sentinel bit and the codes of the children
+    # removed so far of vertex v in row r.  A vertex is removed only after
+    # its children, so its code is final when it is.
+    column = np.arange(rows)
+    below = column - rows  # + rows * (leaf + 1) finds the leaf's word
+    parents = [column + rows * low[:, j].astype(np.intp) for j in range(k)]
+    word = np.empty(n * rows, dtype=np.int32)
+    by_vertex = word.reshape(n, rows)
+    for block in range(n**h):
+        high = [block // n**j % n for j in range(h - 1, -1, -1)]
+        digits = np.empty((rows, m), dtype=np.uint8)
+        digits[:, :h] = high
+        digits[:, h:] = low
+        leaves = np.empty((rows, n - 1), dtype=np.uint8)
+        alive = np.full(rows, (1 << (n - 1)) - 1, dtype=np.uint16)  # all but the root
+        word.fill(1)
         for i in range(n - 1):
-            # The removed leaf is the smallest live vertex absent from the rest of the code.
-            free = alive & ~suffix[:, i] if i < m else alive
-            low = free & -free
-            leaves[:, i] = leaf = lowest[low]
-            at = base + leaf
-            up = base + (digits[:, i] if i < m else n - 1)
-            s = size[at]
-            # The leaf's own code is its sentinel as the opening 1, its
-            # children's codes, and a closing 0: 2*s bits.
-            word[up] = (word[up] << (s + s)) | (word[at] << 1)
-            size[up] += s
-            alive ^= low
-        yield digits, leaves, word[base + n - 1]
+            if i < h:  # high digits i.. are the same in every row
+                later = sum({1 << d for d in high[i:]})
+                free = alive & absent_low & (0xFFFF ^ later)
+            elif i < m:
+                free = alive & absent[:, i - h]
+            else:
+                free = alive
+            bit = free & -free
+            leaf_1 = np.frexp(bit.astype(np.float32))[1]  # leaf + 1
+            leaves[:, i] = leaf_1
+            child = word[below + rows * leaf_1] << 1
+            width = np.frexp(child.astype(np.float32))[1]
+            if h <= i < m:
+                up = parents[i - h]
+                word[up] = (word[up] << width) | child
+            else:  # the parent is the same in every row
+                up = by_vertex[high[i] if i < h else n - 1]
+                up <<= width
+                up |= child
+            alive ^= bit
+        leaves -= 1
+        yield digits, leaves, by_vertex[n - 1].copy()
 
 
 def _plane_edges(word: int, n: int) -> list[tuple[int, int]]:
@@ -319,15 +351,29 @@ def _plane_edges(word: int, n: int) -> list[tuple[int, int]]:
 def _free_key(n: int, edges) -> str:
     """Free-tree key of a tree on vertices 0..n-1: equal iff isomorphic.
 
-    The minimum over all roots of the AHU string, where a vertex's string is
-    its children's strings, sorted and wrapped in one pair of brackets.
+    The smaller AHU string rooted at one of the tree's one or two centers,
+    where a vertex's string is its children's strings, sorted and wrapped
+    in one pair of brackets.  Every isomorphism maps centers to centers.
+    The centers are what is left after peeling leaves layer by layer.
     """
     adjacency: list = [[] for _ in range(n)]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
+    degree = [len(near) for near in adjacency]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adjacency[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
     best = None
-    for root in range(n):
+    for root in layer:
         parent = [-1] * n
         parent[root] = root
         order = [root]
@@ -360,10 +406,12 @@ def prufer_count_oracle(n: int) -> int:
     """Count isomorphism classes by brute force over all n^(n-2) labeled trees.
 
     Only sensible for n in 2..9.  Every Prufer code is decoded, in numpy
-    blocks, to a bracket word of its tree rooted at n-1; only the distinct
-    words (at most Catalan(n-1) of them) are rebuilt and keyed, by the
-    minimum over all roots of the AHU string.  Nothing here shares code with
-    the level-sequence generator it checks.
+    blocks of up to ``_PRUFER_ROWS`` codes that share their high digits, to
+    a bracket word of its tree rooted at n-1; only the distinct words (at
+    most Catalan(n-1) of them) are rebuilt and keyed, by the smaller AHU
+    string rooted at a center.  Nothing here shares code with the
+    level-sequence generator it checks: centers, not its centroids, root
+    the keys.
     """
     if not 2 <= n <= 9:
         raise CapExceeded(f"brute-force census supports 2..9, got {n}")

@@ -6,6 +6,8 @@ can name vertices by label.
 
 import heapq
 
+from hypothesis import strategies as st
+
 from treespectra import from_edge_list, single_vertex
 
 
@@ -58,3 +60,72 @@ def prufer_tree(seq):
             heapq.heappush(leaves, v)
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return from_edge_list(edges)
+
+
+def _branches(depth):
+    # (length, forks) hung at a vertex x: a chain of `length` new vertices
+    # that ends in a pendant when `forks` is empty, else in a major carrying
+    # those branches.  Pendants end up 1 (mod 3) below x and majors 0, so a
+    # branch hung at a Gamma anchor is a mod-3 piece.
+    pendant = st.tuples(st.sampled_from([1, 4]), st.just(()))
+    if depth == 0:
+        return pendant
+    return st.one_of(pendant, _forks(depth))
+
+
+def _forks(depth):
+    return st.tuples(st.just(3), st.lists(_branches(depth - 1), min_size=2, max_size=2))
+
+
+def _size(branch):
+    length, forks = branch
+    return length + sum(map(_size, forks))
+
+
+def _hang(edges, x, branch, nxt):
+    # add the branch below x with labels from nxt on; return the next label
+    length, forks = branch
+    for _ in range(length):
+        edges.append((x, nxt))
+        x, nxt = nxt, nxt + 1
+    for fork in forks:
+        nxt = _hang(edges, x, fork, nxt)
+    return nxt
+
+
+@st.composite
+def gamma_trees(draw, max_n=45):
+    """A tree of the family Gamma, where eigenvalue 1 has multiplicity p-2.
+
+    A major m with three legs whose lengths mod 3 are {1, 1, x != 1} or
+    {2, 0, 0}.  At core vertices 1 (mod 3) before their leg's end, and at
+    m when a leg is 1 (mod 3), hang either paths on 1 (mod 3) vertices or
+    a group of at least two mod-3 pieces, one of them branched.  Groups
+    that would pass ``max_n`` vertices are left out; edges come shuffled.
+    """
+    residues = draw(st.sampled_from([(1, 1, 0), (1, 1, 2), (2, 0, 0)]))
+    edges = []
+    nxt = 2
+    anchors = [1] if 1 in residues else []
+    for r in residues:
+        length = r + 3 * draw(st.integers(1 if r == 0 else 0, 2))
+        x = 1
+        for t in range(1, length + 1):
+            edges.append((x, nxt))
+            if (length - t) % 3 == 1:
+                anchors.append(nxt)
+            x, nxt = nxt, nxt + 1
+    pendant = st.tuples(st.sampled_from([1, 4, 7]), st.just(()))
+    groups = st.one_of(
+        st.just([]),
+        st.lists(pendant, min_size=1, max_size=2),
+        st.tuples(_forks(2), st.lists(_branches(1), min_size=1, max_size=2)).map(
+            lambda group: [group[0], *group[1]]
+        ),
+    )
+    for anchor in anchors:
+        group = draw(groups)
+        if nxt - 1 + sum(map(_size, group)) <= max_n:
+            for branch in group:
+                nxt = _hang(edges, anchor, branch, nxt)
+    return from_edge_list(draw(st.permutations(edges)))

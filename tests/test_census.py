@@ -4,6 +4,7 @@ import os
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from shapes import caterpillar, path, spider, star
 
@@ -69,6 +70,28 @@ def aut_order(tree):
             if half == levels[:a] + levels[b:]:
                 order *= 2
     return order
+
+
+def spell(children, v):
+    """The bracket word below v, children in list order: 1 <child> 0 each."""
+    return "".join("1" + spell(children, c) + "0" for c in children[v])
+
+
+def textbook_decode(code, n):
+    """The leaves of a Prufer code over 0..n-1 in removal order, one code
+    at a time, and the bracket word of its tree rooted at n-1."""
+    degree = [1 + code.count(v) for v in range(n)]
+    removed = []
+    for x in code:
+        leaf = degree.index(1)
+        removed.append(leaf)
+        degree[leaf] = 0
+        degree[x] -= 1
+    removed.append(degree.index(1))
+    children = {v: [] for v in range(n)}
+    for leaf, parent in zip(removed, code + [n - 1]):
+        children[parent].append(leaf)
+    return removed, int("1" + spell(children, n - 1), 2)
 
 
 def trees_kept_by_full_canonical_filter(n):
@@ -218,24 +241,33 @@ class TestPruferOracle:
         n = 6
         for digits, leaves, _ in census._prufer_blocks(n):
             for code, removed in zip(digits.tolist(), leaves.tolist()):
-                degree = [1 + code.count(v) for v in range(n)]
-                expected = []
-                for x in code:
-                    leaf = degree.index(1)
-                    expected.append(leaf)
-                    degree[leaf] = 0
-                    degree[x] -= 1
-                expected.append(degree.index(1))
-                assert removed == expected
+                assert removed == textbook_decode(code, n)[0]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_sampled_rows_match_the_textbook_decode(self, n):
+        # n = 8 and 9 span several blocks that share their low digits; check
+        # the first and last row of every block and every 997th row
+        start = 0
+        checked = 0
+        for digits, leaves, words in census._prufer_blocks(n):
+            assert (digits.dtype, leaves.dtype, words.dtype) == (np.uint8, np.uint8, np.int32)
+            stop = start + len(words)
+            multiples = range(start + -start % 997, stop, 997)  # of 997, in the block
+            picks = {start, stop - 1, *multiples}
+            for index in sorted(picks):
+                code = [index // n**j % n for j in range(n - 3, -1, -1)]
+                r = index - start
+                assert digits[r].tolist() == code
+                assert (leaves[r].tolist(), int(words[r])) == textbook_decode(code, n)
+                checked += 1
+            start = stop
+        assert start == n ** (n - 2)
+        assert checked > n ** (n - 2) // 997
 
     def test_words_spell_the_tree_rooted_at_n_minus_1(self):
         # the bracket word written out recursively, children in removal order;
         # _plane_edges rebuilds a plane tree that spells the same word
         n = 7
-
-        def spell(children, v):
-            return "".join("1" + spell(children, c) + "0" for c in children[v])
-
         for digits, leaves, words in census._prufer_blocks(n):
             for code, removed, word in zip(digits.tolist(), leaves.tolist(), words.tolist()):
                 children = {v: [] for v in range(n)}
@@ -248,7 +280,7 @@ class TestPruferOracle:
                     rebuilt[parent].append(child)
                 assert word == int("1" + spell(rebuilt, 0), 2)
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_class_sizes_are_orbit_sizes(self, n):
         # each shape T is hit by exactly n!/|Aut T| labeled trees
         sizes = census._prufer_classes(n).values()
@@ -260,7 +292,15 @@ class TestPruferOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle must not use the generator")
 
-        for name in ("free_trees", "canonical_levels", "_rooted_levels", "_level_sequences"):
+        for name in (
+            "free_trees",
+            "canonical_levels",
+            "canonical_form",
+            "_rooted_levels",
+            "_level_sequences",
+            "_tree_from_levels",
+            "_centroids",
+        ):
             monkeypatch.setattr(census, name, refuse)
         assert prufer_count_oracle(7) == 11
 

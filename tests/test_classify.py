@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from shapes import path, prufer_tree, spider, star
+from shapes import gamma_trees, path, prufer_tree, spider, star
 from test_float_route import SETTINGS, extremal_trees
 
 from treespectra import (
@@ -353,6 +353,16 @@ class TestInGammaAgainstTripleScan:
         if tree.majors:
             m1 = rational_nullity(laplacian(tree), 1)
             assert verdict == (m1 == len(tree.pendants) - 2)
+
+    @settings(SETTINGS, max_examples=40)
+    @given(gamma_trees())
+    def test_constructed_gamma_trees(self, tree):
+        # random Prufer trees are rarely in Gamma; these all are, by construction
+        assert tree.n <= 45
+        got = in_gamma(tree)
+        assert got[0]
+        assert got == in_gamma_by_triple_scan(tree)
+        assert rational_nullity(laplacian(tree), 1) == len(tree.pendants) - 2
 
 
 class TestClassifyM1:

@@ -3,8 +3,9 @@
 An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
 The package sources also carry no unused imports; no linter is installed,
-so an AST walk checks it.  Another AST walk checks that only ``census``
-compares routes.  Every function the benchmark's tracer wraps must exist,
+so an AST walk checks it.  Other AST walks check that only ``census``
+compares routes, and that its brute-force census names nothing of the
+generator it checks.  Every function the benchmark's tracer wraps must exist,
 and the demos and the README quickstart must run.
 """
 
@@ -110,6 +111,44 @@ def test_route_comparisons_live_in_census():
         and "OracleDisagreement" in (getattr(node.func, f, None) for f in ("id", "attr"))
     }
     assert raisers == {"census.py"}
+
+
+ORACLE = ("_prufer_blocks", "_plane_edges", "_free_key", "_prufer_classes", "prufer_count_oracle")
+GENERATOR = {
+    "free_trees",
+    "_level_sequences",
+    "_tree_from_levels",
+    "_centroids",
+    "_rooted_levels",
+    "canonical_levels",
+    "canonical_form",
+    "canonical_relabel",
+    "_heaviest_root_block",
+    "_blocks",
+    "_rerooted_at_heavy_child",
+    "Tree",
+    "_build",
+}
+
+
+def test_census_oracle_names_nothing_of_the_generator():
+    # the brute-force census checks the level-sequence generator, so its
+    # functions must not call, or even name, any part of it
+    source = (PACKAGE / "census.py").read_text()
+    defs = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLE
+    }
+    assert sorted(defs) == sorted(ORACLE)
+    named = {
+        f"{name}: {getattr(node, 'id', None) or node.attr}"
+        for name, fn in defs.items()
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in GENERATOR)
+        or (isinstance(node, ast.Attribute) and node.attr in GENERATOR)
+    }
+    assert named == set()
 
 
 def test_traced_functions_exist():
