@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .trees import (
     Tree,
-    TreePath,
     from_edge_list,
     single_vertex,
     parse_edge_list_text,
@@ -45,7 +44,6 @@ from .construct import (
 )
 from .classify import (
     CongruenceCertificate,
-    FamilyFlags,
     GammaWitness,
     ClassificationReport,
     pendant_distance_gcd,
@@ -53,7 +51,6 @@ from .classify import (
     is_extremal,
     extremal_lambda_set,
     has_unit_extremal,
-    family_membership,
     in_gamma,
     classify_m1,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "errors",
     # trees
     "Tree",
-    "TreePath",
     "from_edge_list",
     "single_vertex",
     "parse_edge_list_text",
@@ -106,7 +102,6 @@ __all__ = [
     "eigenbasis_extremal",
     # classify
     "CongruenceCertificate",
-    "FamilyFlags",
     "GammaWitness",
     "ClassificationReport",
     "pendant_distance_gcd",
@@ -114,7 +109,6 @@ __all__ = [
     "is_extremal",
     "extremal_lambda_set",
     "has_unit_extremal",
-    "family_membership",
     "in_gamma",
     "classify_m1",
     # census

@@ -26,7 +26,6 @@ from .trees import Tree, path_between
 
 __all__ = [
     "CongruenceCertificate",
-    "FamilyFlags",
     "GammaAttachment",
     "GammaWitness",
     "ClassificationReport",
@@ -35,7 +34,6 @@ __all__ = [
     "is_extremal",
     "extremal_lambda_set",
     "has_unit_extremal",
-    "family_membership",
     "in_gamma",
     "classify_m1",
 ]
@@ -49,21 +47,6 @@ class CongruenceCertificate:
     admissible_moduli: tuple[int, ...]
     q_list: tuple[int, ...]
     is_path: bool
-
-
-@dataclass(frozen=True)
-class FamilyFlags:
-    """Membership in the mod-3 families relevant at eigenvalue 1.
-
-    in_q: every pendant pair sits at distance 2 (mod 3).
-    in_p: a path on 2 (mod 3) vertices.
-    omega: 'A' or 'B' when the tree is a three-legged spider whose leg
-    lengths have residues {1,1,x!=1} or {2,0,0} mod 3, else None.
-    """
-
-    in_q: bool
-    in_p: bool
-    omega: str | None
 
 
 @dataclass(frozen=True)
@@ -167,29 +150,12 @@ def _lambda_params(cert: CongruenceCertificate) -> tuple[LambdaParam, ...]:
 def has_unit_extremal(tree: Tree) -> bool:
     """Does the eigenvalue 1 itself reach multiplicity p-1?
 
-    1 = 2(1 - cos(pi/3)) is the q=1 extremal value, so non-paths need the
-    modulus 3 admissible; a path reaches multiplicity 1 at eigenvalue 1
-    exactly when 3 divides its order.
+    1 = 2(1 - cos(pi/3)) is the q=1 extremal value, so the modulus 3 must
+    divide the pendant gcd.  That covers paths too: their gcd is their
+    order, and 1 is an eigenvalue of the path on n vertices exactly when
+    3 divides n.
     """
-    cert = admissible_q(tree)
-    if cert.is_path:
-        return tree.n % 3 == 0
-    return cert.g % 3 == 0
-
-
-def family_membership(tree: Tree) -> FamilyFlags:
-    pendants = tree.pendants
-    # every pendant pair at distance 2 (mod 3); vacuous below two pendants
-    in_q = len(pendants) < 2 or pendant_distance_gcd(tree) % 3 == 0
-    in_p = not tree.majors and tree.n % 3 == 2
-
-    omega = None
-    if len(tree.majors) == 1 and len(pendants) == 3:
-        # One major and three pendants force a three-legged spider.
-        center = tree.majors[0]
-        row = tree.distance_row(center)
-        omega = _omega_type(sorted(row[u] % 3 for u in pendants))
-    return FamilyFlags(in_q=in_q, in_p=in_p, omega=omega)
+    return pendant_distance_gcd(tree) % 3 == 0
 
 
 def _omega_type(sorted_residues) -> str | None:
@@ -256,7 +222,7 @@ def in_gamma(tree: Tree):
             omega = _omega_type(sorted(row_m[u] % 3 for u in trio))
             if omega is None:
                 continue
-            paths = [path_between(tree, major, u).vertices for u in trio]
+            paths = [path_between(tree, major, u) for u in trio]
             first_steps = {p[1] for p in paths}
             if len(first_steps) < 3:
                 continue  # legs must leave m by distinct edges
@@ -338,8 +304,8 @@ def _check_attachments(tree: Tree, row_m, paths):
 def classify_m1(tree: Tree) -> ClassificationReport:
     """Full combinatorial verdict at eigenvalue 1, read off the tree alone.
 
-    m(T,1) = p-1 exactly on paths of order divisible by 3 and on trees
-    whose pendant pairs all sit at distance 2 (mod 3); m(T,1) = p-2 exactly
+    m(T,1) = p-1 exactly on trees whose pendant pairs all sit at distance
+    2 (mod 3), paths of order divisible by 3 included; m(T,1) = p-2 exactly
     on paths of other orders and on the :func:`in_gamma` family.  Nothing
     here computes a spectrum: :func:`treespectra.census.certify` checks the
     verdict against the exact nullity and the numeric clusters.
@@ -347,15 +313,14 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     p = len(tree.pendants)
     if p < 2:
         raise TooFewPendants("classification needs at least two pendants")
-    cert = admissible_q(tree)
-    extremal = cert.is_path or bool(cert.q_list)
+    extremal, cert = is_extremal(tree)
     lambda_set = _lambda_params(cert) if extremal and not cert.is_path else ()
 
     witness = None
-    if cert.is_path:
-        m1_class = "p-1" if tree.n % 3 == 0 else "p-2"
-    elif cert.g % 3 == 0:  # every pendant pair at distance 2 (mod 3)
+    if cert.g % 3 == 0:  # every pendant pair at distance 2 (mod 3)
         m1_class = "p-1"
+    elif cert.is_path:  # p-2 = 0, and 1 is no eigenvalue of this path
+        m1_class = "p-2"
     else:
         verdict, witness = in_gamma(tree)
         m1_class = "p-2" if verdict else "other"

@@ -49,6 +49,10 @@ class NonSymmetric(TreeSpectraError):
     """The matrix handed to the symmetric eigensolver is not a finite symmetric matrix."""
 
 
+class NonFinite(TreeSpectraError):
+    """A numeric input holds NaN or an infinity."""
+
+
 class ZeroVector(TreeSpectraError):
     """The all-zero vector was passed where an eigenvector is required."""
 

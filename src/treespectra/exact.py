@@ -121,15 +121,14 @@ def poly_divmod(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntP
     return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem))
 
 
-def laplacian(tree: Tree, signless: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Laplacian D - A (or D + A when ``signless``), row i <-> label i+1."""
+def laplacian(tree: Tree) -> tuple[tuple[int, ...], ...]:
+    """Laplacian D - A, row i <-> label i+1."""
     n = tree.n
-    off = 1 if signless else -1
     rows = [[0] * n for _ in range(n)]
     for v in range(1, n + 1):
         rows[v - 1][v - 1] = len(tree.adjacency[v])
         for w in tree.adjacency[v]:
-            rows[v - 1][w - 1] = off
+            rows[v - 1][w - 1] = -1
     return tuple(tuple(r) for r in rows)
 
 

@@ -1,9 +1,9 @@
 """Floating-point spectral routines, independent of the exact module.
 
-The eigensolver is LAPACK's symmetric driver, reached through numpy, so
-the numeric route shares no code with the exact one; the two are compared
-against each other in the test suite.  Vectors are indexed by
-``label - 1`` throughout.
+Eigenvalues come from LAPACK's symmetric eigensolver and ranks from its
+singular value decomposition, both reached through numpy, so the numeric
+route shares no code with the exact one; the two are compared against each
+other in the test suite.  Vectors are indexed by ``label - 1`` throughout.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NonSymmetric, ZeroVector
+from .errors import EmptyInput, NonFinite, NonSymmetric, ZeroVector
 from .exact import laplacian
 from .trees import Tree
 
@@ -102,30 +102,19 @@ def residual_norm(tree: Tree, lam: float, vector, *, lap: np.ndarray | None = No
 
 
 def numeric_rank(vectors, tol: float = 1e-10) -> int:
-    """Numerical rank of a family of vectors (rows), by pivoted orthogonalization.
+    """Numerical rank of a family of vectors (rows), from LAPACK's singular values.
 
-    A column counts toward the rank while its projection onto the
-    complement of the span so far exceeds ``tol`` times the largest
-    original column norm.
+    Counts the singular values above ``tol`` times the largest vector norm.
+    Raises EmptyInput for an empty family and NonFinite for NaN or infinite
+    entries.
     """
     vectors = list(vectors)
     if not vectors:
         raise EmptyInput("rank of an empty family is undefined")
-    v = np.array(vectors, dtype=float).T  # columns are the vectors
-    norms0 = np.linalg.norm(v, axis=0)
-    ref = float(np.max(norms0))
+    v = np.array(vectors, dtype=float)
+    if not np.isfinite(v).all():
+        raise NonFinite("vectors have non-finite entries")
+    ref = float(np.max(np.linalg.norm(v, axis=1)))
     if ref == 0.0:
         return 0
-    remaining = list(range(v.shape[1]))
-    rank = 0
-    while remaining:
-        norms = {j: float(np.linalg.norm(v[:, j])) for j in remaining}
-        best = max(remaining, key=lambda j: norms[j])
-        if norms[best] <= tol * ref:
-            break
-        u = v[:, best] / norms[best]
-        remaining.remove(best)
-        for j in remaining:
-            v[:, j] -= (u @ v[:, j]) * u
-        rank += 1
-    return rank
+    return int(np.count_nonzero(np.linalg.svd(v, compute_uv=False) > tol * ref))

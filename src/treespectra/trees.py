@@ -29,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "Tree",
-    "TreePath",
     "from_edge_list",
     "single_vertex",
     "parse_edge_list_text",
@@ -76,17 +75,6 @@ class Tree:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         return tuple(dist)
-
-
-@dataclass(frozen=True)
-class TreePath:
-    """A path given by its vertex sequence; ``length`` counts edges."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
 
 
 def _check_label(tree: Tree, v) -> None:
@@ -205,12 +193,12 @@ def distance(tree: Tree, u: int, v: int) -> int:
     return tree.distance_row(u)[v]
 
 
-def path_between(tree: Tree, u: int, v: int) -> TreePath:
-    """The unique path from ``u`` to ``v`` as a vertex sequence."""
+def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
+    """The unique path from ``u`` to ``v`` as a vertex tuple, ``u`` first."""
     _check_label(tree, u)
     _check_label(tree, v)
     if u == v:
-        return TreePath((u,))
+        return (u,)
     parent = [0] * (tree.n + 1)
     parent[u] = u
     queue = deque([u])
@@ -225,4 +213,4 @@ def path_between(tree: Tree, u: int, v: int) -> TreePath:
     walk = [v]
     while walk[-1] != u:
         walk.append(parent[walk[-1]])
-    return TreePath(tuple(reversed(walk)))
+    return tuple(reversed(walk))

@@ -239,8 +239,9 @@ def test_criterion_7_supporting_lemmas(trees_by_n):
     # (d) trees are bipartite: both Laplacian signs share one spectrum
     for n in range(2, 11):
         for tree in free_trees(n):
-            plain = eigen_symmetric(laplacian(tree)).eigenvalues
-            signless = eigen_symmetric(laplacian(tree, signless=True)).eigenvalues
+            lap = np.array(laplacian(tree))
+            plain = eigen_symmetric(lap).eigenvalues
+            signless = eigen_symmetric(np.abs(lap)).eigenvalues  # D + A
             assert np.allclose(plain, signless, atol=1e-8)
 
     # (e) unit multiplicity is at least pendants minus quasi-pendants

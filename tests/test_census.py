@@ -490,9 +490,9 @@ class TestCertify:
         orders = []
         real = exact.laplacian
 
-        def counting(tree, signless=False):
+        def counting(tree):
             orders.append(tree.n)
-            return real(tree, signless)
+            return real(tree)
 
         for module in (census, classify, construct, exact, numeric):
             if hasattr(module, "laplacian"):

@@ -15,7 +15,6 @@ from treespectra import (
     certify,
     classify_m1,
     extremal_lambda_set,
-    family_membership,
     free_trees,
     from_edge_list,
     has_unit_extremal,
@@ -87,7 +86,6 @@ class TestPendantGcdAgainstPairs:
             for tree in free_trees(n):
                 g = pairwise_pendant_gcd(tree)
                 assert pendant_distance_gcd(tree) == g
-                assert family_membership(tree).in_q == (g % 3 == 0)
 
     @settings(SETTINGS)
     @given(prufer_trees())
@@ -101,9 +99,6 @@ class TestPendantGcdAgainstPairs:
         g = pendant_distance_gcd(tree)
         assert g == pairwise_pendant_gcd(tree)
         assert g % (2 * q + 1) == 0
-
-    def test_in_q_vacuous_below_two_pendants(self):
-        assert family_membership(single_vertex()).in_q
 
 
 def pairwise_mod3_piece(tree, comp, anchor):
@@ -221,25 +216,13 @@ class TestUnitExtremal:
         assert has_unit_extremal(spider(1, 1, 4))
         assert not has_unit_extremal(spider(2, 2, 2))
 
-
-class TestFamilyMembership:
-    def test_in_q(self):
-        assert family_membership(star(3)).in_q
-        assert not family_membership(spider(1, 2, 2)).in_q
-
-    def test_in_p(self):
-        assert family_membership(path(5)).in_p
-        assert not family_membership(path(6)).in_p
-        assert not family_membership(star(3)).in_p
-
-    def test_omega_types(self):
-        assert family_membership(spider(1, 1, 2)).omega == "A"
-        assert family_membership(spider(2, 3, 3)).omega == "B"
-        assert family_membership(spider(1, 2, 2)).omega is None
-        assert family_membership(spider(1, 1, 1)).omega is None
-
-    def test_omega_needs_three_legs(self):
-        assert family_membership(spider(1, 1, 1, 2)).omega is None
+    def test_path_gcd_is_its_order(self):
+        # the mod-3 rule needs no path case: a path's pendant gcd is n, and
+        # 1 is an eigenvalue of the path on n vertices exactly when 3 | n
+        for n in range(2, 301):
+            assert admissible_q(path(n)).g == n
+            assert has_unit_extremal(path(n)) == (n % 3 == 0)
+            assert classify_m1(path(n)).m1_class == ("p-1" if n % 3 == 0 else "p-2")
 
 
 class TestInGamma:
@@ -260,6 +243,12 @@ class TestInGamma:
         assert att.anchor == 1
         assert att.vertices == (4,)
         assert att.family == "P"
+
+    def test_omega_types(self):
+        # leg residues {1,1,x!=1} are type A, {2,0,0} type B, others neither
+        assert in_gamma(spider(1, 1, 2))[1].omega == "A"
+        assert in_gamma(spider(2, 3, 3))[1].omega == "B"
+        assert in_gamma(spider(1, 1, 1)) == (False, None)
 
     def test_not_gamma(self):
         assert in_gamma(spider(1, 2, 2)) == (False, None)
@@ -313,7 +302,7 @@ def in_gamma_by_triple_scan(tree):
     for major in tree.majors:
         row_m = tree.distance_row(major)
         for trio in combinations(pendants, 3):
-            paths = [path_between(tree, major, u).vertices for u in trio]
+            paths = [path_between(tree, major, u) for u in trio]
             first_steps = {p[1] for p in paths}
             if len(first_steps) < 3:
                 continue  # legs must leave m by distinct edges

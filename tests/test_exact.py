@@ -50,10 +50,6 @@ class TestLaplacian:
             (-1, 0, 0, 1),
         )
 
-    def test_signless(self):
-        L = laplacian(path(3), signless=True)
-        assert L == ((1, 1, 0), (1, 2, 1), (0, 1, 1))
-
 
 class TestRationalNullity:
     def test_star_at_one(self):

@@ -169,7 +169,7 @@ def first_single_major_pair(tree, component):
     degree = {v: sum(y in members for y in tree.adjacency[v]) for v in component}
     pendants = [v for v in component if degree[v] == 1]
     for u, w in combinations(pendants, 2):
-        majors_on = [x for x in path_between(tree, u, w).vertices if degree[x] >= 3]
+        majors_on = [x for x in path_between(tree, u, w) if degree[x] >= 3]
         if len(majors_on) == 1:
             return (u, w), majors_on[0]
     return None
@@ -193,6 +193,6 @@ def test_eigenbasis_on_extremal_trees_past_order_12(case, data):
     component = tuple(range(1, tree.n + 1))
     for step in trace.glue_steps:
         assert (step.pendant_pair, step.anchor) == first_single_major_pair(tree, component)
-        leg = path_between(tree, step.pendant_pair[0], step.anchor).vertices[:-1]
+        leg = path_between(tree, step.pendant_pair[0], step.anchor)[:-1]
         assert step.component == tuple(v for v in component if v not in leg)
         component = step.component

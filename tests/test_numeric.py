@@ -12,7 +12,7 @@ from treespectra import (
     numeric_rank,
     residual_norm,
 )
-from treespectra.errors import EmptyInput, NonSymmetric, ZeroVector
+from treespectra.errors import EmptyInput, NonFinite, NonSymmetric, ZeroVector
 
 
 class TestEigenSymmetric:
@@ -99,12 +99,30 @@ class TestNumericRank:
     def test_all_zero(self):
         assert numeric_rank([[0.0, 0.0], [0.0, 0.0]]) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            numeric_rank([[bad, 0.0], [0.0, 1.0]])
+
+    def test_kahan_matrix_is_rank_deficient(self):
+        # Kahan's upper-triangular matrix (Canad. Math. Bull. 9, 1966), its
+        # columns scaled by (1 - 1e-9)^j and taken as the vectors: every
+        # pivot of a column-pivoted orthogonalization stays above 1e-8, yet
+        # the smallest singular value is about 2.6e-11 and the largest
+        # column norm is 1
+        n, c = 60, 0.4
+        s = math.sqrt(1 - c * c)
+        kahan = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        kahan = kahan * (1 - 1e-9) ** np.arange(n)
+        assert numeric_rank(kahan.T, tol=1e-8) == n - 1
+
 
 class TestSignlessSimilarity:
     def test_spectra_agree_on_trees(self):
         # trees are bipartite, so both Laplacian signs are similar
         for n in range(2, 9):
             for tree in free_trees(n):
-                plain = eigen_symmetric(laplacian(tree)).eigenvalues
-                signless = eigen_symmetric(laplacian(tree, signless=True)).eigenvalues
+                lap = np.array(laplacian(tree))
+                plain = eigen_symmetric(lap).eigenvalues
+                signless = eigen_symmetric(np.abs(lap)).eigenvalues  # D + A
                 assert np.allclose(plain, signless, atol=1e-8)

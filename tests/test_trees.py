@@ -122,16 +122,15 @@ class TestDistanceAndPaths:
 
     def test_path_between(self):
         t = star(3)
-        assert path_between(t, 2, 3).vertices == (2, 1, 3)
-        assert path_between(t, 2, 3).length == 2
+        assert path_between(t, 2, 3) == (2, 1, 3)
 
     def test_triangle_equality_through_tree(self):
         t = from_edge_list([(1, 2), (2, 3), (2, 4), (4, 5)])
         for u in range(1, 6):
             for v in range(1, 6):
                 walk = path_between(t, u, v)
-                assert walk.length == distance(t, u, v)
-                assert walk.vertices[0] == u and walk.vertices[-1] == v
+                assert len(walk) - 1 == distance(t, u, v)
+                assert walk[0] == u and walk[-1] == v
 
 
 class TestParseText:
