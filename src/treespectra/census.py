@@ -4,7 +4,9 @@ This is the only module that compares routes.  :func:`certify` checks the
 combinatorial verdicts against the exact multiplicities and the numeric
 clusters, from one Laplacian per tree; ``check`` and the catalog both go
 through it.  :func:`certify_basis` checks a constructed eigenbasis against
-the float Laplacian: its rank and its residuals.
+the float Laplacian: its rank and its residuals.  :func:`verify_gamma_witness`
+checks the eigenvalue-1 witness ``certify`` receives against the definition
+of its family, without the decider that found it.
 
 Free trees are produced from the classic rooted level-sequence successor
 rule, filtered down to one representative per isomorphism class by keeping
@@ -28,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .classify import ClassificationReport, classify_m1
+from .classify import ClassificationReport, GammaWitness, classify_m1
 from .construct import ConstructionTrace, EigenPair, eigenbasis_extremal
 from .errors import CapExceeded, OracleDisagreement
 from .exact import (
@@ -41,7 +43,7 @@ from .exact import (
     root_multiplicity,
 )
 from .numeric import Spectrum, cluster_multiplicity, eigen_symmetric, numeric_rank, residual_norm
-from .trees import Tree, _build
+from .trees import Tree, _build, _root_path
 
 __all__ = [
     "ORDER_CAP",
@@ -49,6 +51,7 @@ __all__ = [
     "LambdaRow",
     "Certificate",
     "certify",
+    "verify_gamma_witness",
     "BasisCertificate",
     "certify_basis",
     "free_trees",
@@ -460,17 +463,126 @@ class Certificate:
     reaches_p_minus_1: bool
 
 
+def verify_gamma_witness(tree: Tree, witness: GammaWitness) -> str | None:
+    """Check a witness of the eigenvalue-1 family Gamma against the definition.
+
+    Returns None when the witness proves membership, else the first rule
+    it breaks.  The rules, in O(n) from one BFS out of the major m:
+
+    - the three legs end at distinct pendants and leave m by distinct
+      edges, so they are internally disjoint and form the core;
+    - the leg residues d(m, u) mod 3 are the listed ones, of the listed
+      Omega type: {1, 1, x != 1} is type A, {2, 0, 0} type B;
+    - every vertex off the core lies in exactly one attachment, and each
+      attachment is one whole component of the tree minus the core, hung
+      at its anchor (a tree component meets the connected core by one
+      edge);
+    - each anchor a lies on the core with d(a, u) = 1 (mod 3) for its own
+      leg's end u, or is m with some leg of length 1 (mod 3);
+    - a 'P' attachment is a path hung at its end, on 2 (mod 3) vertices
+      with its anchor;
+    - the 'Q' attachments at one anchor are two or more, every pendant in
+      them lies 1 (mod 3) from the anchor, and every two of them lie
+      2 (mod 3) apart.  Two such pendants meeting at z, below the anchor,
+      lie 1 + 1 - 2 d(anchor, z) apart, so every vertex of the group with
+      two or more children must lie 0 (mod 3) from the anchor.
+
+    Nothing here calls :func:`in_gamma` or its helpers.
+    """
+    n, adj, major = tree.n, tree.adjacency, witness.major
+    named = [major, *witness.endpoints]
+    for att in witness.attachments:
+        named += [att.anchor, *att.vertices]
+    if not all(isinstance(v, int) and 1 <= v <= n for v in named):
+        return "a witness label is not a vertex of the tree"
+    ends = witness.endpoints
+    if len(set(ends)) != 3 or major in ends or any(len(adj[u]) != 1 for u in ends):
+        return "the legs do not end at three distinct pendants off the major"
+    dist, parent = tree.bfs(major)
+    legs = [_root_path(parent, u) for u in ends]
+    if len({leg[1] for leg in legs}) != 3:
+        return "two legs leave the major by the same edge"
+    leg_of = {v: leg[-1] for leg in legs for v in leg[1:]}  # core vertex -> its leg's end
+
+    residues = tuple(dist[u] % 3 for u in ends)
+    if residues != witness.leg_residues:
+        return f"leg residues are {residues}, not {witness.leg_residues}"
+    ordered = sorted(residues)
+    omega = "A" if ordered.count(1) == 2 else "B" if ordered == [0, 0, 2] else None
+    if omega is None or omega != witness.omega:
+        return f"leg residues {residues} are not of Omega type {witness.omega!r}"
+
+    owner = [None] * (n + 1)
+    for v in leg_of:
+        owner[v] = "core"
+    owner[major] = "core"
+    for att in witness.attachments:
+        for v in att.vertices:
+            if owner[v] is not None:
+                return f"vertex {v} is on the core or in two attachments"
+            owner[v] = att
+    if None in owner[1:]:
+        return f"vertex {owner.index(None, 1)} lies in no attachment"
+
+    q_groups: dict[int, list] = {}
+    for att in witness.attachments:
+        exits = [
+            (x, y) for x in att.vertices for y in adj[x] if owner[y] is not att
+        ]
+        if len(exits) != 1 or exits[0][1] != att.anchor or owner[att.anchor] != "core":
+            return f"attachment {att.vertices} is not one component hung at {att.anchor}"
+        a = att.anchor
+        if a == major:
+            anchor_ok = any(dist[u] % 3 == 1 for u in ends)
+        else:
+            anchor_ok = (dist[leg_of[a]] - dist[a]) % 3 == 1
+        if not anchor_ok:
+            return f"anchor {a} is not 1 (mod 3) from its leg's end"
+        if att.family == "P":
+            if any(len(adj[x]) > 2 for x in att.vertices) or len(att.vertices) % 3 != 1:
+                return f"attachment {att.vertices} is no path on 2 (mod 3) vertices"
+        elif att.family == "Q":
+            q_groups.setdefault(a, []).append(att)
+        else:
+            return f"attachment {att.vertices} has no family P or Q"
+
+    for anchor, group in q_groups.items():
+        if len(group) < 2:
+            return f"the Q group at {anchor} has one member"
+        members = {v for att in group for v in att.vertices}
+        depth = {anchor: 0}
+        order = [anchor]
+        for x in order:
+            kids = [y for y in adj[x] if y in members and y not in depth]
+            for y in kids:
+                depth[y] = depth[x] + 1
+                order.append(y)
+            if not kids and depth[x] % 3 != 1:
+                return f"pendant {x} is not 1 (mod 3) from its Q anchor {anchor}"
+            if len(kids) >= 2 and depth[x] % 3 != 0:
+                return f"pendants of the Q group at {anchor} meet at {x}, not 0 (mod 3) below it"
+    return None
+
+
 def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     """Run the oracle gauntlet on a tree with at least two vertices.
 
-    The combinatorial verdicts, the exact multiplicities (one Laplacian per
-    tree, and one characteristic polynomial, built only when some
-    eigenvalue is extremal) and the numeric clusters must agree on m(T,1),
-    on the extremal verdict and on the multiplicity p-1 of every extremal
-    eigenvalue; any disagreement raises OracleDisagreement naming the
-    quantity, each route's value and the tree's edges.
+    A p-2 witness from :func:`in_gamma` must first pass
+    :func:`verify_gamma_witness`.  Then the combinatorial verdicts, the
+    exact multiplicities (one Laplacian per tree, and one characteristic
+    polynomial, built only when some eigenvalue is extremal) and the
+    numeric clusters must agree on m(T,1), on the extremal verdict and on
+    the multiplicity p-1 of every extremal eigenvalue; any disagreement
+    raises OracleDisagreement naming the quantity, each route's value and
+    the tree's edges.
     """
     report = classify_m1(tree)
+    if report.gamma_witness is not None:
+        problem = verify_gamma_witness(tree, report.gamma_witness)
+        if problem is not None:
+            raise OracleDisagreement(
+                f"in_gamma witness fails its check: {problem}", edges=tree.edges
+            )
     p = report.p
     lap = laplacian(tree)
     m1_exact = rational_nullity(lap, Fraction(1))

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .errors import InvariantViolated, NotExtremal, TooFewPendants
 from .exact import LambdaParam
-from .trees import Tree, path_between
+from .trees import Tree, _root_path
 
 __all__ = [
     "CongruenceCertificate",
@@ -203,11 +203,13 @@ def in_gamma(tree: Tree):
     residues; a mod-3 group needs at least two components so the anchor is
     interior to it.
 
-    The scan reads each triple's leg residues off the major's distance row
-    and builds the three legs only for triples of an Omega type; the legs
-    then decide the distinct-first-step rule and the attachments.  Each test
-    only filters the same scan, so their order changes neither the verdict
-    nor the witness.
+    One breadth-first search per major gives its distance row and parents,
+    and each pendant's leg m..u is read off the parents once per major.
+    The scan reads each triple's leg residues off the row first, then
+    rejects the triple if two of its legs leave m by the same edge, and
+    only then hands the three legs to the attachment check.  Each test only
+    filters the same scan, so their order changes neither the verdict nor
+    the witness.
 
     Returns ``(verdict, witness-or-None)``; the witness is the first found,
     scanning majors in ascending order and pendant triples lexicographically.
@@ -217,14 +219,14 @@ def in_gamma(tree: Tree):
         return False, None
 
     for major in tree.majors:
-        row_m = tree.distance_row(major)
+        row_m, parent = tree.bfs(major)
+        legs = {u: _root_path(parent, u) for u in pendants}
         for trio in combinations(pendants, 3):
             omega = _omega_type(sorted(row_m[u] % 3 for u in trio))
             if omega is None:
                 continue
-            paths = [path_between(tree, major, u) for u in trio]
-            first_steps = {p[1] for p in paths}
-            if len(first_steps) < 3:
+            paths = [legs[u] for u in trio]
+            if len({leg[1] for leg in paths}) < 3:
                 continue  # legs must leave m by distinct edges
             ok, attachments = _check_attachments(tree, row_m, paths)
             if ok:

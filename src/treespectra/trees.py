@@ -8,13 +8,14 @@ not a tree; the package's own generators, whose edges are a tree on
 mutates a tree.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
-in this module speaks labels directly.
+in this module speaks labels directly.  There is one breadth-first search,
+:meth:`Tree.bfs`, which returns distances and parents: distance rows are
+its first half, and paths are read off its parents.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -59,22 +60,35 @@ class Tree:
         object.__setattr__(self, "pendants", tuple(v for v in labels if len(adj[v]) == 1))
         object.__setattr__(self, "majors", tuple(v for v in labels if len(adj[v]) >= 3))
 
-    def distance_row(self, u: int) -> tuple[int, ...]:
-        """All distances from ``u``, indexed by label (slot 0 unused).
+    def bfs(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Distances and parents from one breadth-first search out of ``u``.
 
-        One breadth-first search per call: nothing is cached.
+        Both tuples are indexed by label (slot 0 unused).  ``parent[v]`` is
+        the neighbor of ``v`` one step closer to ``u``, and ``parent[u]`` is
+        ``u``, so walking the parents from any ``v`` spells the path to
+        ``u``.  Nothing is cached.
         """
         _check_label(self, u)
         dist = [-1] * (self.n + 1)
+        parent = [0] * (self.n + 1)
         dist[u] = 0
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
+        parent[u] = u
+        order = [u]
+        for x in order:
+            step = dist[x] + 1
             for y in self.adjacency[x]:
                 if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return tuple(dist)
+                    dist[y] = step
+                    parent[y] = x
+                    order.append(y)
+        return tuple(dist), tuple(parent)
+
+    def distance_row(self, u: int) -> tuple[int, ...]:
+        """All distances from ``u``, indexed by label (slot 0 unused).
+
+        The first half of :meth:`bfs`: one breadth-first search per call.
+        """
+        return self.bfs(u)[0]
 
 
 def _check_label(tree: Tree, v) -> None:
@@ -194,23 +208,20 @@ def distance(tree: Tree, u: int, v: int) -> int:
 
 
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
-    """The unique path from ``u`` to ``v`` as a vertex tuple, ``u`` first."""
+    """The unique path from ``u`` to ``v`` as a vertex tuple, ``u`` first.
+
+    Walks the parents of one :meth:`Tree.bfs` from ``u``, up from ``v``.
+    """
     _check_label(tree, u)
     _check_label(tree, v)
-    if u == v:
-        return (u,)
-    parent = [0] * (tree.n + 1)
-    parent[u] = u
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in tree.adjacency[x]:
-            if parent[y] == 0:
-                parent[y] = x
-                queue.append(y)
+    return _root_path(tree.bfs(u)[1], v)
+
+
+def _root_path(parent, v: int) -> tuple[int, ...]:
+    # The path from the root of a Tree.bfs to v, root first, walked up the
+    # parents from v; the root is its own parent.
     walk = [v]
-    while walk[-1] != u:
+    while parent[walk[-1]] != walk[-1]:
         walk.append(parent[walk[-1]])
-    return tuple(reversed(walk))
+    walk.reverse()
+    return tuple(walk)

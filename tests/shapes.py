@@ -93,18 +93,12 @@ def _hang(edges, x, branch, nxt):
     return nxt
 
 
-@st.composite
-def gamma_trees(draw, max_n=45):
-    """A tree of the family Gamma, where eigenvalue 1 has multiplicity p-2.
-
-    A major m with three legs whose lengths mod 3 are {1, 1, x != 1} or
-    {2, 0, 0}.  At core vertices 1 (mod 3) before their leg's end, and at
-    m when a leg is 1 (mod 3), hang either paths on 1 (mod 3) vertices or
-    a group of at least two mod-3 pieces, one of them branched.  Groups
-    that would pass ``max_n`` vertices are left out; edges come shuffled.
-    """
+def _gamma_edges(draw, max_n):
+    # The edges of a Gamma tree on at most max_n vertices, and the pendants
+    # that end its three legs and its path attachments.
     residues = draw(st.sampled_from([(1, 1, 0), (1, 1, 2), (2, 0, 0)]))
     edges = []
+    ends = []
     nxt = 2
     anchors = [1] if 1 in residues else []
     for r in residues:
@@ -115,6 +109,7 @@ def gamma_trees(draw, max_n=45):
             if (length - t) % 3 == 1:
                 anchors.append(nxt)
             x, nxt = nxt, nxt + 1
+        ends.append(x)
     pendant = st.tuples(st.sampled_from([1, 4, 7]), st.just(()))
     groups = st.one_of(
         st.just([]),
@@ -126,6 +121,38 @@ def gamma_trees(draw, max_n=45):
     for anchor in anchors:
         group = draw(groups)
         if nxt - 1 + sum(map(_size, group)) <= max_n:
+            paths = all(not forks for _, forks in group)
             for branch in group:
                 nxt = _hang(edges, anchor, branch, nxt)
+                if paths:
+                    ends.append(nxt - 1)
+    return edges, ends
+
+
+@st.composite
+def gamma_trees(draw, max_n=45):
+    """A tree of the family Gamma, where eigenvalue 1 has multiplicity p-2.
+
+    A major m with three legs whose lengths mod 3 are {1, 1, x != 1} or
+    {2, 0, 0}.  At core vertices 1 (mod 3) before their leg's end, and at
+    m when a leg is 1 (mod 3), hang either paths on 1 (mod 3) vertices or
+    a group of at least two mod-3 pieces, one of them branched.  Groups
+    that would pass ``max_n`` vertices are left out; edges come shuffled.
+    """
+    edges, _ = _gamma_edges(draw, max_n)
+    return from_edge_list(draw(st.permutations(edges)))
+
+
+@st.composite
+def gamma_near_misses(draw, max_n=45):
+    """A :func:`gamma_trees` tree with one leg or one path attachment
+    lengthened by a vertex, on at most ``max_n`` vertices.
+
+    The lengthened piece breaks the residue rule it was built to, so the
+    tree is usually outside Gamma, though another triple may still
+    witness it; edges come shuffled.
+    """
+    edges, ends = _gamma_edges(draw, max_n - 1)
+    end = draw(st.sampled_from(ends))
+    edges.append((end, len(edges) + 2))
     return from_edge_list(draw(st.permutations(edges)))

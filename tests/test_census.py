@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import random
@@ -6,7 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from shapes import caterpillar, path, spider, star
+from hypothesis import given, settings
+from shapes import caterpillar, gamma_trees, path, spider, star
+from test_float_route import SETTINGS
 
 from treespectra import (
     ORDER_CAP,
@@ -22,6 +25,7 @@ from treespectra import (
     exact,
     free_trees,
     from_edge_list,
+    in_gamma,
     numeric,
     prufer_count_oracle,
     tree_name,
@@ -520,6 +524,77 @@ class TestCertify:
         with pytest.raises(OracleDisagreement) as info:
             certify(tree)
         assert str(info.value) == message
+        assert info.value.edges == tree.edges
+
+
+# spider(1, 1, 2) with, at the major 1, a Q group of a fork (6..10) and the
+# pendant 11, and the P path 12 at vertex 4, one step from its leg's end 5
+Q_GROUP_TREE = [
+    (1, 2), (1, 3), (1, 4), (4, 5), (1, 6), (6, 7), (7, 8), (8, 9), (8, 10), (1, 11), (4, 12)
+]
+
+
+def _spoiled(witness, **changes):
+    # one attachment replaced by a copy with the given fields changed
+    index = changes.pop("index")
+    attachments = list(witness.attachments)
+    attachments[index] = dataclasses.replace(attachments[index], **changes)
+    return dataclasses.replace(witness, attachments=tuple(attachments))
+
+
+SPOILS = {
+    "swapped_endpoint": (
+        lambda w: dataclasses.replace(w, endpoints=(2, 11, 5)),
+        "vertex 11 is on the core or in two attachments",
+    ),
+    "moved_attachment": (
+        lambda w: _spoiled(w, index=2, anchor=5),
+        "attachment (12,) is not one component hung at 5",
+    ),
+    "flipped_family": (
+        lambda w: _spoiled(w, index=0, family="P"),
+        "attachment (6, 7, 8, 9, 10) is no path on 2 (mod 3) vertices",
+    ),
+    "q_group_of_one": (
+        lambda w: _spoiled(w, index=1, family="P"),
+        "the Q group at 1 has one member",
+    ),
+}
+
+
+class TestVerifyGammaWitness:
+    def test_every_witness_to_order_12(self):
+        witnesses = 0
+        for n in range(2, 13):
+            for tree in free_trees(n):
+                verdict, witness = in_gamma(tree)
+                if verdict:
+                    assert census.verify_gamma_witness(tree, witness) is None, tree.edges
+                    witnesses += 1
+        assert witnesses > 0
+
+    @settings(SETTINGS, max_examples=40)
+    @given(gamma_trees(max_n=60))
+    def test_constructed_gamma_trees(self, tree):
+        verdict, witness = in_gamma(tree)
+        assert verdict
+        assert census.verify_gamma_witness(tree, witness) is None
+
+    @pytest.mark.parametrize("name", sorted(SPOILS))
+    def test_spoiled_witness_rejected(self, name):
+        tree = from_edge_list(Q_GROUP_TREE)
+        spoil, message = SPOILS[name]
+        witness = spoil(in_gamma(tree)[1])
+        assert census.verify_gamma_witness(tree, witness) == message
+
+    def test_certify_rejects_a_spoiled_witness(self, monkeypatch):
+        tree = from_edge_list(Q_GROUP_TREE)
+        spoil, message = SPOILS["flipped_family"]
+        real = classify.in_gamma
+        monkeypatch.setattr(classify, "in_gamma", lambda t: (True, spoil(real(t)[1])))
+        with pytest.raises(OracleDisagreement) as info:
+            certify(tree)
+        assert str(info.value) == f"in_gamma witness fails its check: {message}"
         assert info.value.edges == tree.edges
 
 

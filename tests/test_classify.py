@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from shapes import gamma_trees, path, prufer_tree, spider, star
+from shapes import gamma_near_misses, gamma_trees, path, prufer_tree, spider, star
 from test_float_route import SETTINGS, extremal_trees
 
 from treespectra import (
@@ -257,38 +257,40 @@ class TestInGamma:
 
     def test_one_distance_row_per_major(self, monkeypatch):
         # three majors, components hanging off the legs and no valid triple
-        # anywhere: every distance in the scan comes off the majors' rows
+        # anywhere: every distance and every leg in the scan comes off one
+        # breadth-first search per major
         tree = from_edge_list(
             [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (7, 8), (7, 9), (4, 10)]
         )
-        rows = []
-        real = Tree.distance_row
+        roots = []
+        real = Tree.bfs
 
         def counting(t, u):
-            rows.append(u)
+            roots.append(u)
             return real(t, u)
 
-        monkeypatch.setattr(Tree, "distance_row", counting)
+        monkeypatch.setattr(Tree, "bfs", counting)
         assert in_gamma(tree) == (False, None)
-        assert rows == list(tree.majors)
+        assert roots == list(tree.majors)
 
     def test_no_legs_without_an_omega_residue(self, monkeypatch):
         # spider(3, 3, 3, 3): g = 7, so classify_m1 reaches in_gamma, and
-        # every leg has residue 0, so no triple has an Omega type
+        # every leg has residue 0, so no triple has an Omega type and no
+        # legs reach the attachment check
         calls = []
-        real = classify.path_between
+        real = classify._check_attachments
 
-        def counting(tree, u, w):
-            calls.append((u, w))
-            return real(tree, u, w)
+        def counting(tree, row_m, paths):
+            calls.append(tuple(paths))
+            return real(tree, row_m, paths)
 
-        monkeypatch.setattr(classify, "path_between", counting)
+        monkeypatch.setattr(classify, "_check_attachments", counting)
         tree = spider(3, 3, 3, 3)
         assert pendant_distance_gcd(tree) == 7
         assert in_gamma(tree) == (False, None)
         assert calls == []
         assert in_gamma(spider(1, 1, 2))[0]
-        assert calls == [(1, 2), (1, 3), (1, 5)]
+        assert calls == [((1, 2), (1, 3), (1, 4, 5))]
 
 
 def in_gamma_by_triple_scan(tree):
@@ -344,14 +346,25 @@ class TestInGammaAgainstTripleScan:
             assert verdict == (m1 == len(tree.pendants) - 2)
 
     @settings(SETTINGS, max_examples=40)
-    @given(gamma_trees())
+    @given(gamma_trees(max_n=60))
     def test_constructed_gamma_trees(self, tree):
         # random Prufer trees are rarely in Gamma; these all are, by construction
-        assert tree.n <= 45
+        assert tree.n <= 60
         got = in_gamma(tree)
         assert got[0]
         assert got == in_gamma_by_triple_scan(tree)
         assert rational_nullity(laplacian(tree), 1) == len(tree.pendants) - 2
+
+    @settings(SETTINGS, max_examples=40)
+    @given(gamma_near_misses())
+    def test_near_misses(self, tree):
+        # one vertex away from Gamma: mostly negative verdicts, each one
+        # checked against the reference scan and the exact nullity
+        assert tree.n <= 45
+        verdict, witness = in_gamma(tree)
+        assert (verdict, witness) == in_gamma_by_triple_scan(tree)
+        m1 = rational_nullity(laplacian(tree), 1)
+        assert verdict == (m1 == len(tree.pendants) - 2)
 
 
 class TestClassifyM1:

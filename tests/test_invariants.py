@@ -4,8 +4,9 @@ An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
 The package sources also carry no unused imports; no linter is installed,
 so an AST walk checks it.  Other AST walks check that only ``census``
-compares routes, and that its brute-force census names nothing of the
-generator it checks.  Every function the benchmark's tracer wraps must exist,
+compares routes, that its brute-force census and its Gamma witness check
+name nothing of what they check, and that no module but ``trees`` names
+``path_between``.  Every function the benchmark's tracer wraps must exist,
 and the demos and the README quickstart must run.
 """
 
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import treespectra
 from treespectra import LambdaParam, exact, minimal_poly_lambda
 from treespectra.errors import InvariantViolated
 
@@ -151,10 +153,30 @@ def test_census_oracle_names_nothing_of_the_generator():
     assert named == set()
 
 
-def test_traced_functions_exist():
-    # The benchmark's tracer patches these names with getattr; read the
-    # table without importing the benchmark, so a renamed or deleted
-    # function fails here rather than in a traced run.
+DECIDER = {"in_gamma", "_check_attachments", "_component_eligibility", "_omega_type"}
+
+
+def test_witness_check_names_nothing_of_the_decider():
+    # verify_gamma_witness checks in_gamma's witness from the definition, so
+    # it must not call, or even name, the decider or its helpers
+    source = (PACKAGE / "census.py").read_text()
+    (fn,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_gamma_witness"
+    ]
+    named = {
+        getattr(node, "id", None) or node.attr
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in DECIDER)
+        or (isinstance(node, ast.Attribute) and node.attr in DECIDER)
+    }
+    assert named == set()
+
+
+def _traced_table():
+    # The benchmark tracer's table of wrapped functions, by module; read
+    # without importing the benchmark.
     source = (REPO / "bench" / "tracing.py").read_text()
     (wrapped,) = [
         node.value
@@ -162,7 +184,13 @@ def test_traced_functions_exist():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
     ]
-    table = ast.literal_eval(wrapped)
+    return ast.literal_eval(wrapped)
+
+
+def test_traced_functions_exist():
+    # The benchmark's tracer patches these names with getattr, so a
+    # renamed or deleted function fails here rather than in a traced run.
+    table = _traced_table()
     assert table
     missing = [
         f"treespectra.{module}.{name}"
@@ -173,6 +201,28 @@ def test_traced_functions_exist():
         )
     ]
     assert missing == []
+
+
+def test_path_between_has_no_production_caller():
+    # Every path the package walks comes off the parents of one Tree.bfs.
+    # path_between stays public: the package root re-exports it, and the
+    # benchmark tracer still wraps it.
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "trees.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "path_between")
+        or (isinstance(node, ast.Attribute) and node.attr == "path_between")
+        or (
+            isinstance(node, ast.alias)
+            and node.name == "path_between"
+            and path.name != "__init__.py"
+        )
+    ]
+    assert named == []
+    assert "path_between" in treespectra.__all__
+    assert "path_between" in _traced_table()["trees"]
 
 
 def _readme_python_block():

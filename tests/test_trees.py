@@ -123,6 +123,17 @@ class TestDistanceAndPaths:
     def test_path_between(self):
         t = star(3)
         assert path_between(t, 2, 3) == (2, 1, 3)
+        assert path_between(t, 2, 2) == (2,)
+
+    @settings(SETTINGS)
+    @given(prufer_trees())
+    def test_bfs_parents_step_toward_the_root(self, t):
+        dist, parent = t.bfs(1)
+        assert dist == t.distance_row(1)
+        assert parent[1] == 1
+        for v in range(2, t.n + 1):
+            assert parent[v] in t.adjacency[v]
+            assert dist[parent[v]] == dist[v] - 1
 
     def test_triangle_equality_through_tree(self):
         t = from_edge_list([(1, 2), (2, 3), (2, 4), (4, 5)])
