@@ -8,9 +8,10 @@ the multiplicity of the specific eigenvalue 1: it is p-1 exactly on the
 mod-3 family, and p-2 exactly on a three-legged-core family decided by
 :func:`in_gamma`.
 
-Every verdict here is combinatorial, read off pendant distances alone;
-no matrix is built.  The exact and floating-point routes that check these
-verdicts live in :mod:`treespectra.census`.
+Every verdict here is combinatorial, read off breadth-first searches:
+pendant distances and, for :func:`in_gamma`, a table of the subtrees hung
+below each major.  No matrix is built.  The exact and floating-point
+routes that check these verdicts live in :mod:`treespectra.census`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InvariantViolated, NotExtremal, TooFewPendants
+from .errors import NotExtremal, TooFewPendants
 from .exact import LambdaParam
 from .trees import Tree, _root_path
 
@@ -62,6 +63,10 @@ class GammaAttachment:
 
 @dataclass(frozen=True)
 class GammaWitness:
+    """Membership in the eigenvalue-1 family: the major, the three leg ends
+    and their residues mod 3 with their Omega type, and every component of
+    the tree minus the core, ordered by anchor and then by smallest vertex."""
+
     major: int
     endpoints: tuple[int, int, int]
     leg_residues: tuple[int, int, int]
@@ -168,28 +173,6 @@ def _omega_type(sorted_residues) -> str | None:
     return None
 
 
-def _component_eligibility(tree: Tree, comp: frozenset, anchor: int, row_m):
-    """Can a hanging component be accounted as a path piece or a mod-3 piece?
-
-    Path piece: together with its anchor it forms a path hung at an end,
-    on 2 (mod 3) vertices, i.e. every component vertex has degree <= 2 and
-    |comp| == 1 (mod 3).  Mod-3 piece: every tree pendant inside lies at
-    distance 1 (mod 3) from the anchor and pairwise at distance 2 (mod 3);
-    two such pendants meeting at x lie 2 + d(anchor, x) apart (mod 3) and
-    the meeting vertices are the majors inside, so majors must sit at 0.
-    The component hangs below the vertex of ``row_m``, so d(anchor, x) is
-    row_m[x] - row_m[anchor].
-    """
-    degrees = [len(tree.adjacency[x]) for x in comp]
-    path_ok = max(degrees) <= 2 and len(comp) % 3 == 1
-    q_ok = all(
-        (row_m[x] - row_m[anchor]) % 3 == (1 if deg == 1 else 0)
-        for x, deg in zip(comp, degrees)
-        if deg != 2
-    )
-    return path_ok, q_ok
-
-
 def in_gamma(tree: Tree):
     """Decide membership in the family where eigenvalue 1 has multiplicity p-2.
 
@@ -203,13 +186,14 @@ def in_gamma(tree: Tree):
     residues; a mod-3 group needs at least two components so the anchor is
     interior to it.
 
-    One breadth-first search per major gives its distance row and parents,
-    and each pendant's leg m..u is read off the parents once per major.
-    The scan reads each triple's leg residues off the row first, then
-    rejects the triple if two of its legs leave m by the same edge, and
-    only then hands the three legs to the attachment check.  Each test only
-    filters the same scan, so their order changes neither the verdict nor
-    the witness.
+    One breadth-first search per major gives its distance row and parents;
+    each pendant's leg m..u is read off the parents, and one bottom-up pass
+    tabulates which subtrees hung below m are path or mod-3 pieces.  The
+    scan reads each triple's leg residues off the row first, then rejects
+    the triple if two of its legs leave m by the same edge, and only then
+    looks its hanging components up in the table.  Each test only filters
+    the same scan, so their order changes neither the verdict nor the
+    witness.
 
     Returns ``(verdict, witness-or-None)``; the witness is the first found,
     scanning majors in ascending order and pendant triples lexicographically.
@@ -220,6 +204,7 @@ def in_gamma(tree: Tree):
 
     for major in tree.majors:
         row_m, parent = tree.bfs(major)
+        pieces = _hung_pieces(tree, row_m, parent)
         legs = {u: _root_path(parent, u) for u in pendants}
         for trio in combinations(pendants, 3):
             omega = _omega_type(sorted(row_m[u] % 3 for u in trio))
@@ -228,7 +213,7 @@ def in_gamma(tree: Tree):
             paths = [legs[u] for u in trio]
             if len({leg[1] for leg in paths}) < 3:
                 continue  # legs must leave m by distinct edges
-            ok, attachments = _check_attachments(tree, row_m, paths)
+            ok, attachments = _check_attachments(tree, row_m, pieces, paths)
             if ok:
                 return True, GammaWitness(
                     major=major,
@@ -240,66 +225,77 @@ def in_gamma(tree: Tree):
     return False, None
 
 
-def _check_attachments(tree: Tree, row_m, paths):
-    # Components of the tree minus the core, each hanging at one core vertex.
+def _hung_pieces(tree: Tree, row, parent):
+    """The family each subtree hung below the root can be accounted under.
+
+    ``row`` and ``parent`` come from one :meth:`Tree.bfs`; the subtree
+    below each non-root c hangs at its anchor ``parent[c]``.  A mod-3 piece
+    has every tree pendant inside 1 (mod 3) from the anchor and pairwise
+    2 (mod 3) apart; two such pendants meeting at x lie 2 + d(anchor, x)
+    apart (mod 3) and the meeting vertices are the majors inside, so
+    majors must sit at 0.  Distances from the anchor are differences along
+    ``row``: pendants must sit at ``row[c]`` and majors at ``row[c] - 1``
+    (mod 3).  A path piece, a path on 2 (mod 3) vertices with its anchor at
+    one end, is a subtree with no major and one pendant, at ``row[c]``
+    (mod 3); so every path piece is a mod-3 piece too.
+
+    Returns by label 'P' for a path piece, 'Q' for any other mod-3 piece
+    and None otherwise.  One pass by descending distance ORs 6-bit residue
+    masks up the parents: bit r for a pendant at residue r, bit 3 + r for
+    a major.
+    """
+    adj = tree.adjacency
+    mask = [0] * (tree.n + 1)
+    pieces = [None] * (tree.n + 1)
+    for c in sorted(range(1, tree.n + 1), key=row.__getitem__, reverse=True):
+        r = row[c] % 3
+        deg = len(adj[c])
+        mask[c] |= (1 if deg == 1 else 8 if deg >= 3 else 0) << r
+        if parent[c] != c:
+            mask[parent[c]] |= mask[c]
+            if mask[c] == 1 << r:
+                pieces[c] = "P"
+            elif mask[c] & ~(1 << r | 8 << (r - 1) % 3) == 0:
+                pieces[c] = "Q"
+    return pieces
+
+
+def _check_attachments(tree: Tree, row_m, pieces, paths):
     # The legs leave the major by distinct edges, so every other core vertex
-    # lies on one leg; all distances are differences along the major's row.
+    # lies on one leg.  The core is connected and holds the major, so each
+    # component of T - core is the subtree hung at an off-core neighbour of
+    # its anchor.  Attachments are ordered by anchor, then smallest vertex.
     major = paths[0][0]
+    adj = tree.adjacency
     leg_end = {v: leg[-1] for leg in paths for v in leg[1:]}
     core = set(leg_end) | {major}
-    unseen = set(range(1, tree.n + 1)) - core
-    by_anchor: dict[int, list[frozenset]] = {}
-    while unseen:
-        seed = min(unseen)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in tree.adjacency[x]:
-                if y in comp or y in core:
-                    continue
-                if y in unseen:
-                    comp.add(y)
-                    stack.append(y)
-        unseen -= comp
-        anchors = {
-            y for x in comp for y in tree.adjacency[x] if y in core
-        }
-        if len(anchors) != 1:  # tree structure: one edge into the core
-            raise InvariantViolated(
-                f"component {sorted(comp)} meets the core at {sorted(anchors)}, "
-                "not at exactly one vertex",
-                edges=tree.edges,
-            )
-        by_anchor.setdefault(anchors.pop(), []).append(frozenset(comp))
+    hung = []  # (anchor, c, family)
+    for anchor in (major, *leg_end):
+        comps = [c for c in adj[anchor] if c not in core]
+        if not comps:
+            continue
+        ends = [leg[-1] for leg in paths] if anchor == major else [leg_end[anchor]]
+        if all((row_m[u] - row_m[anchor]) % 3 != 1 for u in ends):
+            return False, ()
+        # A path piece is a mod-3 piece too, so once one component is 'Q'
+        # all of them form one mod-3 group, which needs two or more.
+        kinds = [pieces[c] for c in comps]
+        if None in kinds or ("Q" in kinds and len(kinds) < 2):
+            return False, ()
+        family = "Q" if "Q" in kinds else "P"
+        hung += [(anchor, c, family) for c in comps]
 
     attachments = []
-    for anchor, comps in sorted(by_anchor.items()):
-        if anchor == major:
-            anchor_ok = any(row_m[leg[-1]] % 3 == 1 for leg in paths)
-        else:
-            anchor_ok = (row_m[leg_end[anchor]] - row_m[anchor]) % 3 == 1
-        if not anchor_ok:
-            return False, ()
-
-        elig = [_component_eligibility(tree, comp, anchor, row_m) for comp in comps]
-        if any(not p and not q for p, q in elig):
-            return False, ()
-        q_only = sum(1 for p, q in elig if q and not p)
-        q_total = sum(1 for _, q in elig if q)
-        if q_only > 0 and q_total < 2:
-            return False, ()
-
-        for comp, (path_ok, q_ok) in zip(comps, elig):
-            if q_only == 0:
-                family = "P"
-            else:
-                family = "Q" if q_ok else "P"
-            attachments.append(
-                GammaAttachment(
-                    anchor=anchor, vertices=tuple(sorted(comp)), family=family
-                )
-            )
+    for anchor, c, family in hung:
+        below, stack = [], [c]
+        while stack:
+            x = stack.pop()
+            below.append(x)
+            stack += [y for y in adj[x] if row_m[y] > row_m[x]]
+        attachments.append(
+            GammaAttachment(anchor=anchor, vertices=tuple(sorted(below)), family=family)
+        )
+    attachments.sort(key=lambda att: (att.anchor, att.vertices))
     return True, tuple(attachments)
 
 

@@ -27,13 +27,8 @@ from treespectra import (
     single_vertex,
 )
 from treespectra import classify
-from treespectra.classify import (
-    GammaWitness,
-    _check_attachments,
-    _component_eligibility,
-    _omega_type,
-)
-from treespectra.errors import NotExtremal, TooFewPendants
+from treespectra.classify import GammaAttachment, GammaWitness, _hung_pieces, _omega_type
+from treespectra.errors import InvariantViolated, NotExtremal, TooFewPendants
 
 
 class TestCongruenceCertificate:
@@ -115,32 +110,53 @@ def pairwise_mod3_piece(tree, comp, anchor):
     return True
 
 
-def components_off(tree, anchor):
-    """Vertex sets of the components of T - anchor."""
-    comps = []
-    for root in tree.adjacency[anchor]:
-        comp, stack = {root}, [root]
-        while stack:
-            x = stack.pop()
-            for y in tree.adjacency[x]:
-                if y != anchor and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    return comps
+def subtree_below(tree, parent, c):
+    """Vertex set of the subtree below c, for the parents of a Tree.bfs."""
+    comp, stack = {c}, [c]
+    while stack:
+        x = stack.pop()
+        for y in tree.adjacency[x]:
+            if y != parent[x]:
+                comp.add(y)
+                stack.append(y)
+    return frozenset(comp)
+
+
+def is_hung_path(tree, anchor, c):
+    """Walk down from c, away from the anchor: a path piece meets one new
+    vertex at each step, ends at a pendant, and has 2 (mod 3) vertices with
+    its anchor."""
+    prev, x, count = anchor, c, 1
+    while True:
+        ahead = [y for y in tree.adjacency[x] if y != prev]
+        if not ahead:
+            return count % 3 == 1
+        if len(ahead) > 1:
+            return False
+        prev, x, count = x, ahead[0], count + 1
 
 
 def assert_meeting_vertex_rule(tree):
-    # Every component hangs below every vertex outside it, so each such
-    # vertex's row may stand in for the major's.
-    rows = [None] + [tree.distance_row(v) for v in range(1, tree.n + 1)]
-    for anchor in range(1, tree.n + 1):
-        for comp in components_off(tree, anchor):
-            want = pairwise_mod3_piece(tree, comp, anchor)
-            for top in range(1, tree.n + 1):
-                if top not in comp:
-                    got = _component_eligibility(tree, comp, anchor, rows[top])[1]
-                    assert got == want, (tree.edges, anchor, sorted(comp), top)
+    # The table from every root r against the definitions, for every c != r:
+    # each subtree hangs below every vertex outside it, so any root's row
+    # may stand in for the major's.  Returns the number of mod-3 pieces.
+    expected = {}  # (anchor, c) -> (path piece, mod-3 piece)
+    for root in range(1, tree.n + 1):
+        row, parent = tree.bfs(root)
+        table = _hung_pieces(tree, row, parent)
+        for c in range(1, tree.n + 1):
+            if c == root:
+                continue
+            edge = (parent[c], c)
+            if edge not in expected:
+                comp = subtree_below(tree, parent, c)
+                expected[edge] = (
+                    is_hung_path(tree, parent[c], c),
+                    pairwise_mod3_piece(tree, comp, parent[c]),
+                )
+            got = (table[c] == "P", table[c] in ("P", "Q"))
+            assert got == expected[edge], (tree.edges, root, c)
+    return sum(q for _, q in expected.values())
 
 
 class TestMeetingVertexRule:
@@ -148,12 +164,7 @@ class TestMeetingVertexRule:
         pieces = 0
         for n in range(2, 13):
             for tree in free_trees(n):
-                assert_meeting_vertex_rule(tree)
-                pieces += sum(
-                    pairwise_mod3_piece(tree, comp, a)
-                    for a in range(1, n + 1)
-                    for comp in components_off(tree, a)
-                )
+                pieces += assert_meeting_vertex_rule(tree)
         assert pieces > 0
 
     @settings(SETTINGS)
@@ -280,9 +291,9 @@ class TestInGamma:
         calls = []
         real = classify._check_attachments
 
-        def counting(tree, row_m, paths):
+        def counting(tree, row_m, pieces, paths):
             calls.append(tuple(paths))
-            return real(tree, row_m, paths)
+            return real(tree, row_m, pieces, paths)
 
         monkeypatch.setattr(classify, "_check_attachments", counting)
         tree = spider(3, 3, 3, 3)
@@ -291,6 +302,107 @@ class TestInGamma:
         assert calls == []
         assert in_gamma(spider(1, 1, 2))[0]
         assert calls == [((1, 2), (1, 3), (1, 4, 5))]
+
+    def test_attachments_ordered_by_smallest_vertex(self):
+        # two P components at the major: the one through child 9 holds
+        # vertex 6, so it comes before the one through child 8
+        tree = from_edge_list(
+            [(1, 2), (1, 3), (1, 4), (4, 5), (6, 7), (1, 8), (1, 9), (9, 6), (7, 10)]
+        )
+        verdict, witness = in_gamma(tree)
+        assert verdict
+        assert witness.attachments == (
+            GammaAttachment(anchor=1, vertices=(6, 7, 9, 10), family="P"),
+            GammaAttachment(anchor=1, vertices=(8,), family="P"),
+        )
+        assert in_gamma_by_triple_scan(tree) == (verdict, witness)
+
+
+# The reference scan's own attachment check: a flood fill of T - core for
+# every triple, independent of in_gamma's per-major table of hung subtrees.
+def _component_eligibility(tree: Tree, comp: frozenset, anchor: int, row_m):
+    """Can a hanging component be accounted as a path piece or a mod-3 piece?
+
+    Path piece: together with its anchor it forms a path hung at an end,
+    on 2 (mod 3) vertices, i.e. every component vertex has degree <= 2 and
+    |comp| == 1 (mod 3).  Mod-3 piece: every tree pendant inside lies at
+    distance 1 (mod 3) from the anchor and pairwise at distance 2 (mod 3);
+    two such pendants meeting at x lie 2 + d(anchor, x) apart (mod 3) and
+    the meeting vertices are the majors inside, so majors must sit at 0.
+    The component hangs below the vertex of ``row_m``, so d(anchor, x) is
+    row_m[x] - row_m[anchor].
+    """
+    degrees = [len(tree.adjacency[x]) for x in comp]
+    path_ok = max(degrees) <= 2 and len(comp) % 3 == 1
+    q_ok = all(
+        (row_m[x] - row_m[anchor]) % 3 == (1 if deg == 1 else 0)
+        for x, deg in zip(comp, degrees)
+        if deg != 2
+    )
+    return path_ok, q_ok
+
+
+def _check_attachments(tree: Tree, row_m, paths):
+    # Components of the tree minus the core, each hanging at one core vertex.
+    # The legs leave the major by distinct edges, so every other core vertex
+    # lies on one leg; all distances are differences along the major's row.
+    major = paths[0][0]
+    leg_end = {v: leg[-1] for leg in paths for v in leg[1:]}
+    core = set(leg_end) | {major}
+    unseen = set(range(1, tree.n + 1)) - core
+    by_anchor: dict[int, list[frozenset]] = {}
+    while unseen:
+        seed = min(unseen)
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for y in tree.adjacency[x]:
+                if y in comp or y in core:
+                    continue
+                if y in unseen:
+                    comp.add(y)
+                    stack.append(y)
+        unseen -= comp
+        anchors = {
+            y for x in comp for y in tree.adjacency[x] if y in core
+        }
+        if len(anchors) != 1:  # tree structure: one edge into the core
+            raise InvariantViolated(
+                f"component {sorted(comp)} meets the core at {sorted(anchors)}, "
+                "not at exactly one vertex",
+                edges=tree.edges,
+            )
+        by_anchor.setdefault(anchors.pop(), []).append(frozenset(comp))
+
+    attachments = []
+    for anchor, comps in sorted(by_anchor.items()):
+        if anchor == major:
+            anchor_ok = any(row_m[leg[-1]] % 3 == 1 for leg in paths)
+        else:
+            anchor_ok = (row_m[leg_end[anchor]] - row_m[anchor]) % 3 == 1
+        if not anchor_ok:
+            return False, ()
+
+        elig = [_component_eligibility(tree, comp, anchor, row_m) for comp in comps]
+        if any(not p and not q for p, q in elig):
+            return False, ()
+        q_only = sum(1 for p, q in elig if q and not p)
+        q_total = sum(1 for _, q in elig if q)
+        if q_only > 0 and q_total < 2:
+            return False, ()
+
+        for comp, (path_ok, q_ok) in zip(comps, elig):
+            if q_only == 0:
+                family = "P"
+            else:
+                family = "Q" if q_ok else "P"
+            attachments.append(
+                GammaAttachment(
+                    anchor=anchor, vertices=tuple(sorted(comp)), family=family
+                )
+            )
+    return True, tuple(attachments)
 
 
 def in_gamma_by_triple_scan(tree):

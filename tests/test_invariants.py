@@ -153,12 +153,15 @@ def test_census_oracle_names_nothing_of_the_generator():
     assert named == set()
 
 
-DECIDER = {"in_gamma", "_check_attachments", "_component_eligibility", "_omega_type"}
-
-
 def test_witness_check_names_nothing_of_the_decider():
     # verify_gamma_witness checks in_gamma's witness from the definition, so
-    # it must not call, or even name, the decider or its helpers
+    # it must not call, or even name, the decider or any helper of classify
+    decider = {
+        node.name
+        for node in ast.parse((PACKAGE / "classify.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert {"in_gamma", "_check_attachments", "_hung_pieces", "_omega_type"} <= decider
     source = (PACKAGE / "census.py").read_text()
     (fn,) = [
         node
@@ -168,8 +171,8 @@ def test_witness_check_names_nothing_of_the_decider():
     named = {
         getattr(node, "id", None) or node.attr
         for node in ast.walk(fn)
-        if (isinstance(node, ast.Name) and node.id in DECIDER)
-        or (isinstance(node, ast.Attribute) and node.attr in DECIDER)
+        if (isinstance(node, ast.Name) and node.id in decider)
+        or (isinstance(node, ast.Attribute) and node.attr in decider)
     }
     assert named == set()
 
