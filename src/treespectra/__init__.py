@@ -21,6 +21,7 @@ from .exact import (
     LambdaParam,
     IntPolynomial,
     laplacian,
+    tree_inertia,
     rational_nullity,
     char_poly,
     cyclotomic,
@@ -82,6 +83,7 @@ __all__ = [
     "LambdaParam",
     "IntPolynomial",
     "laplacian",
+    "tree_inertia",
     "rational_nullity",
     "char_poly",
     "cyclotomic",

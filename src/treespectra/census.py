@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -39,8 +38,8 @@ from .exact import (
     char_poly,
     laplacian,
     minimal_poly_lambda,
-    rational_nullity,
     root_multiplicity,
+    tree_inertia,
 )
 from .numeric import Spectrum, cluster_multiplicity, eigen_symmetric, numeric_rank, residual_norm
 from .trees import Tree, _build, _root_path
@@ -569,12 +568,18 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
 
     A p-2 witness from :func:`in_gamma` must first pass
     :func:`verify_gamma_witness`.  Then the combinatorial verdicts, the
-    exact multiplicities (one Laplacian per tree, and one characteristic
-    polynomial, built only when some eigenvalue is extremal) and the
-    numeric clusters must agree on m(T,1), on the extremal verdict and on
-    the multiplicity p-1 of every extremal eigenvalue; any disagreement
-    raises OracleDisagreement naming the quantity, each route's value and
-    the tree's edges.
+    exact route and the numeric clusters must agree on m(T,1), on the
+    extremal verdict and on the multiplicity p-1 of every extremal
+    eigenvalue.  The exact m(T,1) is the zero count of the elimination of
+    L - I along the tree (:func:`tree_inertia`), checked before any float
+    route runs; the extremal multiplicities divide one characteristic
+    polynomial, built only when some eigenvalue is extremal, of the one
+    Laplacian that LAPACK also reads.  Two more checks follow: the
+    elimination's count of eigenvalues below 1 must equal the number of
+    float eigenvalues below 1 - tau, and on a non-path the clusters of
+    size p-1 must be as many as the extremal eigenvalues.  Any
+    disagreement raises OracleDisagreement naming the quantity, each
+    route's value and the tree's edges.
     """
     report = classify_m1(tree)
     if report.gamma_witness is not None:
@@ -584,8 +589,7 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
                 f"in_gamma witness fails its check: {problem}", edges=tree.edges
             )
     p = report.p
-    lap = laplacian(tree)
-    m1_exact = rational_nullity(lap, Fraction(1))
+    m1_below, m1_exact = tree_inertia(tree, 1)
     expected = {"p-1": p - 1, "p-2": p - 2}.get(report.m1_class)
     if expected is not None and m1_exact != expected:
         raise OracleDisagreement(
@@ -599,12 +603,13 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
             edges=tree.edges,
         )
 
+    lap = laplacian(tree)
     spectrum = eigen_symmetric(lap, tol=tol)
-    has_big_cluster = any(mult == p - 1 for _, mult in spectrum.clusters)
-    if report.extremal != has_big_cluster:
+    big_reps = [rep for rep, mult in spectrum.clusters if mult == p - 1]
+    if report.extremal != bool(big_reps):
         raise OracleDisagreement(
             f"extremal verdict {report.extremal} but numeric clusters "
-            f"{spectrum.clusters} {'reach' if has_big_cluster else 'miss'} p-1={p - 1}",
+            f"{spectrum.clusters} {'reach' if big_reps else 'miss'} p-1={p - 1}",
             edges=tree.edges,
         )
 
@@ -628,13 +633,28 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
             f"m(T,1) disagrees: numeric {m1_numeric}, exact {m1_exact}",
             edges=tree.edges,
         )
+    numeric_below = sum(x < 1 - spectrum.tau for x in spectrum.eigenvalues)
+    if numeric_below != m1_below:
+        raise OracleDisagreement(
+            f"eigenvalues below 1 disagree: numeric {numeric_below}, exact {m1_below}",
+            edges=tree.edges,
+        )
+    if tree.majors and len(big_reps) != len(rows):
+        # on a path p-1 = 1, and every simple eigenvalue is such a cluster
+        reps = ", ".join(f"{rep:.6f}" for rep in big_reps)
+        ratios = ", ".join(str(row.param.ratio) for row in rows)
+        raise OracleDisagreement(
+            f"{len(big_reps)} clusters of size p-1={p - 1} (at {reps}) "
+            f"but {len(rows)} extremal eigenvalues (ratios {ratios})",
+            edges=tree.edges,
+        )
     return Certificate(
         report=report,
         spectrum=spectrum,
         lambda_rows=tuple(rows),
         m1_exact=m1_exact,
         m1_numeric=m1_numeric,
-        reaches_p_minus_1=has_big_cluster,
+        reaches_p_minus_1=bool(big_reps),
     )
 
 
@@ -691,7 +711,7 @@ def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
             extremal=False,
             lambda_ratios=(),
             m1_class="other",
-            m1_exact=rational_nullity(laplacian(tree), 1),
+            m1_exact=tree_inertia(tree, 1)[1],
             name="P_1",
             edges=(),
         )

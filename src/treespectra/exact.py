@@ -1,9 +1,13 @@
 """Integer and rational linear algebra for Laplacians of trees.
 
-Everything in this module is exact: ranks come from fraction-free
-elimination, characteristic polynomials from a division-free recurrence,
-and eigenvalue multiplicities from repeated exact polynomial division.
-No floating point enters any code path here.
+Everything in this module is exact.  The inertia of L - lam*I at a
+rational lam, and with it m(T, lam), comes from eliminating along the tree
+over the rationals (:func:`tree_inertia`, O(n) field operations);
+characteristic polynomials come from a division-free recurrence, and the
+multiplicities of irrational eigenvalues from repeated exact polynomial
+division.  The dense fraction-free rank (:func:`rational_nullity`) is kept
+as the independent reference the tests compare the elimination with.  No
+floating point enters any code path here.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ __all__ = [
     "LambdaParam",
     "IntPolynomial",
     "laplacian",
+    "tree_inertia",
     "rational_nullity",
     "char_poly",
     "cyclotomic",
@@ -130,6 +135,53 @@ def laplacian(tree: Tree) -> tuple[tuple[int, ...], ...]:
         for w in tree.adjacency[v]:
             rows[v - 1][w - 1] = -1
     return tuple(tuple(r) for r in rows)
+
+
+def tree_inertia(tree: Tree, lam) -> tuple[int, int]:
+    """Laplacian eigenvalues below a rational ``lam``, and the multiplicity of ``lam``.
+
+    Diagonalizes L - lam*I by congruence along the tree, over the
+    rationals (Jacobs & Trevisan, "Locating the eigenvalues of trees",
+    Linear Algebra Appl. 434 (2011) 81-88).  Every vertex starts at
+    a(v) = deg(v) - lam, and children are eliminated before their parent.
+    At a vertex with a child of value 0, that child becomes 2, the vertex
+    -1/2, and the vertex is cut from its parent; otherwise the vertex
+    subtracts 1/a(c) for each child c still joined to it.  By Sylvester's
+    law of inertia the negative values count the eigenvalues below lam and
+    the zeros are m(T, lam).  Returns ``(below, zero)``.
+    """
+    lam = Fraction(lam)
+    n, adj = tree.n, tree.adjacency
+    # A preorder from vertex 1 on this function's own stack; reversed, it
+    # puts every child before its parent.
+    parent = [0] * (n + 1)
+    order = []
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    value = [Fraction(0)] * (n + 1)
+    inverses = [Fraction(0)] * (n + 1)  # sum of 1/a(c) over the joined children
+    zero_child = [0] * (n + 1)
+    for v in reversed(order):
+        c = zero_child[v]
+        if c:
+            value[c] = Fraction(2)
+            value[v] = Fraction(-1, 2)
+            continue  # cut from its parent
+        a = len(adj[v]) - lam - inverses[v]
+        value[v] = a
+        # the root's parent is slot 0, which nothing reads
+        if a:
+            inverses[parent[v]] += 1 / a
+        else:
+            zero_child[parent[v]] = v
+    values = value[1:]
+    return sum(x < 0 for x in values), values.count(0)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:

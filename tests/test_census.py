@@ -30,6 +30,7 @@ from treespectra import (
     prufer_count_oracle,
     tree_name,
 )
+from treespectra.cli import main
 from treespectra.errors import CapExceeded, OracleDisagreement
 
 # one isomorphism class per row; the classic census of free trees
@@ -488,9 +489,9 @@ class TestCertify:
         assert calls["distance_row"] == 1
 
     def test_laplacian_built_once_per_certify(self, monkeypatch):
-        # the exact nullity at 1, the float spectrum and the characteristic
-        # polynomial all read one matrix; every module that could build
-        # another is watched
+        # the float spectrum and the characteristic polynomial read one
+        # matrix, and the exact m(T,1) reads the tree itself; every module
+        # that could build another matrix is watched
         orders = []
         real = exact.laplacian
 
@@ -518,13 +519,68 @@ class TestCertify:
         def no_float_route(*args, **kwargs):
             raise AssertionError("float route ran before the exact check")
 
-        monkeypatch.setattr(census, "rational_nullity", lambda matrix, lam: nullity)
+        monkeypatch.setattr(census, "tree_inertia", lambda tree, lam: (0, nullity))
         monkeypatch.setattr(census, "eigen_symmetric", no_float_route)
         tree = spider(*legs)
         with pytest.raises(OracleDisagreement) as info:
             certify(tree)
         assert str(info.value) == message
         assert info.value.edges == tree.edges
+
+    @pytest.mark.parametrize(
+        "legs, spoil, message",
+        [
+            (
+                # LAPACK loses the eigenvalue 0 and finds one at 4.5 instead
+                (1, 1, 2),
+                lambda s: dataclasses.replace(s, eigenvalues=s.eigenvalues[1:] + (4.5,)),
+                "eigenvalues below 1 disagree: numeric 1, exact 2",
+            ),
+            (
+                # the two largest, simple eigenvalues reported as one cluster
+                (1, 1, 4),
+                lambda s: dataclasses.replace(
+                    s, clusters=s.clusters[:-2] + ((sum(s.eigenvalues[-2:]) / 2, 2),)
+                ),
+                "2 clusters of size p-1=2 (at 1.000000, 3.794369) "
+                "but 1 extremal eigenvalues (ratios 1/3)",
+            ),
+        ],
+        ids=["inertia_below_one", "extra_p_minus_1_cluster"],
+    )
+    def test_spoiled_spectrum_is_3(self, monkeypatch, tmp_path, capsys, legs, spoil, message):
+        # each spoiled spectrum passes every check before the one it targets
+        real = census.eigen_symmetric
+        monkeypatch.setattr(
+            census, "eigen_symmetric", lambda *args, **kwargs: spoil(real(*args, **kwargs))
+        )
+        tree = spider(*legs)
+        with pytest.raises(OracleDisagreement) as info:
+            certify(tree)
+        assert str(info.value) == message
+        assert info.value.edges == tree.edges
+        f = tmp_path / "t.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in tree.edges))
+        assert main(["check", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"oracle disagreement: {message}" in captured.err
+
+    def test_m1_without_bareiss(self, monkeypatch):
+        # the dense elimination took 93 s on the 1 200-vertex path; certify
+        # must reach m(T,1) without it
+        def no_bareiss(rows):
+            raise AssertionError("certify ran the dense fraction-free elimination")
+
+        monkeypatch.setattr(exact, "_bareiss_rank", no_bareiss)
+        cert = certify(path(1200))  # eigenvalue 1 is 2 - 2cos(400 pi / 1200)
+        assert cert.m1_exact == cert.m1_numeric == 1
+        # a 900-vertex spine with a pendant edge at 10, 100, ..., 820
+        edges = [(i, i + 1) for i in range(1, 900)]
+        edges += [(v, 900 + k) for k, v in enumerate(range(10, 900, 90), start=1)]
+        cert = certify(from_edge_list(edges))
+        assert cert.report.m1_class == "other"
+        assert cert.m1_exact == cert.m1_numeric == 9
 
 
 # spider(1, 1, 2) with, at the major 1, a Q group of a fork (6..10) and the

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 from shapes import path, star
+from test_float_route import SETTINGS, random_trees
 
 from treespectra import (
     IntPolynomial,
@@ -15,6 +18,8 @@ from treespectra import (
     multiplicity_exact,
     rational_nullity,
     root_multiplicity,
+    single_vertex,
+    tree_inertia,
 )
 from treespectra.errors import ZeroPolynomial
 from treespectra.exact import poly_divmod, poly_mul
@@ -70,6 +75,37 @@ class TestRationalNullity:
         for n in range(2, 9):
             for tree in free_trees(n):
                 assert rational_nullity(laplacian(tree), 0) == 1
+
+
+def eigvalsh_inertia(tree, lam):
+    """(below, at) counts of the LAPACK eigenvalues against ``lam``, margin 1e-8."""
+    values = np.linalg.eigvalsh(np.array(laplacian(tree), dtype=float))
+    lam = float(lam)
+    return int(np.sum(values < lam - 1e-8)), int(np.sum(abs(values - lam) <= 1e-8))
+
+
+class TestTreeInertia:
+    def test_small_cases(self):
+        assert tree_inertia(star(3), 1) == (1, 2)  # spectrum 0, 1, 1, 4
+        assert tree_inertia(path(4), 0) == (0, 1)
+        assert tree_inertia(path(4), Fraction(3, 2)) == (2, 0)  # 0, 2 - sqrt(2) below
+        assert tree_inertia(single_vertex(), 1) == (1, 0)
+
+    @pytest.mark.parametrize("lam", [1, Fraction(1, 2), 2, 3], ids=str)
+    def test_every_tree_to_order_12(self, lam):
+        # zeros against the dense fraction-free rank, negatives against LAPACK
+        for n in range(1, 13):
+            for tree in free_trees(n):
+                below, zero = tree_inertia(tree, lam)
+                assert zero == rational_nullity(laplacian(tree), lam), tree.edges
+                assert (below, zero) == eigvalsh_inertia(tree, lam), tree.edges
+
+    @settings(SETTINGS, max_examples=60)
+    @given(random_trees(min_n=2, max_n=150))
+    def test_random_trees_at_one(self, tree):
+        below, zero = tree_inertia(tree, 1)
+        assert zero == rational_nullity(laplacian(tree), 1)
+        assert (below, zero) == eigvalsh_inertia(tree, 1)
 
 
 class TestCharPoly:

@@ -43,8 +43,8 @@ SETTINGS = settings(
 
 
 @st.composite
-def random_trees(draw):
-    n = draw(st.integers(13, 60))
+def random_trees(draw, min_n=13, max_n=60):
+    n = draw(st.integers(min_n, max_n))
     seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
     return prufer_tree(seq)
 

@@ -5,8 +5,9 @@ An ``assert`` vanishes under ``python -O``; every invariant check raises
 The package sources also carry no unused imports; no linter is installed,
 so an AST walk checks it.  Other AST walks check that only ``census``
 compares routes, that its brute-force census and its Gamma witness check
-name nothing of what they check, and that no module but ``trees`` names
-``path_between``.  Every function the benchmark's tracer wraps must exist,
+name nothing of what they check, that no module but ``trees`` names
+``path_between`` and that no module but ``exact`` names
+``rational_nullity``.  Every function the benchmark's tracer wraps must exist,
 and the demos and the README quickstart must run.
 """
 
@@ -206,26 +207,38 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def _named_outside(name, home):
+    # Every place a package module other than ``home`` names ``name``; the
+    # package root's re-export does not count.
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != home
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name and path.name != "__init__.py")
+    ]
+
+
 def test_path_between_has_no_production_caller():
     # Every path the package walks comes off the parents of one Tree.bfs.
     # path_between stays public: the package root re-exports it, and the
     # benchmark tracer still wraps it.
-    named = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "trees.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Name) and node.id == "path_between")
-        or (isinstance(node, ast.Attribute) and node.attr == "path_between")
-        or (
-            isinstance(node, ast.alias)
-            and node.name == "path_between"
-            and path.name != "__init__.py"
-        )
-    ]
-    assert named == []
+    assert _named_outside("path_between", "trees.py") == []
     assert "path_between" in treespectra.__all__
     assert "path_between" in _traced_table()["trees"]
+
+
+def test_rational_nullity_has_no_production_caller():
+    # certify and the catalog take m(T,1) from tree_inertia; the dense
+    # fraction-free elimination is the reference the tests compare it with.
+    # It stays public: the package root re-exports it, and the benchmark
+    # tracer still wraps it.
+    assert _named_outside("rational_nullity", "exact.py") == []
+    assert _named_outside("_bareiss_rank", "exact.py") == []
+    assert "rational_nullity" in treespectra.__all__
+    assert "rational_nullity" in _traced_table()["exact"]
 
 
 def _readme_python_block():
