@@ -3,15 +3,7 @@
 verdict as it lands: pendant congruences, the extremal eigenvalue set,
 and what happens at eigenvalue 1."""
 
-from treespectra import (
-    admissible_q,
-    certify,
-    eigen_symmetric,
-    extremal_lambda_set,
-    from_edge_list,
-    laplacian,
-    multiplicity_exact,
-)
+from treespectra import admissible_q, certify, extremal_lambda_set, from_edge_list
 
 # a spider with legs 1, 1, 4: three pendants, one major vertex
 tree = from_edge_list([(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (6, 7)])
@@ -36,16 +28,17 @@ print(f"\neigenvalues reaching multiplicity p-1 = {p - 1}:")
 for prm in params:
     print(f"  lambda = 2(1 - cos({prm.ratio} pi)) = {prm.value:.12f}")
 
-# both verification routes for each one
-spectrum = eigen_symmetric(laplacian(tree))
-for prm in params:
-    print(f"\nratio {prm.ratio}:")
-    print(f"  exact multiplicity   {multiplicity_exact(tree, prm)}")
-    near = [x for x in spectrum.eigenvalues if abs(x - prm.value) < 1e-8]
+# certify runs every route once: the exact and numeric multiplicity of each
+# extremal eigenvalue, and the combinatorial class against the exact and
+# numeric m(T,1)
+checked = certify(tree)
+spectrum = checked.spectrum
+for row in checked.lambda_rows:
+    print(f"\nratio {row.param.ratio}:")
+    print(f"  exact multiplicity   {row.exact}")
+    near = [x for x in spectrum.eigenvalues if abs(x - row.param.value) < 1e-8]
     print(f"  numeric eigenvalues  {[f'{x:.12f}' for x in near]}")
 
-# certify checks the combinatorial class against the exact and numeric m(T,1)
-checked = certify(tree)
 print(
     f"\nat eigenvalue 1: multiplicity {checked.m1_exact} "
     f"(class {checked.report.m1_class})"

@@ -14,10 +14,13 @@ only sequences that equal the centroid-rooted canonical form of their own
 underlying tree.  That test is read off the sequence itself: the sizes of
 the root's subtrees, and for a tree with two centroids a comparison with
 the sequence re-rooted at the other one.  A tree is built only for a
-sequence that survives it.  An independent brute-force count backs the
-census for small orders: numpy decodes every Prufer code in blocks to a
-bracket word of its rooted tree, and only the distinct words are keyed,
-rooted at their centers.
+sequence that survives it, and the catalog keeps that sequence as the
+entry's canonical form, so no entry is canonicalized a second time.  Any
+other tree's canonical form is read off :meth:`Tree.bfs`: one search
+finds the centroids, and one more per centroid roots the form there.  An
+independent brute-force count backs the census for small orders: numpy
+decodes every Prufer code in blocks to a bracket word of its rooted tree,
+and only the distinct words are keyed, rooted at their centers.
 """
 
 from __future__ import annotations
@@ -65,7 +68,15 @@ __all__ = [
 
 ORDER_CAP = 16
 
-FILTERS = ("all", "extremal", "unit_p1", "unit_p2")
+# The catalog entries each --filter choice keeps.
+_KEEPS = {
+    "all": lambda entry: True,
+    "extremal": lambda entry: entry.extremal,
+    "unit_p1": lambda entry: entry.m1_class == "p-1",
+    "unit_p2": lambda entry: entry.m1_class == "p-2",
+}
+
+FILTERS = tuple(_KEEPS)
 
 
 @dataclass(frozen=True)
@@ -113,61 +124,33 @@ def _tree_from_levels(levels) -> Tree:
 
 
 def _centroids(tree: Tree) -> tuple[int, ...]:
+    # Subtree sizes from one Tree.bfs out of vertex 1, children before
+    # parents by descending distance; a centroid's heaviest side, its
+    # largest child subtree or everything above it, is the lightest.
     n = tree.n
-    if n == 1:
-        return (1,)
-    order = []
-    parent = [0] * (n + 1)
-    parent[1] = 1
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in tree.adjacency[v]:
-            if parent[w] == 0:
-                parent[w] = v
-                stack.append(w)
+    dist, parent = tree.bfs(1)
     size = [1] * (n + 1)
-    for v in reversed(order):
-        if v != 1:
-            size[parent[v]] += size[v]
-    best = None
-    out = []
-    for v in range(1, n + 1):
-        heaviest = n - size[v]
-        for w in tree.adjacency[v]:
-            if parent[w] == v and w != 1:
-                heaviest = max(heaviest, size[w])
-        if best is None or heaviest < best:
-            best = heaviest
-            out = [v]
-        elif heaviest == best:
-            out.append(v)
-    return tuple(sorted(out))
+    heaviest = [0] * (n + 1)
+    for v in sorted(range(2, n + 1), key=dist.__getitem__, reverse=True):
+        size[parent[v]] += size[v]
+        heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
+    weight = {v: max(heaviest[v], n - size[v]) for v in range(1, n + 1)}
+    best = min(weight.values())
+    return tuple(v for v, w in weight.items() if w == best)
 
 
 def _rooted_levels(tree: Tree, root: int) -> tuple[int, ...]:
     # Level sequence rooted at ``root`` (root at level 1) with every
-    # vertex's child blocks in decreasing order.  Children come before
-    # parents in the reversed breadth-first order, so one pass over
-    # list-indexed parent and depth arrays builds every block bottom-up,
-    # with no recursion.
-    parent = [0] * (tree.n + 1)
-    depth = [0] * (tree.n + 1)
-    depth[root] = 1
-    order = [root]
-    for v in order:
-        for w in tree.adjacency[v]:
-            if w != parent[v]:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
+    # vertex's child blocks in decreasing order.  One Tree.bfs out of the
+    # root, read by descending distance, puts children before parents, so
+    # one pass builds every block bottom-up, with no recursion.
+    dist, parent = tree.bfs(root)
     child_blocks: list = [[] for _ in range(tree.n + 1)]
-    for v in reversed(order):
+    for v in sorted(range(1, tree.n + 1), key=dist.__getitem__, reverse=True):
         blocks = child_blocks[v]
         child_blocks[v] = None  # frees each block once used: O(n) live, not O(n^2)
         blocks.sort(reverse=True)
-        out = [depth[v]]
+        out = [dist[v] + 1]
         for block in blocks:
             out += block
         if v == root:
@@ -192,10 +175,17 @@ def canonical_relabel(tree: Tree) -> Tree:
 def free_trees(n: int):
     """Yield one representative per isomorphism class of trees on n vertices.
 
-    A rooted level sequence survives exactly when it coincides with the
-    canonical form of its own underlying free tree, so each class shows up
-    once, in the successor rule's order.
+    Each is the tree of one level sequence kept by the generator, which is
+    already that tree's canonical form (the catalog keeps the sequence
+    itself), so each class shows up once, in the successor rule's order.
     """
+    for seq in _free_levels(n):
+        yield _tree_from_levels(seq)
+
+
+def _free_levels(n: int):
+    # The rooted level sequences that coincide with the canonical form of
+    # their own underlying free tree: one per isomorphism class.
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > ORDER_CAP:
@@ -205,11 +195,11 @@ def free_trees(n: int):
         if heaviest + heaviest < n:
             # The root is the only centroid, and every successor-rule
             # sequence is already the maximal form of its rooted tree.
-            yield _tree_from_levels(seq)
+            yield seq
         elif heaviest + heaviest == n and seq >= _rerooted_at_heavy_child(seq):
             # Two centroids, the root and its heavy child: the sequence is
             # the maximal form rooted at the first, so compare the second's.
-            yield _tree_from_levels(seq)
+            yield seq
         # Otherwise the root is no centroid, and the canonical form of the
         # tree is rooted at one, so it is not this sequence.
 
@@ -702,10 +692,13 @@ def certify_basis(tree: Tree, q: int, b: int = 0) -> BasisCertificate:
     return BasisCertificate(pairs=tuple(pairs), trace=trace, residuals=residuals, rank=rank)
 
 
-def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
+def _catalog_entry(levels: tuple[int, ...], tol: float) -> CatalogEntry:
+    # ``levels`` is a kept sequence of _free_levels: its tree's canonical form.
+    tree = _tree_from_levels(levels)
+    canonical = ",".join(map(str, levels))
     if tree.n == 1:
         return CatalogEntry(
-            canonical=canonical_form(tree),
+            canonical=canonical,
             n=1,
             p=0,
             extremal=False,
@@ -719,7 +712,7 @@ def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
     cert = certify(tree, tol)
     report = cert.report
     return CatalogEntry(
-        canonical=canonical_form(tree),
+        canonical=canonical,
         n=tree.n,
         p=report.p,
         extremal=report.extremal,
@@ -729,18 +722,6 @@ def _catalog_entry(tree: Tree, tol: float) -> CatalogEntry:
         name=tree_name(tree),
         edges=tree.edges,
     )
-
-
-def _matches(entry: CatalogEntry, filter_name: str) -> bool:
-    if filter_name == "all":
-        return True
-    if filter_name == "extremal":
-        return entry.extremal
-    if filter_name == "unit_p1":
-        return entry.m1_class == "p-1"
-    if filter_name == "unit_p2":
-        return entry.m1_class == "p-2"
-    raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
 
 
 def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: float = 1e-12):
@@ -756,7 +737,7 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
     if max_n > ORDER_CAP:
         raise CapExceeded(f"order {max_n} above the supported cap {ORDER_CAP}")
-    trees = (tree for n in range(1, max_n + 1) for tree in free_trees(n))
+    sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))
     entry_for = partial(_catalog_entry, tol=tol)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
@@ -765,10 +746,10 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(entry_for, trees, chunksize=16))
+            entries = list(pool.map(entry_for, sequences, chunksize=16))
     else:
-        entries = list(map(entry_for, trees))
+        entries = list(map(entry_for, sequences))
 
-    entries = [e for e in entries if _matches(e, filter_name)]
+    entries = list(filter(_KEEPS[filter_name], entries))
     entries.sort(key=lambda e: (e.n, e.canonical))
     return entries

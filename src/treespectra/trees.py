@@ -10,7 +10,13 @@ mutates a tree.
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.  There is one breadth-first search,
 :meth:`Tree.bfs`, which returns distances and parents: distance rows are
-its first half, and paths are read off its parents.
+its first half, paths are read off its parents, and the canonical forms
+and ``classify`` read it by descending distance, children before parents.
+Two walks stay separate on purpose: ``exact.tree_inertia`` keeps its own
+preorder, so the exact route shares no code with the combinatorial
+deciders it checks, and the census oracle's ``_free_key`` builds its own
+adjacency from the Prufer edges, so it shares nothing with the generator
+it checks, :class:`Tree` included.
 """
 
 from __future__ import annotations

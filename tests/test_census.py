@@ -4,12 +4,14 @@ import math
 import os
 import random
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from shapes import caterpillar, gamma_trees, path, spider, star
-from test_float_route import SETTINGS
+from hypothesis import strategies as st
+from shapes import caterpillar, gamma_trees, path, prufer_tree, spider, star
+from test_float_route import SETTINGS, random_trees
 
 from treespectra import (
     ORDER_CAP,
@@ -28,6 +30,7 @@ from treespectra import (
     in_gamma,
     numeric,
     prufer_count_oracle,
+    single_vertex,
     tree_name,
 )
 from treespectra.cli import main
@@ -119,6 +122,34 @@ def shuffled_copy(tree, seed):
     return from_edge_list(edges)
 
 
+def moved_pendant(tree, seed):
+    """The tree with one pendant cut from its neighbour and hung elsewhere."""
+    rng = random.Random(seed)
+    leaf = rng.choice(tree.pendants)
+    (old,) = tree.adjacency[leaf]
+    new = rng.choice([v for v in range(1, tree.n + 1) if v not in (leaf, old)])
+    edges = [e for e in tree.edges if leaf not in e] + [(leaf, new)]
+    return from_edge_list(edges)
+
+
+def oracle_key(tree):
+    """The brute-force census's own free-tree key, on labels 0..n-1."""
+    return census._free_key(tree.n, [(u - 1, v - 1) for u, v in tree.edges])
+
+
+@st.composite
+def bicentral_trees(draw, min_half=7, max_half=150):
+    """Two Prufer trees of equal order joined by one edge, whose two ends
+    are then the centroids."""
+    k = draw(st.integers(min_half, max_half))
+    halves = [
+        draw(st.lists(st.integers(1, k), min_size=k - 2, max_size=k - 2)) for _ in range(2)
+    ]
+    left, right = (prufer_tree(seq).edges for seq in halves)
+    edges = list(left) + [(u + k, v + k) for u, v in right] + [(1, 1 + k)]
+    return from_edge_list(edges)
+
+
 class TestFreeTrees:
     def test_counts(self):
         for n, expected in KNOWN_COUNTS.items():
@@ -203,6 +234,32 @@ class TestCanonicalForm:
         levels = (1,) + tuple(range(2, 2502)) + tuple(range(2, 2501))
         assert census.canonical_levels(tree) == levels
         assert canonical_relabel(tree).edges == tree.edges
+
+    def _check_past_order_12(self, tree, seed):
+        # the relabeled copy keeps the form, the relabeling is a fixed
+        # point, and forms agree exactly when the oracle's keys do
+        copy = shuffled_copy(tree, seed)
+        form = canonical_form(tree)
+        assert canonical_form(copy) == form
+        relabeled = canonical_relabel(copy)
+        assert canonical_form(relabeled) == form
+        assert canonical_relabel(relabeled).edges == relabeled.edges
+        trio = [tree, copy, moved_pendant(tree, seed)]
+        forms = [canonical_form(t) for t in trio]
+        keys = [oracle_key(t) for t in trio]
+        for i, j in combinations(range(3), 2):
+            assert (forms[i] == forms[j]) == (keys[i] == keys[j])
+
+    @settings(SETTINGS, max_examples=50)
+    @given(random_trees(min_n=13, max_n=300), st.integers(0, 2**32 - 1))
+    def test_prufer_trees_past_order_12(self, tree, seed):
+        self._check_past_order_12(tree, seed)
+
+    @settings(SETTINGS, max_examples=50)
+    @given(bicentral_trees(), st.integers(0, 2**32 - 1))
+    def test_bicentral_trees_past_order_12(self, tree, seed):
+        assert len(census._centroids(tree)) == 2
+        self._check_past_order_12(tree, seed)
 
     def test_long_caterpillar_without_recursion(self):
         tree = caterpillar(1500)
@@ -299,6 +356,7 @@ class TestPruferOracle:
 
         for name in (
             "free_trees",
+            "_free_levels",
             "canonical_levels",
             "canonical_form",
             "_rooted_levels",
@@ -387,6 +445,18 @@ class TestBuildCatalog:
             e.canonical for e in full if e.m1_class == "p-2"
         }
         assert len(p1) + len(p2) < len(full)
+
+    def test_catalog_canonicalizes_nothing(self, monkeypatch):
+        # each entry keeps the level sequence the generator proved canonical
+        calls = []
+        real = census.canonical_levels
+        monkeypatch.setattr(census, "canonical_levels", lambda t: calls.append(t) or real(t))
+        entries = build_catalog(10)
+        assert calls == []
+        assert len(entries) == sum(KNOWN_COUNTS.values())
+        for entry in entries:
+            tree = from_edge_list(entry.edges) if entry.edges else single_vertex()
+            assert entry.canonical == canonical_form(tree)
 
     def test_parallel_matches_serial(self):
         assert build_catalog(6, jobs=2) == build_catalog(6)

@@ -8,7 +8,8 @@ compares routes, that its brute-force census and its Gamma witness check
 name nothing of what they check, that no module but ``trees`` names
 ``path_between`` and that no module but ``exact`` names
 ``rational_nullity``.  Every function the benchmark's tracer wraps must exist,
-and the demos and the README quickstart must run.
+and ``census.free_trees``, which it times per item, must stay a generator
+function; the demos and the README quickstart must run.
 """
 
 import ast
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import treespectra
-from treespectra import LambdaParam, exact, minimal_poly_lambda
+from treespectra import LambdaParam, census, exact, minimal_poly_lambda
 from treespectra.errors import InvariantViolated
 
 REPO = Path(__file__).resolve().parents[1]
@@ -119,6 +120,7 @@ def test_route_comparisons_live_in_census():
 ORACLE = ("_prufer_blocks", "_plane_edges", "_free_key", "_prufer_classes", "prufer_count_oracle")
 GENERATOR = {
     "free_trees",
+    "_free_levels",
     "_level_sequences",
     "_tree_from_levels",
     "_centroids",
@@ -205,6 +207,9 @@ def test_traced_functions_exist():
         )
     ]
     assert missing == []
+    # The tracer times a generator function once per item it yields; a
+    # free_trees that returned an iterator would stop timing enumeration.
+    assert inspect.isgeneratorfunction(census.free_trees)
 
 
 def _named_outside(name, home):
