@@ -185,14 +185,7 @@ def cmd_eigenbasis(args) -> int:
         "trace": {
             "gamma": str(trace.gamma),
             "path_records": [asdict(r) for r in trace.path_records],
-            "glue_steps": [
-                {
-                    "pendant_pair": list(s.pendant_pair),
-                    "anchor": s.anchor,
-                    "component": list(s.component),
-                }
-                for s in trace.glue_steps
-            ],
+            "glue_steps": [asdict(s) for s in trace.glue_steps],
         },
     }
 

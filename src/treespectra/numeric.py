@@ -1,9 +1,12 @@
-"""Floating-point spectral routines, independent of the exact module.
+"""Floating-point spectral routines, independent of exact arithmetic.
 
 Eigenvalues come from LAPACK's symmetric eigensolver and ranks from its
-singular value decomposition, both reached through numpy, so the numeric
-route shares no code with the exact one; the two are compared against each
-other in the test suite.  Vectors are indexed by ``label - 1`` throughout.
+singular value decomposition, both reached through numpy.  The one piece
+the numeric route shares with the exact one is the Laplacian itself:
+``exact.laplacian`` builds the integer matrix that ``certify`` hands to
+LAPACK, and that ``residual_norm`` builds when no ``lap`` is passed.  The
+two routes are compared against each other in ``census`` and the test
+suite.  Vectors are indexed by ``label - 1`` throughout.
 """
 
 from __future__ import annotations

@@ -87,6 +87,23 @@ class TestCheck:
         assert len(witness["endpoints"]) == 3
 
 
+REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in REPORTS.glob("*.edges")))
+def test_check_reports_match_committed_outputs(name, capsys):
+    # tests/data/reports holds `check --text` and the `check` JSON of six
+    # small trees, one per verdict class.  The JSON leaves out `spectrum`,
+    # whose digits come from LAPACK and can differ across platforms, and
+    # `timing_seconds`; every other field is promised byte-stable.
+    edges = str(REPORTS / f"{name}.edges")
+    assert main(["check", edges, "--text"]) == 0
+    assert capsys.readouterr().out == (REPORTS / f"{name}.check.txt").read_text()
+    assert main(["check", edges]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing_seconds"], report["payload"]["spectrum"]
+    assert dumps_report(report) == (REPORTS / f"{name}.check.json").read_text()
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/tree.txt"]) == 2

@@ -3,7 +3,9 @@
 An ``assert`` vanishes under ``python -O``; every invariant check raises
 ``InvariantViolated``, an ``OracleDisagreement``, so the CLI exits 3.
 The package sources also carry no unused imports; no linter is installed,
-so an AST walk checks it.  Other AST walks check that only ``census``
+so an AST walk checks it.  Each module's ``__all__`` lists only names it
+defines, and the package root exports each of them once, as the same
+object.  Other AST walks check that only ``census``
 compares routes, that its brute-force census and its Gamma witness check
 name nothing of what they check, that no module but ``trees`` names
 ``path_between`` and that no module but ``exact`` names
@@ -19,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,7 +49,34 @@ def test_no_assert_in_package():
     assert offenders == []
 
 
-def _unused_imports(tree):
+def _all_bindings(path):
+    """The module-level statements of a source that bind ``__all__``."""
+    return [
+        node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in getattr(node, "targets", None) or [node.target]
+        )
+    ]
+
+
+def _literal_all(path):
+    """The names of a module's ``__all__`` when its one binding is a literal
+    list of strings, else None."""
+    bindings = _all_bindings(path)
+    if len(bindings) != 1 or not isinstance(bindings[0], ast.Assign):
+        return None
+    value = bindings[0].value
+    if isinstance(value, ast.List) and all(
+        isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts
+    ):
+        return [e.value for e in value.elts]
+    return None
+
+
+def _unused_imports(tree, filename):
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -54,7 +84,22 @@ def _unused_imports(tree):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+                    continue
+                # A star import re-exports only in the package root, and only
+                # a package module's literal __all__; anywhere else it is
+                # reported.
+                module = "." * node.level + (node.module or "")
+                source = PACKAGE / f"{node.module}.py"
+                if not (
+                    filename == "__init__.py"
+                    and node.level == 1
+                    and node.module
+                    and source.is_file()
+                    and _literal_all(source) is not None
+                ):
+                    imported[f"* from {module}"] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         # names listed in __all__ are re-exports, hence used
@@ -71,9 +116,89 @@ def test_no_unused_imports():
     offenders = [
         f"{path.name}:{line} {name}"
         for path in sources
-        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        for line, name in _unused_imports(
+            ast.parse(path.read_text(), filename=str(path)), path.name
+        )
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "filename, source, reported",
+    [
+        ("__init__.py", "from .census import *\n", []),
+        ("cli.py", "from .census import *\n", [(1, "* from .census")]),
+        ("__init__.py", "from .nowhere import *\n", [(1, "* from .nowhere")]),
+        ("__init__.py", "from numpy import *\n", [(1, "* from numpy")]),
+        ("__init__.py", "from . import *\n", [(1, "* from .")]),
+        ("__init__.py", "from .census import *\nfrom .census import FILTERS\n", [(2, "FILTERS")]),
+    ],
+)
+def test_unused_imports_reports_star_imports_outside_the_root(filename, source, reported):
+    # The package root's star imports of package modules are its re-exports;
+    # every other star import, and every unused named one, is reported.
+    assert _unused_imports(ast.parse(source), filename) == reported
+
+
+def _public_modules():
+    """The names in ``__all__`` of every package module but the root that
+    binds it, by module; None where it is not a literal list."""
+    return {
+        path.stem: _literal_all(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and _all_bindings(path)
+    }
+
+
+def _defined_and_imported(path):
+    """Names bound at module level by def, class or assignment, and names
+    bound by an import anywhere in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return defined, imported
+
+
+def test_each_module_all_is_the_root_api():
+    # A module's __all__ is the one list of its public names: each name is
+    # defined there, and the package root exports it, once, as the same
+    # object.  The root exports nothing else but __version__ and errors.
+    modules = _public_modules()
+    assert {"trees", "exact", "numeric", "construct", "classify", "census"} <= set(modules)
+    offenders = []
+    for stem, names in modules.items():
+        assert names, f"{stem}.py: __all__ is not a literal list of names"
+        module = importlib.import_module(f"treespectra.{stem}")
+        defined, imported = _defined_and_imported(PACKAGE / f"{stem}.py")
+        offenders += [f"{stem}.{name}: not defined there" for name in names if name not in defined]
+        offenders += [f"{stem}.{name}: imported there" for name in names if name in imported]
+        offenders += [
+            f"{stem}.{name}: not the root's"
+            for name in names
+            if getattr(treespectra, name, None) is not getattr(module, name)
+        ]
+    assert offenders == []
+    exported = ["__version__", "errors", *(name for names in modules.values() for name in names)]
+    assert [name for name, count in Counter(exported).items() if count > 1] == []
+    assert sorted(treespectra.__all__) == sorted(exported)
+
+
+def test_root_exports_the_route_comparisons():
+    from treespectra import certify_basis, verify_gamma_witness
+
+    assert certify_basis is census.certify_basis
+    assert verify_gamma_witness is census.verify_gamma_witness
 
 
 def _imports(path):
@@ -118,27 +243,19 @@ def test_route_comparisons_live_in_census():
 
 
 ORACLE = ("_prufer_blocks", "_plane_edges", "_free_key", "_prufer_classes", "prufer_count_oracle")
-GENERATOR = {
-    "free_trees",
-    "_free_levels",
-    "_level_sequences",
-    "_tree_from_levels",
-    "_centroids",
-    "_rooted_levels",
-    "canonical_levels",
-    "canonical_form",
-    "canonical_relabel",
-    "_heaviest_root_block",
-    "_blocks",
-    "_rerooted_at_heavy_child",
-    "Tree",
-    "_build",
-}
 
 
 def test_census_oracle_names_nothing_of_the_generator():
     # the brute-force census checks the level-sequence generator, so its
-    # functions must not call, or even name, any part of it
+    # functions must not call, or even name, any other function or class of
+    # census or trees
+    generator = {
+        node.name
+        for module in ("census.py", "trees.py")
+        for node in ast.parse((PACKAGE / module).read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } - set(ORACLE)
+    assert {"free_trees", "_free_levels", "canonical_levels", "Tree", "_build"} <= generator
     source = (PACKAGE / "census.py").read_text()
     defs = {
         node.name: node
@@ -150,8 +267,8 @@ def test_census_oracle_names_nothing_of_the_generator():
         f"{name}: {getattr(node, 'id', None) or node.attr}"
         for name, fn in defs.items()
         for node in ast.walk(fn)
-        if (isinstance(node, ast.Name) and node.id in GENERATOR)
-        or (isinstance(node, ast.Attribute) and node.attr in GENERATOR)
+        if (isinstance(node, ast.Name) and node.id in generator)
+        or (isinstance(node, ast.Attribute) and node.attr in generator)
     }
     assert named == set()
 
@@ -214,7 +331,7 @@ def test_traced_functions_exist():
 
 def _named_outside(name, home):
     # Every place a package module other than ``home`` names ``name``; the
-    # package root's re-export does not count.
+    # package root re-exports it without naming it.
     return [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -222,7 +339,7 @@ def _named_outside(name, home):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if (isinstance(node, ast.Name) and node.id == name)
         or (isinstance(node, ast.Attribute) and node.attr == name)
-        or (isinstance(node, ast.alias) and node.name == name and path.name != "__init__.py")
+        or (isinstance(node, ast.alias) and node.name == name)
     ]
 
 
