@@ -12,15 +12,19 @@ Free trees are produced from the classic rooted level-sequence successor
 rule, filtered down to one representative per isomorphism class by keeping
 only sequences that equal the centroid-rooted canonical form of their own
 underlying tree.  That test is read off the sequence itself: the sizes of
-the root's subtrees, and for a tree with two centroids a comparison with
-the sequence re-rooted at the other one.  A tree is built only for a
-sequence that survives it, and the catalog keeps that sequence as the
-entry's canonical form, so no entry is canonicalized a second time.  Any
-other tree's canonical form is read off :meth:`Tree.bfs`: one search
-finds the centroids, and one more per centroid roots the form there.  An
-independent brute-force count backs the census for small orders: numpy
-decodes every Prufer code in blocks to a bracket word of its rooted tree,
-and only the distinct words are keyed, rooted at their centers.
+the root's subtrees, and for a tree with two centroids a comparison of its
+two halves, each rooted at its own centroid, as in Wright, Richmond,
+Odlyzko and McKay, "Constant time generation of free trees" (SIAM J.
+Comput. 15, 1986): the heavy half must be at least the rest.  networkx's
+``nonisomorphic_trees`` implements that paper, and the tests compare it
+with this generator.  A tree is built only for a sequence that survives it,
+and the catalog keeps that sequence as the entry's canonical form, so no
+entry is canonicalized a second time.  Any other tree's canonical form is
+read off :meth:`Tree.bfs`: one search finds the centroids, and one more per
+centroid roots the form there.  An independent brute-force count backs the
+census for small orders: numpy decodes every Prufer code in blocks to a
+bracket word of its rooted tree, and only the distinct words are keyed,
+rooted at their centers.
 """
 
 from __future__ import annotations
@@ -191,54 +195,37 @@ def _free_levels(n: int):
     if n > ORDER_CAP:
         raise CapExceeded(f"order {n} above the supported cap {ORDER_CAP}")
     for seq in _level_sequences(n):
-        heaviest = _heaviest_root_block(seq)
+        start, heaviest = _heaviest_root_block(seq)
         if heaviest + heaviest < n:
             # The root is the only centroid, and every successor-rule
             # sequence is already the maximal form of its rooted tree.
             yield seq
-        elif heaviest + heaviest == n and seq >= _rerooted_at_heavy_child(seq):
-            # Two centroids, the root and its heavy child: the sequence is
-            # the maximal form rooted at the first, so compare the second's.
-            yield seq
+        elif heaviest + heaviest == n:
+            # Two centroids, the root and its heavy child, which split the
+            # tree into two halves of n/2 vertices each.  As in Wright,
+            # Richmond, Odlyzko and McKay's generator, the form rooted at
+            # the root is the canonical one exactly when the heavy half,
+            # rooted at the child, is at least the rest.
+            end = start + heaviest
+            if tuple(level - 1 for level in seq[start:end]) >= seq[:start] + seq[end:]:
+                yield seq
         # Otherwise the root is no centroid, and the canonical form of the
         # tree is rooted at one, so it is not this sequence.
 
 
-def _heaviest_root_block(seq) -> int:
-    # Order of the root's largest subtree.  Each subtree's block of the
-    # level sequence starts at a level-2 entry and runs to the next one.
+def _heaviest_root_block(seq) -> tuple[int, int]:
+    # (start, order) of the root's first largest subtree.  Each subtree's
+    # block of the level sequence starts at a level-2 entry and runs to
+    # the next one.
     n = len(seq)
-    heaviest = 0
+    best = (1, 0)
     start = 1
     for _ in range(seq.count(2) - 1):
         end = seq.index(2, start + 1)
-        if end - start > heaviest:
-            heaviest = end - start
+        if end - start > best[1]:
+            best = (start, end - start)
         start = end
-    return max(heaviest, n - start)
-
-
-def _blocks(seq, top: int) -> list:
-    # Split a run of subtree blocks, each starting at an entry equal to top.
-    starts = [i for i, level in enumerate(seq) if level == top]
-    return [seq[a:b] for a, b in zip(starts, starts[1:] + [len(seq)])]
-
-
-def _rerooted_at_heavy_child(seq) -> tuple[int, ...]:
-    # Maximal level sequence of the same tree rooted at the root's child of
-    # n/2 vertices: that child's own blocks, one level up, and the rest of
-    # the tree, one level down, as one more child block; all in decreasing
-    # order, as _rooted_levels sorts them.  Removing a block and shifting
-    # levels keeps the rest of each block list decreasing.
-    n = len(seq)
-    blocks = _blocks(seq[1:], 2)
-    heavy = next(i for i, block in enumerate(blocks) if len(block) + len(block) == n)
-    rest = (2,) + tuple(
-        level + 1 for i, block in enumerate(blocks) if i != heavy for level in block
-    )
-    kids = _blocks(tuple(level - 1 for level in blocks[heavy][1:]), 2) + [rest]
-    kids.sort(reverse=True)
-    return (1,) + tuple(level for kid in kids for level in kid)
+    return best if best[1] >= n - start else (start, n - start)
 
 
 # Rows per numpy pass, at most.  A pass covers the n^k codes that share

@@ -111,8 +111,7 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
     reduced modulus, in particular at the joint vertex k1+1, and its first
     entry cos(gamma pi/2) is nonzero.
     """
-    if not (isinstance(q, int) and q >= 1 and isinstance(b, int) and 0 <= b < q):
-        raise CongruenceViolated(f"need integers q >= 1 and 0 <= b < q, got q={q!r}, b={b!r}")
+    param = LambdaParam(q, b)
     modulus = 2 * q + 1
     if k1 % modulus != q or k2 % modulus != q:
         raise CongruenceViolated(
@@ -123,7 +122,6 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
     delta = (2 * b + 1) * (n1 + n2 + 1)
     n = k1 + k2 + 1
     pair = path_eigenpair(n, delta)
-    param = LambdaParam(q, b)
     pair = EigenPair(value=pair.value, vector=pair.vector, param=param)
     zero_vertex = k1 + 1
 
@@ -133,11 +131,10 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
             f"closed-form path vector is {pair.vector[zero_vertex - 1]!r}, not 0, "
             f"at vertex {zero_vertex} (k1={k1}, k2={k2}, q={q}, b={b})"
         )
-    gamma = (2 * b + 1) / (2 * q + 1)
-    if abs(pair.vector[0] - math.cos(gamma * math.pi / 2.0)) > 1e-12:
+    if abs(pair.vector[0] - math.cos(param.ratio * math.pi / 2.0)) > 1e-12:
         raise InvariantViolated(
             f"closed-form path vector starts at {pair.vector[0]!r}, "
-            f"not cos({gamma}*pi/2) (k1={k1}, k2={k2}, q={q}, b={b})"
+            f"not cos({param.ratio}*pi/2) (k1={k1}, k2={k2}, q={q}, b={b})"
         )
     return InternalZeroPath(
         pair=pair,
@@ -251,10 +248,7 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     order.  All vectors vanish at every major vertex, and more generally at
     every vertex whose distance to some major is divisible by 2q+1.
     """
-    if not (isinstance(q, int) and q >= 1):
-        raise CongruenceViolated(f"q must be a positive integer, got {q!r}")
-    if not (isinstance(b, int) and 0 <= b < q):
-        raise CongruenceViolated(f"b must lie in [0, q), got b={b!r}, q={q}")
+    param = LambdaParam(q, b)
     if not tree.majors:
         raise NoMajorVertex("tree is a path; extremal multiplicity is trivial there")
     modulus = 2 * q + 1
@@ -271,7 +265,6 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
                         f"need == {2 * q} (mod {modulus})"
                     )
 
-    param = LambdaParam(q, b)
     records: list[PathRecord] = []
     steps: list[GlueStep] = []
     vectors = _peel_basis(tree, q, b, records, steps)
@@ -279,7 +272,7 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     trace = ConstructionTrace(
         q=q,
         b=b,
-        gamma=Fraction(2 * b + 1, 2 * q + 1),
+        gamma=param.ratio,
         path_records=tuple(records),
         glue_steps=tuple(steps),
     )

@@ -29,7 +29,7 @@ class LabelOutOfRange(TreeSpectraError):
     """A vertex label is missing from the tree or is not a positive integer."""
 
 
-class CongruenceViolated(TreeSpectraError):
+class CongruenceViolated(TreeSpectraError, ValueError):
     """Distances or parameters break a required congruence."""
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvariantViolated, ZeroPolynomial
+from .errors import CongruenceViolated, InvariantViolated, ZeroPolynomial
 from .trees import Tree
 
 __all__ = [
@@ -42,7 +42,8 @@ class LambdaParam:
     Two parameter pairs describe the same eigenvalue exactly when the
     reduced ratio (2b+1)/(2q+1) agrees, so equality and hashing go through
     ``ratio`` alone.  Both numerator and denominator of the reduced ratio
-    are odd, and the ratio sits strictly between 0 and 1.
+    are odd, and the ratio sits strictly between 0 and 1.  Raises
+    CongruenceViolated unless q and b are integers with 0 <= b < q.
     """
 
     q: int = field(compare=False)
@@ -50,10 +51,10 @@ class LambdaParam:
     ratio: Fraction = field(init=False, compare=True)
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if not 0 <= self.b < self.q:
-            raise ValueError(f"b must lie in [0, q), got b={self.b}, q={self.q}")
+        if not (isinstance(self.q, int) and self.q >= 1):
+            raise CongruenceViolated(f"q must be a positive integer, got {self.q!r}")
+        if not (isinstance(self.b, int) and 0 <= self.b < self.q):
+            raise CongruenceViolated(f"b must lie in [0, q), got b={self.b!r}, q={self.q}")
         object.__setattr__(self, "ratio", Fraction(2 * self.b + 1, 2 * self.q + 1))
 
     @property

@@ -174,7 +174,8 @@ def from_edge_list(pairs) -> Tree:
         if ru == rv:
             raise CycleDetected(f"edge ({u}, {v}) closes a cycle")
         parent[ru] = rv
-    if len({find(v) for v in range(1, n + 1)}) > 1:
+    # An acyclic graph on n vertices has n - len(edges) components.
+    if len(edges) < n - 1:
         raise Disconnected("edge list spans more than one component")
 
     return _build(n, edges)

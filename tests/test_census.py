@@ -174,21 +174,39 @@ class TestFreeTrees:
         got = list(free_trees(n))
         assert got == expected
 
-    @pytest.mark.parametrize("n", range(2, 15, 2))
+    @pytest.mark.parametrize("n", range(2, ORDER_CAP + 1, 2))
     def test_bicentral_rule_matches_canonical_levels(self, n):
-        # the old rule builds the tree and compares the sequence with its
-        # canonical form; the re-rooted sequence is the second centroid's
+        # the generator keeps a bicentral sequence by comparing its halves;
+        # the full filter builds the tree and compares the sequence with its
+        # canonical form.  The heavy block's first vertex is the second
+        # centroid, so the halves are the two centroids' sides.
+        kept = set(census._free_levels(n))
         decided = 0
         for seq in census._level_sequences(n):
-            if 2 * census._heaviest_root_block(seq) != n:
+            start, order = census._heaviest_root_block(seq)
+            if 2 * order != n:
                 continue
             tree = census._tree_from_levels(seq)
-            rerooted = census._rerooted_at_heavy_child(seq)
-            (other,) = [c for c in census._centroids(tree) if c != 1]
-            assert rerooted == census._rooted_levels(tree, other)
-            assert (seq >= rerooted) == (census.canonical_levels(tree) == seq)
+            assert census._centroids(tree) == (1, start + 1)
+            assert (seq in kept) == (census.canonical_levels(tree) == seq)
             decided += 1
         assert decided > 0
+
+    def test_same_classes_as_networkx(self):
+        # networkx's nonisomorphic_trees is Wright, Richmond, Odlyzko and
+        # McKay's generator, written independently of this one.  Imported
+        # here so that a missing networkx fails the test, not skips it.
+        import networkx as nx
+
+        for n in range(2, 15):
+            ours = [canonical_form(t) for t in free_trees(n)]
+            theirs = [
+                canonical_form(from_edge_list((u + 1, v + 1) for u, v in g.edges))
+                for g in nx.nonisomorphic_trees(n)
+            ]
+            assert len(ours) == len(set(ours)), n
+            assert len(theirs) == len(set(theirs)), n
+            assert set(ours) == set(theirs), n
 
     def test_builds_only_the_trees_it_yields(self, monkeypatch):
         built = Counter()

@@ -21,7 +21,7 @@ from treespectra import (
     single_vertex,
     tree_inertia,
 )
-from treespectra.errors import ZeroPolynomial
+from treespectra.errors import CongruenceViolated, ZeroPolynomial
 from treespectra.exact import poly_divmod, poly_mul
 
 
@@ -44,6 +44,11 @@ class TestLambdaParam:
             LambdaParam(0, 0)
         with pytest.raises(ValueError):
             LambdaParam(2, 2)
+
+    @pytest.mark.parametrize("q, b", [(1.5, 0), (2, 0.5), (2.0, 0), ("2", 0), (2, None)])
+    def test_non_integer_parameters_rejected(self, q, b):
+        with pytest.raises(CongruenceViolated):
+            LambdaParam(q, b)
 
 
 class TestLaplacian:
