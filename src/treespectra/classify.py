@@ -144,12 +144,12 @@ def extremal_lambda_set(tree: Tree) -> tuple[LambdaParam, ...]:
 
 
 def _lambda_params(cert: CongruenceCertificate) -> tuple[LambdaParam, ...]:
-    by_ratio: dict[Fraction, LambdaParam] = {}
-    for q in cert.q_list:
-        for b in range(q):
-            param = LambdaParam(q, b)
-            by_ratio.setdefault(param.ratio, param)
-    return tuple(sorted(by_ratio.values(), key=lambda p: p.ratio))
+    # Every admissible modulus divides the largest, M, so the ratios are the
+    # reduced k/M = r/s for odd k < M, ascending with k.  Each keeps its
+    # smallest admissible q, which is (s-1)/2.
+    m = cert.admissible_moduli[-1]
+    ratios = (Fraction(k, m) for k in range(1, m - 1, 2))
+    return tuple(LambdaParam((r.denominator - 1) // 2, (r.numerator - 1) // 2) for r in ratios)
 
 
 def has_unit_extremal(tree: Tree) -> bool:

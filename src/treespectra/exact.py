@@ -3,15 +3,19 @@
 Everything in this module is exact.  The inertia of L - lam*I at a
 rational lam, and with it m(T, lam), comes from eliminating along the tree
 over the rationals (:func:`tree_inertia`, O(n) field operations);
-characteristic polynomials come from a division-free recurrence, and the
-multiplicities of irrational eigenvalues from repeated exact polynomial
-division.  The dense fraction-free rank (:func:`rational_nullity`) is kept
-as the independent reference the tests compare the elimination with.  No
-floating point enters any code path here.
+characteristic polynomials come from a division-free recurrence.  The
+minimal polynomial of an extremal eigenvalue comes from the half-path
+polynomial, the characteristic polynomial of one leg held at zero at its
+far end, by exact division, and the multiplicities of irrational
+eigenvalues from repeated exact polynomial division.  The dense
+fraction-free rank (:func:`rational_nullity`) is kept as the independent
+reference the tests compare the elimination with.  No floating point
+enters any code path here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +30,6 @@ __all__ = [
     "tree_inertia",
     "rational_nullity",
     "char_poly",
-    "cyclotomic",
     "minimal_poly_lambda",
     "root_multiplicity",
     "multiplicity_exact",
@@ -269,70 +272,53 @@ def char_poly(matrix) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(coeffs)))
 
 
-_CYCLOTOMIC_CACHE: dict[int, IntPolynomial] = {}
+def _half_path(k: int) -> IntPolynomial:
+    """det(xI - L) over a leg of k >= 1 vertices: a pendant at one end, the
+    other end joined to a vertex held at zero.
+
+    D_0 = 1, D_1 = x - 1 and D_k = (x - 2) D_{k-1} - D_{k-2}.  The roots
+    are 2 - 2cos(j*pi/(2k+1)) for odd j < 2k+1, each once.
+    """
+    prev, cur = [1], [-1, 1]
+    for _ in range(k - 1):
+        nxt = [0] + cur  # x * D_{k-1}
+        for i, (c, p) in enumerate(zip(cur, prev + [0])):
+            nxt[i] -= 2 * c + p
+        prev, cur = cur, nxt
+    return IntPolynomial(tuple(cur))
 
 
-def cyclotomic(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    cached = _CYCLOTOMIC_CACHE.get(m)
-    if cached is not None:
-        return cached
-    if m == 1:
-        result = IntPolynomial((-1, 1))
-    else:
-        num = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
-        den = IntPolynomial((1,))
-        for d in range(1, m):
-            if m % d == 0:
-                den = poly_mul(den, cyclotomic(d))
-        result, rem = poly_divmod(num, den)
-        if rem.degree >= 0:
-            raise InvariantViolated(f"cyclotomic division for index {m} must be exact")
-    _CYCLOTOMIC_CACHE[m] = result
-    return result
+@functools.cache
+def _minimal_poly(s: int) -> IntPolynomial:
+    # Each odd j/s reduces to a denominator d >= 3 dividing s, so
+    # D_{(s-1)/2} is the product of the minimal polynomials of those d.
+    mu = _half_path((s - 1) // 2)
+    for d in range(3, s, 2):
+        if s % d == 0:
+            mu, rem = poly_divmod(mu, _minimal_poly(d))
+            if rem.degree >= 0:
+                raise InvariantViolated(
+                    f"minimal polynomial of modulus {d} must divide "
+                    f"the half-path polynomial of {s}"
+                )
+    degree = sum(1 for j in range(1, s, 2) if math.gcd(j, s) == 1)
+    if mu.degree != degree:
+        raise InvariantViolated(
+            f"minimal polynomial of modulus {s} has degree {mu.degree}, not phi({s})/2 = {degree}"
+        )
+    return mu
 
 
 def minimal_poly_lambda(param: LambdaParam) -> IntPolynomial:
     """Monic minimal polynomial of the extremal eigenvalue over the integers.
 
-    With lam = 2 - 2cos(r*pi/s) for the reduced ratio r/s, the number
-    2cos(r*pi/s) is zeta + 1/zeta for a primitive 2s-th root of unity zeta,
-    so its minimal polynomial psi comes from folding the (palindromic)
-    cyclotomic polynomial of index 2s, and the answer is +-psi(2 - x) made
-    monic.  Degree is phi(2s)/2.
+    For the reduced ratio r/s, lam = 2 - 2cos(r*pi/s) is a root of the
+    half-path polynomial D_{(s-1)/2}, whose roots are 2 - 2cos(j*pi/s) for
+    odd j < s.  Dividing out the minimal polynomials of the proper
+    divisors d >= 3 of s leaves the roots with j coprime to s: the
+    conjugates of lam, phi(s)/2 of them.  Cached per s.
     """
-    r = param.ratio
-    s = r.denominator
-    phi = cyclotomic(2 * s)
-    deg = phi.degree
-    if deg % 2:
-        raise InvariantViolated(f"cyclotomic polynomial of index {2 * s} has odd degree {deg}")
-    h = deg // 2
-
-    # Fold the palindrome: repeatedly strip a_k * x^h * (x + 1/x)^k.
-    work = list(phi.coeffs)
-    psi = [0] * (h + 1)
-    for k in range(h, -1, -1):
-        a = work[h + k]
-        psi[k] = a
-        for i in range(k + 1):
-            work[h + k - 2 * i] -= a * math.comb(k, i)
-    if any(work):
-        raise InvariantViolated(f"cyclotomic polynomial of index {2 * s} must fold exactly")
-
-    # Compose psi(2 - x) by Horner over integer polynomials.
-    two_minus_x = IntPolynomial((2, -1))
-    acc = IntPolynomial((psi[h],))
-    for k in range(h - 1, -1, -1):
-        acc = poly_mul(acc, two_minus_x)
-        acc = IntPolynomial((acc.coeffs[0] + psi[k],) + acc.coeffs[1:])
-    if acc.coeffs[-1] < 0:
-        acc = IntPolynomial(tuple(-c for c in acc.coeffs))
-    if acc.coeffs[-1] != 1:
-        raise InvariantViolated(f"minimal polynomial of ratio {r} is not monic: {acc.coeffs}")
-    return acc
+    return _minimal_poly(param.ratio.denominator)
 
 
 def root_multiplicity(p: IntPolynomial, mu: IntPolynomial) -> int:

@@ -208,6 +208,23 @@ class TestLambdaSet:
         assert values == sorted(values)
         assert all(0 < v < 4 for v in values)
 
+    def test_matches_definition_over_all_q(self):
+        # spider(k, k, k) has g = 2k+1: every odd composite brings several
+        # moduli, whose candidates (q, b) share ratios
+        composite = 0
+        for k in range(1, 91):
+            tree = spider(k, k, k)
+            cert = admissible_q(tree)
+            composite += len(cert.q_list) > 1
+            first: dict[Fraction, LambdaParam] = {}
+            for q in sorted(cert.q_list):
+                for b in range(q):
+                    param = LambdaParam(q, b)
+                    first.setdefault(param.ratio, param)
+            expected = [(p.q, p.b, p.ratio) for p in sorted(first.values(), key=lambda p: p.ratio)]
+            assert [(p.q, p.b, p.ratio) for p in extremal_lambda_set(tree)] == expected
+        assert composite == 49
+
     def test_paths_rejected(self):
         with pytest.raises(NotExtremal):
             extremal_lambda_set(path(9))

@@ -93,7 +93,9 @@ REPORTS = Path(__file__).parent / "data" / "reports"
 @pytest.mark.parametrize("name", sorted(path.stem for path in REPORTS.glob("*.edges")))
 def test_check_reports_match_committed_outputs(name, capsys):
     # tests/data/reports holds `check --text` and the `check` JSON of six
-    # small trees, one per verdict class.  The JSON leaves out `spectrum`,
+    # small trees, one per verdict class, and of spider(7,7,7), whose
+    # composite modulus 15 gives seven lambda rows over three minimal
+    # polynomials.  The JSON leaves out `spectrum`,
     # whose digits come from LAPACK and can differ across platforms, and
     # `timing_seconds`; every other field is promised byte-stable.
     edges = str(REPORTS / f"{name}.edges")

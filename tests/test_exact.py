@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from treespectra import (
     IntPolynomial,
     LambdaParam,
     char_poly,
-    cyclotomic,
     from_edge_list,
     free_trees,
     laplacian,
@@ -138,24 +138,6 @@ class TestCharPoly:
         assert coeffs[-2] == -sum(len(a) for a in t.adjacency)
 
 
-class TestCyclotomic:
-    def test_first(self):
-        assert cyclotomic(1).coeffs == (-1, 1)
-
-    def test_prime(self):
-        assert cyclotomic(5).coeffs == (1, 1, 1, 1, 1)
-
-    def test_composite(self):
-        assert cyclotomic(6).coeffs == (1, -1, 1)
-        assert cyclotomic(10).coeffs == (1, -1, 1, -1, 1)
-        assert cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
-
-    def test_degrees_sum_to_m(self):
-        for m in range(1, 40):
-            total = sum(cyclotomic(d).degree for d in range(1, m + 1) if m % d == 0)
-            assert total == m
-
-
 class TestMinimalPoly:
     def test_ratio_one_third_gives_one(self):
         mu = minimal_poly_lambda(LambdaParam(1, 0))
@@ -175,6 +157,21 @@ class TestMinimalPoly:
                 mu = minimal_poly_lambda(param)
                 assert mu.coeffs[-1] == 1
                 assert abs(mu(param.value)) < 1e-8
+
+    def test_matches_sympy_and_shared_by_conjugates(self):
+        # an independent reference: sympy's minimal polynomial of the
+        # algebraic number itself, for ratio 1/s
+        import sympy
+
+        x = sympy.Symbol("x")
+        for s in range(3, 46, 2):
+            mu = minimal_poly_lambda(LambdaParam((s - 1) // 2, 0))
+            reference = sympy.minimal_polynomial(2 - 2 * sympy.cos(sympy.pi / s), x)
+            coeffs = tuple(int(c) for c in reversed(sympy.Poly(reference, x).all_coeffs()))
+            assert mu.coeffs == coeffs
+            for r in range(3, s, 2):
+                if math.gcd(r, s) == 1:
+                    assert minimal_poly_lambda(LambdaParam((s - 1) // 2, (r - 1) // 2)) == mu
 
 
 class TestRootMultiplicity:

@@ -33,8 +33,19 @@ from treespectra.errors import InvariantViolated
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "treespectra"
 
-# x + 1 has odd degree, so it cannot be the cyclotomic polynomial of index 6
-BOGUS_CYCLOTOMIC_6 = (1, 1)
+# Trees whose check breaks on a bogus half-path polynomial x * D_k + 1 in
+# place of D_k, keyed by k, with the invariant each one breaks.  The star
+# K_{1,3} has modulus 3 (k = 1), where the bogus polynomial has degree 2,
+# not phi(3)/2 = 1.  spider(4, 4, 4) has modulus 9 (k = 4), where it
+# leaves remainder 1 on division by mu_3 = x - 1.
+BOGUS_HALF_PATH = {
+    1: ("1 2\n1 3\n1 4\n", LambdaParam(1, 0), "degree 2, not phi"),
+    4: (
+        "1 2\n2 3\n3 4\n4 5\n1 6\n6 7\n7 8\n8 9\n1 10\n10 11\n11 12\n12 13\n",
+        LambdaParam(4, 0),
+        "modulus 3 must divide",
+    ),
+}
 
 
 def test_no_assert_in_package():
@@ -391,28 +402,41 @@ def test_examples_run(argv, tmp_path):
 
 
 def test_minimal_poly_raises_on_a_broken_invariant(monkeypatch):
-    monkeypatch.setitem(exact._CYCLOTOMIC_CACHE, 6, exact.IntPolynomial(BOGUS_CYCLOTOMIC_6))
-    with pytest.raises(InvariantViolated, match="odd degree"):
-        minimal_poly_lambda(LambdaParam(1, 0))  # ratio 1/3, index 6
+    half_path = exact._half_path
+    for bad_k, (_, param, message) in BOGUS_HALF_PATH.items():
+        def bogus(k, bad_k=bad_k):
+            return exact.IntPolynomial(((1,) if k == bad_k else ()) + half_path(k).coeffs)
+
+        monkeypatch.setattr(exact, "_half_path", bogus)
+        # minimal polynomials are cached per modulus; compute them afresh
+        exact._minimal_poly.cache_clear()
+        try:
+            with pytest.raises(InvariantViolated, match=message):
+                minimal_poly_lambda(param)
+        finally:
+            exact._minimal_poly.cache_clear()
 
 
 def test_check_exits_3_under_optimize(tmp_path):
-    # the star K_{1,3} has the extremal eigenvalue of ratio 1/3
-    tree = tmp_path / "star.txt"
-    tree.write_text("1 2\n1 3\n1 4\n")
-    script = (
-        "import sys\n"
-        "from treespectra import exact\n"
-        "from treespectra.cli import main\n"
-        f"exact._CYCLOTOMIC_CACHE[6] = exact.IntPolynomial({BOGUS_CYCLOTOMIC_6})\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, "check", str(tree)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 3
-    assert "odd degree" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    for bad_k, (edges, _, message) in BOGUS_HALF_PATH.items():
+        tree = tmp_path / f"tree{bad_k}.txt"
+        tree.write_text(edges)
+        script = (
+            "import sys\n"
+            "from treespectra import exact\n"
+            "from treespectra.cli import main\n"
+            "half_path = exact._half_path\n"
+            "exact._half_path = lambda k: exact.IntPolynomial(\n"
+            f"    ((1,) if k == {bad_k} else ()) + half_path(k).coeffs\n"
+            ")\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "check", str(tree)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
