@@ -12,12 +12,13 @@ root re-exports every one of them.
 
 __version__ = "0.1.0"
 
-from . import trees, exact, numeric, construct, classify, census, errors
+from . import trees, exact, numeric, construct, classify, gauntlet, census, errors
 from .trees import *
 from .exact import *
 from .numeric import *
 from .construct import *
 from .classify import *
+from .gauntlet import *
 from .census import *
 
 __all__ = ["__version__", "errors"]
@@ -26,4 +27,5 @@ __all__ += exact.__all__
 __all__ += numeric.__all__
 __all__ += construct.__all__
 __all__ += classify.__all__
+__all__ += gauntlet.__all__
 __all__ += census.__all__

@@ -11,7 +11,7 @@ mod-3 family, and p-2 exactly on a three-legged-core family decided by
 Every verdict here is combinatorial, read off breadth-first searches:
 pendant distances and, for :func:`in_gamma`, a table of the subtrees hung
 below each major.  No matrix is built.  The exact and floating-point
-routes that check these verdicts live in :mod:`treespectra.census`.
+routes that check these verdicts live in :mod:`treespectra.gauntlet`.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     m(T,1) = p-1 exactly on trees whose pendant pairs all sit at distance
     2 (mod 3), paths of order divisible by 3 included; m(T,1) = p-2 exactly
     on paths of other orders and on the :func:`in_gamma` family.  Nothing
-    here computes a spectrum: :func:`treespectra.census.certify` checks the
+    here computes a spectrum: :func:`treespectra.gauntlet.certify` checks the
     verdict against the exact nullity and the numeric clusters.
     """
     p = len(tree.pendants)

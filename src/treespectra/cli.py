@@ -5,7 +5,7 @@ Three subcommands: ``check`` (full verdict for one tree), ``eigenbasis``
 catalog of all small trees).  Input trees arrive as edge-list text files;
 every report first relabels the tree canonically so isomorphic inputs
 produce identical output.  This module only parses and serializes: every
-verdict and every cross-check comes from :mod:`treespectra.census`.
+verdict and cross-check comes from :mod:`treespectra.gauntlet`.
 
 JSON output is byte-stable: floating values are rendered as 15-significant-
 digit strings, rationals as "num/den" strings, polynomials as integer
@@ -25,8 +25,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
-from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel, certify, certify_basis
+from . import __version__, gauntlet
+from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel
 from .errors import OracleDisagreement, ParseError, TreeSpectraError
 from .trees import from_edge_list, parse_edge_list_text
 
@@ -72,7 +72,7 @@ def _envelope(command: str, parameters: dict, tree, payload: dict, started: floa
 
 
 def _check_payload(tree, tol: float) -> dict:
-    cert = certify(tree, tol)
+    cert = gauntlet.certify(tree, tol)
     report = cert.report
     spectrum = cert.spectrum
     lambda_rows = [
@@ -169,7 +169,7 @@ def cmd_check(args) -> int:
 def cmd_eigenbasis(args) -> int:
     started = time.perf_counter()
     tree = canonical_relabel(_load_tree(args.input))
-    basis = certify_basis(tree, args.q, args.b)
+    basis = gauntlet.certify_basis(tree, args.q, args.b)
     pairs, trace = basis.pairs, basis.trace
     param = pairs[0].param
 

@@ -5,7 +5,7 @@ singular value decomposition, both reached through numpy.  The one piece
 the numeric route shares with the exact one is the Laplacian itself:
 ``exact.laplacian`` builds the integer matrix that ``certify`` hands to
 LAPACK, and that ``residual_norm`` builds when no ``lap`` is passed.  The
-two routes are compared against each other in ``census`` and the test
+two routes are compared against each other in ``gauntlet`` and the test
 suite.  Vectors are indexed by ``label - 1`` throughout.
 """
 

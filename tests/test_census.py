@@ -27,6 +27,7 @@ from treespectra import (
     exact,
     free_trees,
     from_edge_list,
+    gauntlet,
     in_gamma,
     numeric,
     prufer_count_oracle,
@@ -452,6 +453,13 @@ class TestBuildCatalog:
         )
         assert names == expected
 
+    def test_single_vertex_row(self):
+        # no route runs on one vertex; its row's m(T,1) is the nullity of (-1)
+        (entry,) = build_catalog(1)
+        nullity = exact.rational_nullity(exact.laplacian(single_vertex()), 1)
+        assert entry.m1_exact == nullity == 0
+        assert (entry.p, entry.extremal, entry.m1_class, entry.name) == (0, False, "other", "P_1")
+
     def test_unit_filters_partition(self):
         full = build_catalog(6)
         p1 = build_catalog(6, "unit_p1")
@@ -529,13 +537,13 @@ class TestCertify:
     def char_poly_orders(self, monkeypatch):
         """Order of every matrix certify hands to char_poly."""
         orders = []
-        real = census.char_poly
+        real = exact.char_poly
 
         def counting(matrix):
             orders.append(len(matrix))
             return real(matrix)
 
-        monkeypatch.setattr(census, "char_poly", counting)
+        monkeypatch.setattr(exact, "char_poly", counting)
         return orders
 
     def test_char_poly_built_once_per_tree(self, char_poly_orders):
@@ -607,8 +615,8 @@ class TestCertify:
         def no_float_route(*args, **kwargs):
             raise AssertionError("float route ran before the exact check")
 
-        monkeypatch.setattr(census, "tree_inertia", lambda tree, lam: (0, nullity))
-        monkeypatch.setattr(census, "eigen_symmetric", no_float_route)
+        monkeypatch.setattr(exact, "tree_inertia", lambda tree, lam: (0, nullity))
+        monkeypatch.setattr(numeric, "eigen_symmetric", no_float_route)
         tree = spider(*legs)
         with pytest.raises(OracleDisagreement) as info:
             certify(tree)
@@ -638,9 +646,9 @@ class TestCertify:
     )
     def test_spoiled_spectrum_is_3(self, monkeypatch, tmp_path, capsys, legs, spoil, message):
         # each spoiled spectrum passes every check before the one it targets
-        real = census.eigen_symmetric
+        real = numeric.eigen_symmetric
         monkeypatch.setattr(
-            census, "eigen_symmetric", lambda *args, **kwargs: spoil(real(*args, **kwargs))
+            numeric, "eigen_symmetric", lambda *args, **kwargs: spoil(real(*args, **kwargs))
         )
         tree = spider(*legs)
         with pytest.raises(OracleDisagreement) as info:
@@ -713,7 +721,7 @@ class TestVerifyGammaWitness:
             for tree in free_trees(n):
                 verdict, witness = in_gamma(tree)
                 if verdict:
-                    assert census.verify_gamma_witness(tree, witness) is None, tree.edges
+                    assert gauntlet.verify_gamma_witness(tree, witness) is None, tree.edges
                     witnesses += 1
         assert witnesses > 0
 
@@ -722,14 +730,14 @@ class TestVerifyGammaWitness:
     def test_constructed_gamma_trees(self, tree):
         verdict, witness = in_gamma(tree)
         assert verdict
-        assert census.verify_gamma_witness(tree, witness) is None
+        assert gauntlet.verify_gamma_witness(tree, witness) is None
 
     @pytest.mark.parametrize("name", sorted(SPOILS))
     def test_spoiled_witness_rejected(self, name):
         tree = from_edge_list(Q_GROUP_TREE)
         spoil, message = SPOILS[name]
         witness = spoil(in_gamma(tree)[1])
-        assert census.verify_gamma_witness(tree, witness) == message
+        assert gauntlet.verify_gamma_witness(tree, witness) == message
 
     def test_certify_rejects_a_spoiled_witness(self, monkeypatch):
         tree = from_edge_list(Q_GROUP_TREE)
@@ -745,7 +753,7 @@ class TestVerifyGammaWitness:
 class TestCertifyBasis:
     def test_spider_basis(self):
         # legs 1, 1, 4 are all = 1 (mod 3): q = 1, p - 1 = 2 vectors
-        basis = census.certify_basis(spider(1, 1, 4), 1)
+        basis = gauntlet.certify_basis(spider(1, 1, 4), 1)
         assert basis.rank == len(basis.pairs) == len(basis.residuals) == 2
         assert all(r <= 1e-10 for r in basis.residuals)
         assert basis.trace.q == 1 and basis.trace.b == 0
@@ -763,6 +771,6 @@ class TestCertifyBasis:
         monkeypatch.setattr(construct, "_peel_basis", lambda *args: spoil(real(*args)))
         tree = spider(1, 1, 4)
         with pytest.raises(OracleDisagreement) as info:
-            census.certify_basis(tree, 1)
+            gauntlet.certify_basis(tree, 1)
         assert str(info.value) == message
         assert info.value.edges == tree.edges

@@ -204,7 +204,7 @@ class TestExitCodes:
     def test_oracle_disagreement_is_3(self, tmp_path, capsys, monkeypatch):
         # A numeric route that finds no eigenvalue anywhere disagrees with
         # the exact routes inside certify, which check and enumerate share.
-        monkeypatch.setattr("treespectra.census.cluster_multiplicity", lambda spectrum, value: -1)
+        monkeypatch.setattr("treespectra.numeric.cluster_multiplicity", lambda spectrum, value: -1)
         f = write(tmp_path, "t.txt", K13)
         for command in (["check", f], ["enumerate", "--max-n", "4"]):
             assert main(command) == 3

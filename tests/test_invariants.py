@@ -5,13 +5,15 @@ An ``assert`` vanishes under ``python -O``; every invariant check raises
 The package sources also carry no unused imports; no linter is installed,
 so an AST walk checks it.  Each module's ``__all__`` lists only names it
 defines, and the package root exports each of them once, as the same
-object.  Other AST walks check that only ``census``
-compares routes, that its brute-force census and its Gamma witness check
-name nothing of what they check, that no module but ``trees`` names
-``path_between`` and that no module but ``exact`` names
-``rational_nullity``.  Every function the benchmark's tracer wraps must exist,
-and ``census.free_trees``, which it times per item, must stay a generator
-function; the demos and the README quickstart must run.
+object, and no module is named like one of them.  Other AST walks check
+that only ``gauntlet`` compares routes, and reaches them through their
+modules, where the benchmark's tracer wraps them; that the brute-force
+census and the Gamma witness check name nothing of what they check; that no
+module but ``trees`` names ``path_between`` and that no module but
+``exact`` names ``rational_nullity``.  Every function the benchmark's
+tracer wraps must exist, and ``census.free_trees``, which it times per
+item, must stay a generator function; the demos and the README quickstart
+must run.
 """
 
 import ast
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import treespectra
-from treespectra import LambdaParam, census, exact, minimal_poly_lambda
+from treespectra import LambdaParam, census, exact, gauntlet, minimal_poly_lambda
 from treespectra.errors import InvariantViolated
 
 REPO = Path(__file__).resolve().parents[1]
@@ -208,8 +210,18 @@ def test_each_module_all_is_the_root_api():
 def test_root_exports_the_route_comparisons():
     from treespectra import certify_basis, verify_gamma_witness
 
-    assert certify_basis is census.certify_basis
-    assert verify_gamma_witness is census.verify_gamma_witness
+    assert certify_basis is gauntlet.certify_basis
+    assert verify_gamma_witness is gauntlet.verify_gamma_witness
+
+
+def test_no_module_is_named_like_a_root_export():
+    # The root star-imports every module's __all__, so a module named like
+    # one of those names would be shadowed by it: with a certify.py beside
+    # the certify function, ``import treespectra.certify as m`` binds the
+    # function.  Only errors, exported as the module itself, shares a name.
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert sorted(modules & set(treespectra.__all__)) == ["errors"]
+    assert treespectra.errors is importlib.import_module("treespectra.errors")
 
 
 def _imports(path):
@@ -224,10 +236,10 @@ def _imports(path):
     return out
 
 
-def test_route_comparisons_live_in_census():
-    # classify decides from the tree alone, the CLI only serializes, and
-    # every OracleDisagreement (not its InvariantViolated subclass) is
-    # raised where the routes are compared
+def test_route_comparisons_live_in_gauntlet():
+    # classify decides from the tree alone, the CLI only serializes, census
+    # only generates and catalogs, and every OracleDisagreement (not its
+    # InvariantViolated subclass) is built once, where the routes are compared
     classify_from_exact = [
         names for module, names in _imports(PACKAGE / "classify.py") if module == ".exact"
     ]
@@ -243,14 +255,22 @@ def test_route_comparisons_live_in_census():
     ]
     assert cli_imports == []
 
-    raisers = {
+    deciders = routes | {".classify"}
+    census_imports = [
+        (module, names)
+        for module, names in _imports(PACKAGE / "census.py")
+        if module in deciders or (module == "." and deciders & {f".{name}" for name in names})
+    ]
+    assert census_imports == []
+
+    raisers = [
         path.name
         for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
         and "OracleDisagreement" in (getattr(node.func, f, None) for f in ("id", "attr"))
-    }
-    assert raisers == {"census.py"}
+    ]
+    assert raisers == ["gauntlet.py"]
 
 
 ORACLE = ("_prufer_blocks", "_plane_edges", "_free_key", "_prufer_classes", "prufer_count_oracle")
@@ -293,7 +313,7 @@ def test_witness_check_names_nothing_of_the_decider():
         if isinstance(node, ast.FunctionDef)
     }
     assert {"in_gamma", "_check_attachments", "_hung_pieces", "_omega_type"} <= decider
-    source = (PACKAGE / "census.py").read_text()
+    source = (PACKAGE / "gauntlet.py").read_text()
     (fn,) = [
         node
         for node in ast.parse(source).body
@@ -338,6 +358,29 @@ def test_traced_functions_exist():
     # The tracer times a generator function once per item it yields; a
     # free_trees that returned an iterator would stop timing enumeration.
     assert inspect.isgeneratorfunction(census.free_trees)
+
+
+def test_gauntlet_reaches_traced_functions_through_their_modules():
+    # The tracer rebinds a wrapped function only in its layers' namespaces,
+    # and gauntlet is none of them: a name bound there by ``from .exact
+    # import char_poly`` would escape it, and that function's counters would
+    # drop with no other test failing.  So gauntlet imports no traced name
+    # and names each one as an attribute of its own module.
+    owner = {name: module for module, names in _traced_table().items() for name in names}
+    path = PACKAGE / "gauntlet.py"
+    bound = [name for _, names in _imports(path) for name in names if name in owner]
+    assert bound == []
+    named = [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id in owner)
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in owner
+            and getattr(node.value, "id", None) != owner[node.attr]
+        )
+    ]
+    assert named == []
 
 
 def _named_outside(name, home):
