@@ -13,7 +13,7 @@ print(f"pendants {list(tree.pendants)}, majors {list(tree.majors)}")
 
 print("\npendant pair distances:")
 for i, u in enumerate(tree.pendants):
-    row = tree.distance_row(u)
+    row = tree.bfs(u)[0]
     for w in tree.pendants[i + 1:]:
         d = row[w]
         print(f"  d({u},{w}) = {d}, d+1 = {d + 1}")

@@ -21,11 +21,8 @@ from .classify import *
 from .gauntlet import *
 from .census import *
 
-__all__ = ["__version__", "errors"]
-__all__ += trees.__all__
-__all__ += exact.__all__
-__all__ += numeric.__all__
-__all__ += construct.__all__
-__all__ += classify.__all__
-__all__ += gauntlet.__all__
-__all__ += census.__all__
+__all__ = ["__version__", "errors"] + [
+    name
+    for module in (trees, exact, numeric, construct, classify, gauntlet, census)
+    for name in module.__all__
+]

@@ -37,7 +37,6 @@ __all__ = [
     "CatalogEntry",
     "free_trees",
     "canonical_levels",
-    "canonical_form",
     "canonical_relabel",
     "prufer_count_oracle",
     "tree_name",
@@ -140,10 +139,6 @@ def _rooted_levels(tree: Tree, root: int) -> tuple[int, ...]:
 def canonical_levels(tree: Tree) -> tuple[int, ...]:
     """Centroid-rooted maximal level sequence; equal iff trees isomorphic."""
     return max(_rooted_levels(tree, c) for c in _centroids(tree))
-
-
-def canonical_form(tree: Tree) -> str:
-    return _levels_text(canonical_levels(tree))
 
 
 def _levels_text(levels) -> str:
@@ -382,7 +377,7 @@ def tree_name(tree: Tree) -> str:
         return f"P_{tree.n}"
     if len(tree.majors) == 1:
         center = tree.majors[0]
-        row = tree.distance_row(center)
+        row = tree.bfs(center)[0]
         legs = sorted(row[u] for u in tree.pendants)
         if all(leg == 1 for leg in legs):
             return f"K_{{1,{len(legs)}}}"

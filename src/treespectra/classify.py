@@ -34,7 +34,6 @@ __all__ = [
     "admissible_q",
     "is_extremal",
     "extremal_lambda_set",
-    "has_unit_extremal",
     "in_gamma",
     "classify_m1",
 ]
@@ -97,7 +96,7 @@ def pendant_distance_gcd(tree: Tree) -> int:
     pendants = tree.pendants
     if len(pendants) < 2:
         raise TooFewPendants(f"need at least two pendants, found {len(pendants)}")
-    row = tree.distance_row(pendants[0])
+    row = tree.bfs(pendants[0])[0]
     return math.gcd(
         *(row[w] + 1 for w in pendants[1:]), *(2 * row[x] + 1 for x in tree.majors)
     )
@@ -150,17 +149,6 @@ def _lambda_params(cert: CongruenceCertificate) -> tuple[LambdaParam, ...]:
     m = cert.admissible_moduli[-1]
     ratios = (Fraction(k, m) for k in range(1, m - 1, 2))
     return tuple(LambdaParam((r.denominator - 1) // 2, (r.numerator - 1) // 2) for r in ratios)
-
-
-def has_unit_extremal(tree: Tree) -> bool:
-    """Does the eigenvalue 1 itself reach multiplicity p-1?
-
-    1 = 2(1 - cos(pi/3)) is the q=1 extremal value, so the modulus 3 must
-    divide the pendant gcd.  That covers paths too: their gcd is their
-    order, and 1 is an eigenvalue of the path on n vertices exactly when
-    3 divides n.
-    """
-    return pendant_distance_gcd(tree) % 3 == 0
 
 
 def _omega_type(sorted_residues) -> str | None:
@@ -303,10 +291,13 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     """Full combinatorial verdict at eigenvalue 1, read off the tree alone.
 
     m(T,1) = p-1 exactly on trees whose pendant pairs all sit at distance
-    2 (mod 3), paths of order divisible by 3 included; m(T,1) = p-2 exactly
-    on paths of other orders and on the :func:`in_gamma` family.  Nothing
-    here computes a spectrum: :func:`treespectra.gauntlet.certify` checks the
-    verdict against the exact nullity and the numeric clusters.
+    2 (mod 3): 1 = 2(1 - cos(pi/3)) is the q=1 extremal value, so the
+    modulus 3 must divide the pendant gcd.  That covers paths too: a path's
+    gcd is its order, and 1 is an eigenvalue of the path on n vertices
+    exactly when 3 divides n.  m(T,1) = p-2 exactly on paths of other
+    orders and on the :func:`in_gamma` family.  Nothing here computes a
+    spectrum: :func:`treespectra.gauntlet.certify` checks the verdict
+    against the exact nullity and the numeric clusters.
     """
     p = len(tree.pendants)
     if p < 2:

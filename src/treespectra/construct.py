@@ -256,7 +256,7 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
         # Name the first offending pair; only a failing tree pays for the scan.
         pendants = tree.pendants
         for i, u in enumerate(pendants):
-            row = tree.distance_row(u)
+            row = tree.bfs(u)[0]
             for w in pendants[i + 1:]:
                 d = row[w]
                 if d % modulus != 2 * q:

@@ -83,7 +83,7 @@ def verify_gamma_witness(tree: Tree, witness: classify.GammaWitness) -> str | No
     named = [major, *witness.endpoints]
     for att in witness.attachments:
         named += [att.anchor, *att.vertices]
-    if not all(isinstance(v, int) and 1 <= v <= n for v in named):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n for v in named):
         return "a witness label is not a vertex of the tree"
     ends = witness.endpoints
     if len(set(ends)) != 3 or major in ends or any(len(adj[u]) != 1 for u in ends):

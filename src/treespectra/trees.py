@@ -9,9 +9,10 @@ mutates a tree.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.  There is one breadth-first search,
-:meth:`Tree.bfs`, which returns distances and parents: distance rows are
-its first half, paths are read off its parents, and the canonical forms
-and ``classify`` read it by descending distance, children before parents.
+:meth:`Tree.bfs`, which returns distances and parents: every distance is
+read off its first half, paths are read off its parents, and the
+canonical forms and ``classify`` read it by descending distance, children
+before parents.
 Two walks stay separate on purpose: ``exact.tree_inertia`` keeps its own
 preorder, so the exact route shares no code with the combinatorial
 deciders it checks, and the census oracle's ``_free_key`` builds its own
@@ -39,7 +40,6 @@ __all__ = [
     "from_edge_list",
     "single_vertex",
     "parse_edge_list_text",
-    "distance",
     "path_between",
 ]
 
@@ -88,13 +88,6 @@ class Tree:
                     parent[y] = x
                     order.append(y)
         return tuple(dist), tuple(parent)
-
-    def distance_row(self, u: int) -> tuple[int, ...]:
-        """All distances from ``u``, indexed by label (slot 0 unused).
-
-        The first half of :meth:`bfs`: one breadth-first search per call.
-        """
-        return self.bfs(u)[0]
 
 
 def _check_label(tree: Tree, v) -> None:
@@ -207,11 +200,6 @@ def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
             raise ParseError(f"line {lineno}: labels must be positive", line=lineno)
         pairs.append((u, v))
     return tuple(pairs)
-
-
-def distance(tree: Tree, u: int, v: int) -> int:
-    _check_label(tree, v)
-    return tree.distance_row(u)[v]
 
 
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:

@@ -21,15 +21,15 @@ from treespectra import (
     IntPolynomial,
     admissible_q,
     build_catalog,
-    canonical_form,
+    canonical_levels,
     char_poly,
+    classify_m1,
     eigen_symmetric,
     eigenbasis_extremal,
     extremal_lambda_set,
     free_trees,
     from_edge_list,
     in_gamma,
-    has_unit_extremal,
     is_extremal,
     laplacian,
     minimal_poly_lambda,
@@ -87,10 +87,13 @@ def test_criterion_1_exhaustive_cross_check():
 
 
 def test_criterion_2_unit_extremal_decider(unit_sweep):
-    # has_unit_extremal <=> m(T,1) = p-1, exhaustively for n <= 12
+    # m(T,1) = p-1 <=> 3 divides every d(u,w)+1, exhaustively for n <= 12:
+    # the decider classify_m1 runs, and the modulus 3 among the admissible
     for tree, nullity in unit_sweep:
         p = len(tree.pendants)
-        assert has_unit_extremal(tree) == (nullity == p - 1), tree.edges
+        reaches = nullity == p - 1
+        assert (classify_m1(tree).m1_class == "p-1") == reaches, tree.edges
+        assert (3 in admissible_q(tree).admissible_moduli) == reaches, tree.edges
     print(
         f"\nPASS criterion 2: unit-eigenvalue decider matches the exact "
         f"nullity on all {len(unit_sweep)} trees of order 2..{ORDER}"
@@ -132,7 +135,7 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
                 continue
             p = len(tree.pendants)
             trees_checked += 1
-            major_rows = [tree.distance_row(m) for m in tree.majors]
+            major_rows = [tree.bfs(m)[0] for m in tree.majors]
             for q in cert.q_list:
                 modulus = 2 * q + 1
                 forced = [
@@ -269,7 +272,7 @@ def test_criterion_7_supporting_lemmas(trees_by_n):
         for tree in trees:
             if not tree.majors:
                 continue
-            rows = {u: tree.distance_row(u) for u in tree.pendants}
+            rows = {u: tree.bfs(u)[0] for u in tree.pendants}
             for q in range(1, 6):
                 m = 2 * q + 1
                 pairwise = all(
@@ -294,7 +297,7 @@ def test_criterion_8_census_oracle(trees_by_n):
     counts = {1: sum(1 for _ in free_trees(1))}
     for n, trees in trees_by_n.items():
         counts[n] = len(trees)
-        forms = {canonical_form(t) for t in trees}
+        forms = {canonical_levels(t) for t in trees}
         assert len(forms) == len(trees)  # no two classes share a form
     assert tuple(counts[n] for n in range(1, ORDER + 1)) == CENSUS
     for n in range(2, 10):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import inspect
 import math
 import os
 import random
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from shapes import caterpillar, gamma_trees, path, prufer_tree, spider, star
 from test_float_route import SETTINGS, random_trees
+from test_invariants import ORACLE
 
 from treespectra import (
     ORDER_CAP,
     Tree,
     build_catalog,
-    canonical_form,
+    canonical_levels,
     canonical_relabel,
     census,
     certify,
@@ -157,15 +159,15 @@ class TestFreeTrees:
             assert sum(1 for _ in free_trees(n)) == expected
 
     def test_n4_shapes(self):
-        forms = {canonical_form(t) for t in free_trees(4)}
-        assert forms == {"1,2,3,2", "1,2,2,2"}
+        forms = {canonical_levels(t) for t in free_trees(4)}
+        assert forms == {(1, 2, 3, 2), (1, 2, 2, 2)}
 
     def test_all_have_right_order(self):
         assert all(t.n == 7 for t in free_trees(7))
 
     def test_no_duplicate_forms(self):
         for n in range(1, 11):
-            forms = [canonical_form(t) for t in free_trees(n)]
+            forms = [canonical_levels(t) for t in free_trees(n)]
             assert len(forms) == len(set(forms))
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -200,9 +202,9 @@ class TestFreeTrees:
         import networkx as nx
 
         for n in range(2, 15):
-            ours = [canonical_form(t) for t in free_trees(n)]
+            ours = [canonical_levels(t) for t in free_trees(n)]
             theirs = [
-                canonical_form(from_edge_list((u + 1, v + 1) for u, v in g.edges))
+                canonical_levels(from_edge_list((u + 1, v + 1) for u, v in g.edges))
                 for g in nx.nonisomorphic_trees(n)
             ]
             assert len(ours) == len(set(ours)), n
@@ -233,19 +235,19 @@ class TestCanonicalForm:
     def test_invariant_under_relabeling(self):
         for n in range(2, 9):
             for i, tree in enumerate(free_trees(n)):
-                form = canonical_form(tree)
+                form = canonical_levels(tree)
                 for seed in (i, 1000 + i):
-                    assert canonical_form(shuffled_copy(tree, seed)) == form
+                    assert canonical_levels(shuffled_copy(tree, seed)) == form
 
     def test_relabel_is_canonical_fixed_point(self):
         t = shuffled_copy(star(4), 7)
         c = canonical_relabel(t)
-        assert canonical_form(c) == canonical_form(t)
+        assert canonical_levels(c) == canonical_levels(t)
         assert canonical_relabel(c).edges == c.edges
 
     def test_known_forms(self):
-        assert canonical_form(path(4)) == "1,2,3,2"
-        assert canonical_form(star(3)) == "1,2,2,2"
+        assert canonical_levels(path(4)) == (1, 2, 3, 2)
+        assert canonical_levels(star(3)) == (1, 2, 2, 2)
 
     def test_long_path_without_recursion(self):
         tree = canonical_relabel(shuffled_copy(path(5000), 3))
@@ -258,13 +260,13 @@ class TestCanonicalForm:
         # the relabeled copy keeps the form, the relabeling is a fixed
         # point, and forms agree exactly when the oracle's keys do
         copy = shuffled_copy(tree, seed)
-        form = canonical_form(tree)
-        assert canonical_form(copy) == form
+        form = canonical_levels(tree)
+        assert canonical_levels(copy) == form
         relabeled = canonical_relabel(copy)
-        assert canonical_form(relabeled) == form
+        assert canonical_levels(relabeled) == form
         assert canonical_relabel(relabeled).edges == relabeled.edges
         trio = [tree, copy, moved_pendant(tree, seed)]
-        forms = [canonical_form(t) for t in trio]
+        forms = [canonical_levels(t) for t in trio]
         keys = [oracle_key(t) for t in trio]
         for i, j in combinations(range(3), 2):
             assert (forms[i] == forms[j]) == (keys[i] == keys[j])
@@ -284,7 +286,7 @@ class TestCanonicalForm:
         tree = caterpillar(1500)
         relabeled = canonical_relabel(shuffled_copy(tree, 4))
         assert relabeled.n == 3000
-        assert canonical_form(relabeled) == canonical_form(tree)
+        assert canonical_levels(relabeled) == canonical_levels(tree)
         assert canonical_relabel(relabeled).edges == relabeled.edges
         assert sorted(map(len, relabeled.adjacency[1:])) == sorted(
             map(len, tree.adjacency[1:])
@@ -370,19 +372,18 @@ class TestPruferOracle:
         assert sum(sizes) == n ** (n - 2)
 
     def test_oracle_is_independent_of_the_generator(self, monkeypatch):
+        # every module-level function of census outside the oracle refuses
+        # to run, so adding or deleting a helper cannot leave the list stale
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle must not use the generator")
 
-        for name in (
-            "free_trees",
-            "_free_levels",
-            "canonical_levels",
-            "canonical_form",
-            "_rooted_levels",
-            "_level_sequences",
-            "_tree_from_levels",
-            "_centroids",
-        ):
+        generator = {
+            name
+            for name, fn in vars(census).items()
+            if inspect.isfunction(fn) and fn.__module__ == census.__name__
+        } - set(ORACLE)
+        assert {"free_trees", "_free_levels", "canonical_levels", "_centroids"} <= generator
+        for name in generator:
             monkeypatch.setattr(census, name, refuse)
         assert prufer_count_oracle(7) == 11
 
@@ -391,7 +392,7 @@ class TestPruferOracle:
         keys = {}
         for n in range(1, 11):
             for i, tree in enumerate(free_trees(n)):
-                form = canonical_form(tree)
+                form = canonical_levels(tree)
                 for seed in (i, 5000 + i, 9000 + i):
                     copy = shuffled_copy(tree, seed) if n > 1 else tree
                     key = census._free_key(n, [(u - 1, v - 1) for u, v in copy.edges])
@@ -482,7 +483,7 @@ class TestBuildCatalog:
         assert len(entries) == sum(KNOWN_COUNTS.values())
         for entry in entries:
             tree = from_edge_list(entry.edges) if entry.edges else single_vertex()
-            assert entry.canonical == canonical_form(tree)
+            assert entry.canonical == ",".join(map(str, canonical_levels(tree)))
 
     def test_parallel_matches_serial(self):
         assert build_catalog(6, jobs=2) == build_catalog(6)
@@ -567,22 +568,22 @@ class TestCertify:
         tree = spider(1, 1, 4)
         calls = Counter()
         real_post_init = Tree.__post_init__
-        real_row = Tree.distance_row
+        real_bfs = Tree.bfs
 
         def counting_post_init(self):
             calls["post_init"] += 1
             real_post_init(self)
 
-        def counting_row(tree, u):
-            calls["distance_row"] += 1
-            return real_row(tree, u)
+        def counting_bfs(tree, u):
+            calls["bfs"] += 1
+            return real_bfs(tree, u)
 
         monkeypatch.setattr(Tree, "__post_init__", counting_post_init)
-        monkeypatch.setattr(Tree, "distance_row", counting_row)
+        monkeypatch.setattr(Tree, "bfs", counting_bfs)
         report = classify_m1(tree)
         assert report.m1_class == "p-1"
         assert calls["post_init"] == 0
-        assert calls["distance_row"] == 1
+        assert calls["bfs"] == 1
 
     def test_laplacian_built_once_per_certify(self, monkeypatch):
         # the float spectrum and the characteristic polynomial read one
@@ -738,6 +739,18 @@ class TestVerifyGammaWitness:
         spoil, message = SPOILS[name]
         witness = spoil(in_gamma(tree)[1])
         assert gauntlet.verify_gamma_witness(tree, witness) == message
+
+    def test_bool_label_rejected(self):
+        # True equals 1 but is no vertex label; JSON true parses to it
+        tree = from_edge_list([(1, 2), (2, 3), (3, 4), (3, 5)])
+        witness = in_gamma(tree)[1]
+        assert witness.major == 3 and witness.endpoints == (1, 4, 5)
+        for spoiled in (
+            dataclasses.replace(witness, endpoints=(True, 4, 5)),
+            dataclasses.replace(witness, major=True),
+        ):
+            message = gauntlet.verify_gamma_witness(tree, spoiled)
+            assert message == "a witness label is not a vertex of the tree"
 
     def test_certify_rejects_a_spoiled_witness(self, monkeypatch):
         tree = from_edge_list(Q_GROUP_TREE)

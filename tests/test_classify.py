@@ -17,7 +17,6 @@ from treespectra import (
     extremal_lambda_set,
     free_trees,
     from_edge_list,
-    has_unit_extremal,
     in_gamma,
     is_extremal,
     laplacian,
@@ -63,7 +62,7 @@ def pairwise_pendant_gcd(tree):
     pendants = tree.pendants
     g = 0
     for i, u in enumerate(pendants):
-        row = tree.distance_row(u)
+        row = tree.bfs(u)[0]
         g = math.gcd(g, *(row[w] + 1 for w in pendants[i + 1:]))
     return g
 
@@ -100,11 +99,11 @@ def pairwise_mod3_piece(tree, comp, anchor):
     """The definition of a mod-3 piece: every pendant inside at distance
     1 (mod 3) from the anchor, and every pair of them at distance 2 (mod 3)."""
     leaves = sorted(x for x in comp if len(tree.adjacency[x]) == 1)
-    row_anchor = tree.distance_row(anchor)
+    row_anchor = tree.bfs(anchor)[0]
     if any(row_anchor[x] % 3 != 1 for x in leaves):
         return False
     for i, x in enumerate(leaves):
-        row = tree.distance_row(x)
+        row = tree.bfs(x)[0]
         if any(row[y] % 3 != 2 for y in leaves[i + 1:]):
             return False
     return True
@@ -234,22 +233,31 @@ class TestLambdaSet:
             extremal_lambda_set(spider(1, 2, 2))
 
 
+def unit_extremal(tree):
+    """m(T,1) = p-1 read two ways: the decider classify_m1 runs, and the
+    modulus 3 among the admissible ones (1 is the q = 1 extremal value)."""
+    by_class = classify_m1(tree).m1_class == "p-1"
+    by_modulus = 3 in admissible_q(tree).admissible_moduli
+    assert by_class == by_modulus, tree.edges
+    return by_class
+
+
 class TestUnitExtremal:
     def test_paths(self):
-        assert has_unit_extremal(path(6))
-        assert not has_unit_extremal(path(5))
+        assert unit_extremal(path(6))
+        assert not unit_extremal(path(5))
 
     def test_non_paths(self):
-        assert has_unit_extremal(star(3))
-        assert has_unit_extremal(spider(1, 1, 4))
-        assert not has_unit_extremal(spider(2, 2, 2))
+        assert unit_extremal(star(3))
+        assert unit_extremal(spider(1, 1, 4))
+        assert not unit_extremal(spider(2, 2, 2))
 
     def test_path_gcd_is_its_order(self):
         # the mod-3 rule needs no path case: a path's pendant gcd is n, and
         # 1 is an eigenvalue of the path on n vertices exactly when 3 | n
         for n in range(2, 301):
             assert admissible_q(path(n)).g == n
-            assert has_unit_extremal(path(n)) == (n % 3 == 0)
+            assert unit_extremal(path(n)) == (n % 3 == 0)
             assert classify_m1(path(n)).m1_class == ("p-1" if n % 3 == 0 else "p-2")
 
 
@@ -431,7 +439,7 @@ def in_gamma_by_triple_scan(tree):
         return False, None
 
     for major in tree.majors:
-        row_m = tree.distance_row(major)
+        row_m = tree.bfs(major)[0]
         for trio in combinations(pendants, 3):
             paths = [path_between(tree, major, u) for u in trio]
             first_steps = {p[1] for p in paths}

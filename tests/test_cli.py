@@ -106,6 +106,20 @@ def test_check_reports_match_committed_outputs(name, capsys):
     del report["timing_seconds"], report["payload"]["spectrum"]
     assert dumps_report(report) == (REPORTS / f"{name}.check.json").read_text()
 
+
+def test_oracles_block_repeats_the_agreed_values():
+    # any disagreement withholds the report with exit 3, so a written
+    # report's oracles block says what the other fields already say
+    reports = sorted(REPORTS.glob("*.check.json"))
+    assert reports
+    for path in reports:
+        payload = json.loads(path.read_text())["payload"]
+        oracles = payload["oracles"]
+        assert oracles["numeric_cluster_reaches_p_minus_1"] == payload["is_extremal"], path.name
+        assert oracles["m1_numeric"] == payload["m1"]["exact"], path.name
+        assert oracles["agree"] is True, path.name
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/tree.txt"]) == 2

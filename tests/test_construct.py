@@ -157,7 +157,7 @@ class TestEigenbasisExtremal:
     def test_zeros_at_majors_and_congruent_vertices(self):
         t = spider(1, 1, 4)
         pairs, _ = eigenbasis_extremal(t, q=1)
-        major_rows = [t.distance_row(m) for m in t.majors]
+        major_rows = [t.bfs(m)[0] for m in t.majors]
         forced = {
             v
             for v in range(1, t.n + 1)

@@ -8,12 +8,12 @@ defines, and the package root exports each of them once, as the same
 object, and no module is named like one of them.  Other AST walks check
 that only ``gauntlet`` compares routes, and reaches them through their
 modules, where the benchmark's tracer wraps them; that the brute-force
-census and the Gamma witness check name nothing of what they check; that no
-module but ``trees`` names ``path_between`` and that no module but
-``exact`` names ``rational_nullity``.  Every function the benchmark's
-tracer wraps must exist, and ``census.free_trees``, which it times per
-item, must stay a generator function; the demos and the README quickstart
-must run.
+census and the Gamma witness check name nothing of what they check; and
+that every public function is named somewhere in the package outside its
+own ``def``, or is listed in ``KEPT`` with the reason it stays public.
+Every function the benchmark's tracer wraps must exist, and
+``census.free_trees``, which it times per item, must stay a generator
+function; the demos and the README quickstart must run.
 """
 
 import ast
@@ -115,11 +115,16 @@ def _unused_imports(tree, filename):
                     imported[f"* from {module}"] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        # names listed in __all__ are re-exports, hence used
+        # names __all__ spells out are re-exports, hence used; the rest of a
+        # computed __all__ is read off names, which count as used already
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(
+                n.value
+                for n in ast.walk(node.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -145,11 +150,18 @@ def test_no_unused_imports():
         ("__init__.py", "from numpy import *\n", [(1, "* from numpy")]),
         ("__init__.py", "from . import *\n", [(1, "* from .")]),
         ("__init__.py", "from .census import *\nfrom .census import FILTERS\n", [(2, "FILTERS")]),
+        (
+            "__init__.py",
+            "from . import census, errors, trees\n"
+            '__all__ = ["errors"] + [name for name in census.__all__]\n',
+            [(1, "trees")],
+        ),
     ],
 )
 def test_unused_imports_reports_star_imports_outside_the_root(filename, source, reported):
     # The package root's star imports of package modules are its re-exports;
-    # every other star import, and every unused named one, is reported.
+    # every other star import, and every unused named one, is reported.  A
+    # computed __all__ uses the names it reads and the names it spells out.
     assert _unused_imports(ast.parse(source), filename) == reported
 
 
@@ -397,24 +409,71 @@ def _named_outside(name, home):
     ]
 
 
-def test_path_between_has_no_production_caller():
-    # Every path the package walks comes off the parents of one Tree.bfs.
-    # path_between stays public: the package root re-exports it, and the
-    # benchmark tracer still wraps it.
-    assert _named_outside("path_between", "trees.py") == []
-    assert "path_between" in treespectra.__all__
-    assert "path_between" in _traced_table()["trees"]
+TRACED = "the benchmark's tracer wraps it"
+
+# The public functions that no package module names, each with the reason
+# it stays public.  A row goes once its reason does; the guard below fails
+# on a row whose name gained a caller or left the package.
+KEPT = {
+    "path_between": TRACED,
+    "rational_nullity": TRACED,
+    "multiplicity_exact": TRACED,
+    "free_trees": TRACED,
+    "prufer_count_oracle": TRACED,
+    "extremal_lambda_set": "it gives the lambda set without running in_gamma",
+    "single_vertex": "it is the only constructor of the order-1 tree",
+    "poly_mul": "the planned elimination in Q(lambda) multiplies polynomials with it",
+}
 
 
-def test_rational_nullity_has_no_production_caller():
+def _named_in_package(sources):
+    """Every name some source mentions outside the top-level def or class
+    of that name: Name and Attribute nodes and import aliases."""
+    named = set()
+    for path in sources:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            found = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    found.add(node.name)
+            named |= found - {getattr(stmt, "name", None)}
+    return named
+
+
+def _uncalled(public, sources):
+    """The functions among ``public`` (name -> object) that no source names."""
+    named = _named_in_package(sources)
+    return sorted(
+        name for name, obj in public.items() if inspect.isfunction(obj) and name not in named
+    )
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    public = {name: getattr(treespectra, name) for name in treespectra.__all__}
+    uncalled = _uncalled(public, sorted(PACKAGE.glob("*.py")))
+    assert [name for name in uncalled if name not in KEPT] == []
+    assert [name for name in KEPT if name not in uncalled] == []  # stale rows
+    traced = {name for names in _traced_table().values() for name in names}
+    assert [name for name, why in KEPT.items() if (why == TRACED) != (name in traced)] == []
     # certify and the catalog take m(T,1) from tree_inertia; the dense
-    # fraction-free elimination is the reference the tests compare it with.
-    # It stays public: the package root re-exports it, and the benchmark
-    # tracer still wraps it.
-    assert _named_outside("rational_nullity", "exact.py") == []
+    # fraction-free elimination is only the reference the tests compare with
     assert _named_outside("_bareiss_rank", "exact.py") == []
-    assert "rational_nullity" in treespectra.__all__
-    assert "rational_nullity" in _traced_table()["exact"]
+
+
+def test_uncalled_public_function_is_reported(tmp_path):
+    # a module that defines a public function and one that calls itself
+    # only: both are reported, and a call from another module clears one
+    (tmp_path / "a.py").write_text(
+        "def lonely():\n    return 1\n\n\ndef recursive(k):\n    return recursive(k - 1)\n"
+    )
+    public = {"lonely": lambda: 1, "recursive": lambda k: k, "CAP": 16}
+    assert _uncalled(public, [tmp_path / "a.py"]) == ["lonely", "recursive"]
+    (tmp_path / "b.py").write_text("from .a import lonely\n")
+    assert _uncalled(public, sorted(tmp_path.glob("*.py"))) == ["recursive"]
 
 
 def _readme_python_block():

@@ -7,7 +7,6 @@ from test_float_route import SETTINGS
 from treespectra import (
     Tree,
     canonical_relabel,
-    distance,
     free_trees,
     from_edge_list,
     parse_edge_list_text,
@@ -113,12 +112,14 @@ class TestClassifyVertices:
 class TestDistanceAndPaths:
     def test_distance(self):
         t = path(6)
-        assert distance(t, 1, 6) == 5
-        assert distance(t, 3, 3) == 0
+        assert t.bfs(1)[0][6] == 5
+        assert t.bfs(3)[0][3] == 0
 
     def test_distance_bad_label(self):
         with pytest.raises(LabelOutOfRange):
-            distance(path(3), 1, 9)
+            path(3).bfs(9)
+        with pytest.raises(LabelOutOfRange):
+            path(3).bfs(True)
 
     def test_path_between(self):
         t = star(3)
@@ -129,7 +130,7 @@ class TestDistanceAndPaths:
     @given(prufer_trees())
     def test_bfs_parents_step_toward_the_root(self, t):
         dist, parent = t.bfs(1)
-        assert dist == t.distance_row(1)
+        assert dist[1] == 0
         assert parent[1] == 1
         for v in range(2, t.n + 1):
             assert parent[v] in t.adjacency[v]
@@ -140,7 +141,7 @@ class TestDistanceAndPaths:
         for u in range(1, 6):
             for v in range(1, 6):
                 walk = path_between(t, u, v)
-                assert len(walk) - 1 == distance(t, u, v)
+                assert len(walk) - 1 == t.bfs(u)[0][v]
                 assert walk[0] == u and walk[-1] == v
 
 
