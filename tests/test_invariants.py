@@ -409,6 +409,26 @@ def _named_outside(name, home):
     ]
 
 
+def test_path_between_has_no_production_caller():
+    # Every path the package walks comes off the parents of one Tree.bfs.
+    # path_between stays public: the package root re-exports it, and the
+    # benchmark tracer still wraps it.
+    assert _named_outside("path_between", "trees.py") == []
+    assert "path_between" in treespectra.__all__
+    assert "path_between" in _traced_table()["trees"]
+
+
+def test_rational_nullity_has_no_production_caller():
+    # certify and the catalog take m(T,1) from tree_inertia; the dense
+    # fraction-free elimination is the reference the tests compare it with.
+    # It stays public: the package root re-exports it, and the benchmark
+    # tracer still wraps it.
+    assert _named_outside("rational_nullity", "exact.py") == []
+    assert _named_outside("_bareiss_rank", "exact.py") == []
+    assert "rational_nullity" in treespectra.__all__
+    assert "rational_nullity" in _traced_table()["exact"]
+
+
 TRACED = "the benchmark's tracer wraps it"
 
 # The public functions that no package module names, each with the reason
