@@ -12,25 +12,27 @@ import numpy as np
 from treespectra import (
     eigenbasis_extremal,
     from_edge_list,
+    laplacian,
     numeric_rank,
     residual_norm,
 )
 
 tree = from_edge_list([(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)])
 p = len(tree.pendants)
+lap = laplacian(tree)
 print(f"spider(2,2,2): {p} pendants, major at {tree.majors[0]}")
 print("pendant distances are all 4, so 5 | d+1 and q = 2 is admissible\n")
 
 for b in (0, 1):
     pairs, trace = eigenbasis_extremal(tree, q=2, b=b)
     lam = pairs[0].value
-    print(f"b = {b}: lambda = 2(1 - cos({trace.gamma} pi)) = {lam:.12f}")
+    print(f"b = {b}: lambda = 2(1 - cos({pairs[0].param.ratio} pi)) = {lam:.12f}")
     for step in trace.glue_steps:
         u, w = step.pendant_pair
         print(f"  peel: path {u}..{w} through major {step.anchor}, "
               f"recurse into {list(step.component)}")
     for i, pair in enumerate(pairs, 1):
-        res = residual_norm(tree, pair.value, pair.vector)
+        res = residual_norm(lap, pair.value, pair.vector)
         entries = " ".join(f"{x:+.4f}" for x in pair.vector)
         print(f"  v{i} = [{entries}]  residual {res:.2e}")
     rank = numeric_rank([pr.vector for pr in pairs])

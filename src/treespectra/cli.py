@@ -183,7 +183,7 @@ def cmd_eigenbasis(args) -> int:
         "residuals": [fmt_float(r) for r in basis.residuals],
         "vectors": [[fmt_float(x) for x in pair.vector] for pair in pairs],
         "trace": {
-            "gamma": str(trace.gamma),
+            "gamma": str(param.ratio),
             "path_records": [asdict(r) for r in trace.path_records],
             "glue_steps": [asdict(s) for s in trace.glue_steps],
         },

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .trees import Tree
 __all__ = [
     "EigenPair",
     "PathRecord",
-    "InternalZeroPath",
     "GlueStep",
     "ConstructionTrace",
     "path_eigenpair",
@@ -60,13 +58,6 @@ class PathRecord:
 
 
 @dataclass(frozen=True)
-class InternalZeroPath:
-    pair: EigenPair
-    zero_vertex: int
-    record: PathRecord
-
-
-@dataclass(frozen=True)
 class GlueStep:
     """One peel step of the basis construction, in original labels: the
     chosen pendant pair, the single major vertex on their path, and the
@@ -79,9 +70,6 @@ class GlueStep:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    q: int
-    b: int
-    gamma: Fraction
     path_records: tuple[PathRecord, ...]
     glue_steps: tuple[GlueStep, ...]
 
@@ -92,9 +80,9 @@ def path_eigenpair(n: int, j: int) -> EigenPair:
     Eigenvalue 2(1 - cos(pi j / n)) with entries cos((pi j / n)(v - 1/2)),
     v = 1..n.  Index 0 gives the all-ones kernel vector.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise IndexOutOfRange(f"path order must be a positive integer, got {n!r}")
-    if not isinstance(j, int) or not 0 <= j <= n - 1:
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= n - 1:
         raise IndexOutOfRange(f"eigenvalue index {j!r} not in 0..{n - 1}")
     angle = math.pi * j / n
     positions = np.arange(1, n + 1, dtype=float) - 0.5
@@ -102,14 +90,15 @@ def path_eigenpair(n: int, j: int) -> EigenPair:
     return EigenPair(value=2.0 * (1.0 - math.cos(angle)), vector=vector)
 
 
-def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroPath:
+def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> tuple[EigenPair, PathRecord]:
     """Eigenvector on the path with arms k1, k2 vanishing at the joint.
 
-    Needs k1 == k2 == q (mod 2q+1) and 0 <= b < q.  The vector is the
-    closed-form path eigenvector with index delta = (2b+1)(N1+N2+1); it is
-    zero exactly at positions whose doubled offset is divisible by the
-    reduced modulus, in particular at the joint vertex k1+1, and its first
-    entry cos(gamma pi/2) is nonzero.
+    Needs k1 == k2 == q (mod 2q+1) and 0 <= b < q.  Returns ``(pair,
+    record)``: the closed-form path eigenvector with index
+    delta = (2b+1)(N1+N2+1), and the arms, quotients and delta it used.
+    The vector is zero exactly at positions whose doubled offset is
+    divisible by the reduced modulus, in particular at the joint, vertex
+    k1+1 (index k1), and its first entry cos(gamma pi/2) is nonzero.
     """
     param = LambdaParam(q, b)
     modulus = 2 * q + 1
@@ -123,27 +112,22 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> InternalZeroP
     n = k1 + k2 + 1
     pair = path_eigenpair(n, delta)
     pair = EigenPair(value=pair.value, vector=pair.vector, param=param)
-    zero_vertex = k1 + 1
 
     # The closed form guarantees these; the checks catch integer slips.
-    if abs(pair.vector[zero_vertex - 1]) > ZERO_TOL:
+    if abs(pair.vector[k1]) > ZERO_TOL:
         raise InvariantViolated(
-            f"closed-form path vector is {pair.vector[zero_vertex - 1]!r}, not 0, "
-            f"at vertex {zero_vertex} (k1={k1}, k2={k2}, q={q}, b={b})"
+            f"closed-form path vector is {pair.vector[k1]!r}, not 0, "
+            f"at vertex {k1 + 1} (k1={k1}, k2={k2}, q={q}, b={b})"
         )
     if abs(pair.vector[0] - math.cos(param.ratio * math.pi / 2.0)) > 1e-12:
         raise InvariantViolated(
             f"closed-form path vector starts at {pair.vector[0]!r}, "
             f"not cos({param.ratio}*pi/2) (k1={k1}, k2={k2}, q={q}, b={b})"
         )
-    return InternalZeroPath(
-        pair=pair,
-        zero_vertex=zero_vertex,
-        record=PathRecord(k1=k1, k2=k2, n1=n1, n2=n2, delta=delta),
-    )
+    return pair, PathRecord(k1=k1, k2=k2, n1=n1, n2=n2, delta=delta)
 
 
-def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
+def _peel_basis(tree: Tree, q: int, b: int):
     # Peel one pendant leg per step until a bare path is left, on the input
     # tree's own labels: ``deg`` holds live degrees and a peeled vertex drops
     # to degree 0.  A leg runs from a pendant through live degree-2 vertices
@@ -171,6 +155,8 @@ def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
 
     anchors = []
     peeled = []
+    records = []
+    steps = []
     while len(legs) > 2:
         # The first pendant pair in label order whose path meets exactly one
         # major: two legs that end at the same major.
@@ -182,11 +168,11 @@ def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
         group, anchor = min(shared)
         u, w = group[:2]
         leg_u, leg_w = legs.pop(u), legs[w]
-        zero_path = path_internal_zero_vector(len(leg_u), len(leg_w), q, b)
-        records.append(zero_path.record)
+        pair, record = path_internal_zero_vector(len(leg_u), len(leg_w), q, b)
+        records.append(record)
 
         vec = np.zeros(n)
-        vec[[v - 1 for v in (*leg_u, anchor, *reversed(leg_w))]] = zero_path.pair.vector
+        vec[[v - 1 for v in (*leg_u, anchor, *reversed(leg_w))]] = pair.vector
         peeled.append(vec)
         anchors.append(anchor)
 
@@ -236,7 +222,7 @@ def _peel_basis(tree: Tree, q: int, b: int, records, steps) -> list[np.ndarray]:
                 f"deeper eigenvector is {float(deeper[bad[0]])!r}, not 0, at anchor {anchor}",
                 edges=tree.edges,
             )
-    return vectors
+    return vectors, records, steps
 
 
 def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
@@ -265,15 +251,6 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
                         f"need == {2 * q} (mod {modulus})"
                     )
 
-    records: list[PathRecord] = []
-    steps: list[GlueStep] = []
-    vectors = _peel_basis(tree, q, b, records, steps)
+    vectors, records, steps = _peel_basis(tree, q, b)
     pairs = [EigenPair(value=param.value, vector=v, param=param) for v in vectors]
-    trace = ConstructionTrace(
-        q=q,
-        b=b,
-        gamma=param.ratio,
-        path_records=tuple(records),
-        glue_steps=tuple(steps),
-    )
-    return pairs, trace
+    return pairs, ConstructionTrace(path_records=tuple(records), glue_steps=tuple(steps))

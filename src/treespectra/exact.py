@@ -54,9 +54,9 @@ class LambdaParam:
     ratio: Fraction = field(init=False, compare=True)
 
     def __post_init__(self):
-        if not (isinstance(self.q, int) and self.q >= 1):
+        if not (isinstance(self.q, int) and not isinstance(self.q, bool) and self.q >= 1):
             raise CongruenceViolated(f"q must be a positive integer, got {self.q!r}")
-        if not (isinstance(self.b, int) and 0 <= self.b < self.q):
+        if not (isinstance(self.b, int) and not isinstance(self.b, bool) and 0 <= self.b < self.q):
             raise CongruenceViolated(f"b must lie in [0, q), got b={self.b!r}, q={self.q}")
         object.__setattr__(self, "ratio", Fraction(2 * self.b + 1, 2 * self.q + 1))
 

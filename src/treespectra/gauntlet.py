@@ -275,8 +275,8 @@ def certify_basis(tree: Tree, q: int, b: int = 0) -> BasisCertificate:
     """
     pairs, trace = construct.eigenbasis_extremal(tree, q, b)
     lap = np.array(exact.laplacian(tree), dtype=float)
-    residuals = tuple(numeric.residual_norm(tree, pr.value, pr.vector, lap=lap) for pr in pairs)
-    rank = numeric.numeric_rank([pr.vector for pr in pairs], tol=1e-8)
+    residuals = tuple(numeric.residual_norm(lap, pr.value, pr.vector) for pr in pairs)
+    rank = numeric.numeric_rank([pr.vector for pr in pairs])
     if rank != len(pairs):
         raise _disagreement(tree, f"eigenbasis rank is {rank}, not p-1={len(pairs)}")
     worst = max(residuals)

@@ -1,12 +1,11 @@
 """Floating-point spectral routines, independent of exact arithmetic.
 
 Eigenvalues come from LAPACK's symmetric eigensolver and ranks from its
-singular value decomposition, both reached through numpy.  The one piece
-the numeric route shares with the exact one is the Laplacian itself:
-``exact.laplacian`` builds the integer matrix that ``certify`` hands to
-LAPACK, and that ``residual_norm`` builds when no ``lap`` is passed.  The
-two routes are compared against each other in ``gauntlet`` and the test
-suite.  Vectors are indexed by ``label - 1`` throughout.
+singular value decomposition, both reached through numpy.  Every function
+here takes a matrix or vectors, never a tree: ``gauntlet`` builds the one
+Laplacian that both the exact and the float route read, and compares the
+two routes there and in the test suite.  Vectors are indexed by
+``label - 1`` throughout.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NonFinite, NonSymmetric, ZeroVector
-from .exact import laplacian
-from .trees import Tree
 
 __all__ = [
     "Spectrum",
@@ -88,26 +85,24 @@ def cluster_multiplicity(spectrum: Spectrum, value: float) -> int:
     return 0
 
 
-def residual_norm(tree: Tree, lam: float, vector, *, lap: np.ndarray | None = None) -> float:
-    """max-norm of L*x - lam*x, scaled by the max-norm of x.
+def residual_norm(matrix, lam: float, vector) -> float:
+    """max-norm of M*x - lam*x, scaled by the max-norm of x.
 
-    ``lap`` is the tree's Laplacian as a float array, for callers that
-    check many vectors of one tree; it is built from ``tree`` otherwise.
+    A float array is used as it is, so a caller that checks many vectors
+    against one matrix converts it once.  Raises ZeroVector for x = 0.
     """
     x = np.asarray(vector, dtype=float)
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     if scale == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
-    if lap is None:
-        lap = np.array(laplacian(tree), dtype=float)
-    res = lap @ x - lam * x
+    res = np.asarray(matrix, dtype=float) @ x - lam * x
     return float(np.max(np.abs(res)) / scale)
 
 
-def numeric_rank(vectors, tol: float = 1e-10) -> int:
+def numeric_rank(vectors) -> int:
     """Numerical rank of a family of vectors (rows), from LAPACK's singular values.
 
-    Counts the singular values above ``tol`` times the largest vector norm.
+    Counts the singular values above 1e-8 times the largest vector norm.
     Raises EmptyInput for an empty family and NonFinite for NaN or infinite
     entries.
     """
@@ -120,4 +115,4 @@ def numeric_rank(vectors, tol: float = 1e-10) -> int:
     ref = float(np.max(np.linalg.norm(v, axis=1)))
     if ref == 0.0:
         return 0
-    return int(np.count_nonzero(np.linalg.svd(v, compute_uv=False) > tol * ref))
+    return int(np.count_nonzero(np.linalg.svd(v, compute_uv=False) > 1e-8 * ref))

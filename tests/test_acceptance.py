@@ -135,6 +135,7 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
                 continue
             p = len(tree.pendants)
             trees_checked += 1
+            lap = laplacian(tree)
             major_rows = [tree.bfs(m)[0] for m in tree.majors]
             for q in cert.q_list:
                 modulus = 2 * q + 1
@@ -148,10 +149,10 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
                     pairs, trace = eigenbasis_extremal(tree, q, b)
                     assert len(pairs) == p - 1
                     for pair in pairs:
-                        assert residual_norm(tree, pair.value, pair.vector) <= 1e-10
+                        assert residual_norm(lap, pair.value, pair.vector) <= 1e-10
                         for v in forced:
                             assert abs(pair.vector[v - 1]) <= 1e-10
-                    assert numeric_rank([pr.vector for pr in pairs], tol=1e-8) == p - 1
+                    assert numeric_rank([pr.vector for pr in pairs]) == p - 1
                     bases_checked += 1
     assert trees_checked > 0 and bases_checked >= trees_checked
     print(
@@ -193,12 +194,12 @@ def test_criterion_6_path_spectra():
     # closed-form path eigenpairs vs an independent dense solver, n <= 64:
     # eigenvalues to 1e-9, eigen-equation residual below 1e-12
     for n in range(2, 65):
-        tree = path(n)
-        oracle = np.linalg.eigvalsh(np.array(laplacian(tree), dtype=float))
+        lap = np.array(laplacian(path(n)), dtype=float)
+        oracle = np.linalg.eigvalsh(lap)
         for j in range(n):
             pair = path_eigenpair(n, j)
             assert abs(pair.value - oracle[j]) <= 1e-9
-            assert residual_norm(tree, pair.value, pair.vector) < 1e-12
+            assert residual_norm(lap, pair.value, pair.vector) < 1e-12
     print(
         "\nPASS criterion 6: closed-form path spectra match the dense "
         "solver for all orders 2..64 (1e-9) with residuals < 1e-12"

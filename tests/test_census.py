@@ -769,7 +769,7 @@ class TestCertifyBasis:
         basis = gauntlet.certify_basis(spider(1, 1, 4), 1)
         assert basis.rank == len(basis.pairs) == len(basis.residuals) == 2
         assert all(r <= 1e-10 for r in basis.residuals)
-        assert basis.trace.q == 1 and basis.trace.b == 0
+        assert all((pr.param.q, pr.param.b) == (1, 0) for pr in basis.pairs)
 
     @pytest.mark.parametrize(
         "spoil, message",
@@ -781,7 +781,12 @@ class TestCertifyBasis:
     )
     def test_failed_basis_raises(self, monkeypatch, spoil, message):
         real = construct._peel_basis
-        monkeypatch.setattr(construct, "_peel_basis", lambda *args: spoil(real(*args)))
+
+        def spoiled(*args):
+            vectors, records, steps = real(*args)
+            return spoil(vectors), records, steps
+
+        monkeypatch.setattr(construct, "_peel_basis", spoiled)
         tree = spider(1, 1, 4)
         with pytest.raises(OracleDisagreement) as info:
             gauntlet.certify_basis(tree, 1)

@@ -93,9 +93,9 @@ REPORTS = Path(__file__).parent / "data" / "reports"
 @pytest.mark.parametrize("name", sorted(path.stem for path in REPORTS.glob("*.edges")))
 def test_check_reports_match_committed_outputs(name, capsys):
     # tests/data/reports holds `check --text` and the `check` JSON of six
-    # small trees, one per verdict class, and of spider(7,7,7), whose
+    # small trees, one per verdict class, of spider(7,7,7), whose
     # composite modulus 15 gives seven lambda rows over three minimal
-    # polynomials.  The JSON leaves out `spectrum`,
+    # polynomials, and of the two-major double broom.  The JSON leaves out `spectrum`,
     # whose digits come from LAPACK and can differ across platforms, and
     # `timing_seconds`; every other field is promised byte-stable.
     edges = str(REPORTS / f"{name}.edges")
@@ -105,6 +105,32 @@ def test_check_reports_match_committed_outputs(name, capsys):
     report = json.loads(capsys.readouterr().out)
     del report["timing_seconds"], report["payload"]["spectrum"]
     assert dumps_report(report) == (REPORTS / f"{name}.check.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, q, b",
+    [
+        ("spider114", 1, 0),
+        ("spider222", 2, 0),
+        ("spider222", 2, 1),
+        ("spider777", 1, 0),
+        ("spider777", 2, 0),
+        ("spider777", 7, 0),
+        ("star4", 1, 0),
+        ("doublebroom22", 1, 0),
+    ],
+)
+def test_eigenbasis_reports_match_committed_outputs(name, q, b, capsys):
+    # The `eigenbasis` JSON of committed trees, its trace block included.
+    # In doublebroom22 the second glue step runs a leg on through a major.
+    # The JSON leaves out `vectors` and `residuals`, whose digits come from
+    # libm and BLAS, and `timing_seconds`.
+    edges = str(REPORTS / f"{name}.edges")
+    assert main(["eigenbasis", edges, "--q", str(q), "--b", str(b)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["timing_seconds"], report["payload"]["vectors"], report["payload"]["residuals"]
+    expected = (REPORTS / f"{name}.eigenbasis-q{q}-b{b}.json").read_text()
+    assert dumps_report(report) == expected
 
 
 def test_oracles_block_repeats_the_agreed_values():
@@ -262,7 +288,12 @@ class TestEigenbasis:
     )
     def test_failed_certificate_is_3(self, tmp_path, capsys, monkeypatch, spoil, quantity):
         real = construct._peel_basis
-        monkeypatch.setattr(construct, "_peel_basis", lambda *args: spoil(real(*args)))
+
+        def spoiled(*args):
+            vectors, records, steps = real(*args)
+            return spoil(vectors), records, steps
+
+        monkeypatch.setattr(construct, "_peel_basis", spoiled)
         assert main(["eigenbasis", write(tmp_path, "t.txt", SPIDER114), "--q", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

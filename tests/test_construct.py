@@ -10,6 +10,7 @@ from treespectra import (
     construct,
     eigenbasis_extremal,
     from_edge_list,
+    laplacian,
     numeric_rank,
     path_eigenpair,
     path_internal_zero_vector,
@@ -48,7 +49,7 @@ class TestPathEigenpair:
             t = path(n)
             for j in range(n):
                 pair = path_eigenpair(n, j)
-                assert residual_norm(t, pair.value, pair.vector) < 1e-12
+                assert residual_norm(laplacian(t), pair.value, pair.vector) < 1e-12
 
     def test_index_validation(self):
         with pytest.raises(IndexOutOfRange):
@@ -57,33 +58,37 @@ class TestPathEigenpair:
             path_eigenpair(3, -1)
         with pytest.raises(IndexOutOfRange):
             path_eigenpair(0, 0)
+        # bool is an int subclass; True would pass as the path of order 1
+        with pytest.raises(IndexOutOfRange):
+            path_eigenpair(True, 0)
+        with pytest.raises(IndexOutOfRange):
+            path_eigenpair(3, True)
 
 
 class TestInternalZeroVector:
     def test_arms_1_and_4(self):
-        izp = path_internal_zero_vector(1, 4, q=1, b=0)
-        assert izp.zero_vertex == 2
-        r = izp.record
+        pair, r = path_internal_zero_vector(1, 4, q=1, b=0)
+        assert abs(pair.vector[1]) < 1e-14  # the joint, vertex k1 + 1
         assert (r.k1, r.k2, r.n1, r.n2, r.delta) == (1, 4, 0, 1, 2)
-        assert izp.pair.value == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(izp.pair.vector, [S3, 0, -S3, -S3, 0, S3], atol=1e-12)
+        assert pair.value == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(pair.vector, [S3, 0, -S3, -S3, 0, S3], atol=1e-12)
 
     def test_symmetric_arms_q2(self):
-        izp = path_internal_zero_vector(2, 2, q=2, b=0)
-        assert izp.zero_vertex == 3
-        assert izp.record.delta == 1
-        assert izp.pair.value == pytest.approx(2 * (1 - math.cos(math.pi / 5)), abs=1e-15)
-        assert abs(izp.pair.vector[2]) < 1e-14
+        pair, record = path_internal_zero_vector(2, 2, q=2, b=0)
+        assert record.delta == 1
+        assert pair.value == pytest.approx(2 * (1 - math.cos(math.pi / 5)), abs=1e-15)
+        assert abs(pair.vector[2]) < 1e-14  # the joint, vertex k1 + 1
 
     def test_minimal_case(self):
-        izp = path_internal_zero_vector(1, 1, q=1, b=0)
-        assert np.allclose(izp.pair.vector, [S3, 0, -S3], atol=1e-14)
+        pair, _ = path_internal_zero_vector(1, 1, q=1, b=0)
+        assert np.allclose(pair.vector, [S3, 0, -S3], atol=1e-14)
 
     def test_first_entry_nonzero(self):
         for q in (1, 2, 3):
             for b in range(q):
-                izp = path_internal_zero_vector(q, q + (2 * q + 1), q, b)
-                assert abs(izp.pair.vector[0]) > 0.01
+                pair, _ = path_internal_zero_vector(q, q + (2 * q + 1), q, b)
+                assert abs(pair.vector[0]) > 0.01
+                assert abs(pair.vector[q]) < 1e-12  # the joint, vertex k1 + 1
 
     def test_rejects_bad_arms(self):
         with pytest.raises(CongruenceViolated):
@@ -102,10 +107,10 @@ class TestEigenbasisExtremal:
         assert numeric_rank([p.vector for p in pairs]) == 2
         for p in pairs:
             assert p.value == pytest.approx(1.0, abs=1e-15)
-            assert residual_norm(t, p.value, p.vector) < 1e-10
+            assert residual_norm(laplacian(t), p.value, p.vector) < 1e-10
             assert abs(p.vector[0]) < 1e-12  # center
-        assert trace.q == 1 and trace.b == 0
-        assert trace.gamma == Fraction(1, 3)
+            assert (p.param.q, p.param.b) == (1, 0)
+            assert p.param.ratio == Fraction(1, 3)
         step, = trace.glue_steps
         assert step.pendant_pair == (2, 3)
         assert step.anchor == 1
@@ -140,7 +145,7 @@ class TestEigenbasisExtremal:
         # share a major; the peel must fail as an invariant, not crash
         graph = trees._build(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
         with pytest.raises(InvariantViolated, match="no pendant pair with a single major") as info:
-            construct._peel_basis(graph, 1, 0, [], [])
+            construct._peel_basis(graph, 1, 0)
         assert info.value.edges == graph.edges
 
     def test_spider222_both_indices(self):
@@ -152,7 +157,7 @@ class TestEigenbasisExtremal:
             assert numeric_rank([p.vector for p in pairs]) == 2
             for p in pairs:
                 assert p.value == pytest.approx(lam, abs=1e-14)
-                assert residual_norm(t, p.value, p.vector) < 1e-10
+                assert residual_norm(laplacian(t), p.value, p.vector) < 1e-10
 
     def test_zeros_at_majors_and_congruent_vertices(self):
         t = spider(1, 1, 4)
@@ -179,10 +184,12 @@ class TestEigenbasisExtremal:
         assert len(pairs) == 3
         assert numeric_rank([p.vector for p in pairs]) == 3
         for p in pairs:
-            assert residual_norm(t, p.value, p.vector) < 1e-10
+            assert residual_norm(laplacian(t), p.value, p.vector) < 1e-10
         # peeling leg 1-2 drops major 2 to degree 2, so the leg of pendant 3
         # runs on through 2, 4 and 5 to major 6 in the second step
-        assert (trace.q, trace.b, trace.gamma) == (1, 0, Fraction(1, 3))
+        param = pairs[0].param
+        assert (param.q, param.b, param.ratio) == (1, 0, Fraction(1, 3))
+        assert all(p.param is param for p in pairs)
         assert trace.path_records == (
             construct.PathRecord(k1=1, k2=1, n1=0, n2=0, delta=1),
             construct.PathRecord(k1=4, k2=1, n1=1, n2=0, delta=2),
@@ -203,6 +210,8 @@ class TestEigenbasisExtremal:
             eigenbasis_extremal(star(3), q=0)
         with pytest.raises(CongruenceViolated):
             eigenbasis_extremal(star(3), q=1, b=1)
+        with pytest.raises(CongruenceViolated):
+            eigenbasis_extremal(star(3), q=True)
 
     def test_rejects_paths(self):
         with pytest.raises(NoMajorVertex):

@@ -45,8 +45,12 @@ class TestLambdaParam:
         with pytest.raises(ValueError):
             LambdaParam(2, 2)
 
-    @pytest.mark.parametrize("q, b", [(1.5, 0), (2, 0.5), (2.0, 0), ("2", 0), (2, None)])
+    @pytest.mark.parametrize(
+        "q, b",
+        [(1.5, 0), (2, 0.5), (2.0, 0), ("2", 0), (2, None), (True, False), (True, 0), (2, False)],
+    )
     def test_non_integer_parameters_rejected(self, q, b):
+        # bool is an int subclass, and JSON's true reads back as True
         with pytest.raises(CongruenceViolated):
             LambdaParam(q, b)
 

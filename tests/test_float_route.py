@@ -188,7 +188,7 @@ def test_eigenbasis_on_extremal_trees_past_order_12(case, data):
         assert len(pairs) == p - 1
         assert numeric_rank([pair.vector for pair in pairs]) == p - 1
         for pair in pairs:
-            assert residual_norm(tree, pair.value, pair.vector, lap=lap) <= 1e-10
+            assert residual_norm(lap, pair.value, pair.vector) <= 1e-10
 
     component = tuple(range(1, tree.n + 1))
     for step in trace.glue_steps:

@@ -5,7 +5,9 @@ An ``assert`` vanishes under ``python -O``; every invariant check raises
 The package sources also carry no unused imports; no linter is installed,
 so an AST walk checks it.  Each module's ``__all__`` lists only names it
 defines, and the package root exports each of them once, as the same
-object, and no module is named like one of them.  Other AST walks check
+object, and no module is named like one of them.  ``LAYERS`` names the
+package modules each source may import, and the sources import nothing
+else but the standard library and numpy.  Other AST walks check
 that only ``gauntlet`` compares routes, and reaches them through their
 modules, where the benchmark's tracer wraps them; that the brute-force
 census and the Gamma witness check name nothing of what they check; and
@@ -248,33 +250,96 @@ def _imports(path):
     return out
 
 
+# The package modules each source may import from.  None lets it take any
+# name; a set names the only names it may take, so ``from . import x``, which
+# takes module x whole, breaks that rule.  classify decides from the tree
+# alone and takes only LambdaParam from exact; numeric reads matrices, never
+# trees, and stays independent of the exact route; census only generates and
+# catalogs, and the CLI only parses and serializes, so neither imports a
+# route or a decider.
+LAYERS = {
+    "__init__": dict.fromkeys(
+        ["trees", "exact", "numeric", "construct", "classify", "gauntlet", "census", "errors"]
+    ),
+    "__main__": {"cli": None},
+    "errors": {},
+    "trees": {"errors": None},
+    "exact": {"errors": None, "trees": None},
+    "numeric": {"errors": None},
+    "classify": {"errors": None, "exact": {"LambdaParam"}, "trees": None},
+    "construct": {"classify": None, "errors": None, "exact": None, "trees": None},
+    "gauntlet": dict.fromkeys(["classify", "construct", "errors", "exact", "numeric", "trees"]),
+    "census": {"errors": None, "gauntlet": None, "trees": None},
+    "cli": {
+        "__init__": {"__version__"},
+        "census": None,
+        "errors": None,
+        "gauntlet": None,
+        "trees": None,
+    },
+}
+
+
+def _layering_offenders(path, allowed):
+    """The package imports of a source that its row ``allowed`` of LAYERS
+    does not permit.  ``from . import x`` imports module x whole when x is a
+    package module, and the name x of the package root otherwise."""
+    taken = []
+    for module, names in _imports(path):
+        if module == ".":
+            taken += [
+                (name, None) if (PACKAGE / f"{name}.py").is_file() else ("__init__", name)
+                for name in names
+            ]
+        elif module.startswith("."):
+            taken += [(module[1:], name) for name in names]
+    return [
+        f"{path.name}: {name or 'all'} from {module}"
+        for module, name in taken
+        if module not in allowed or allowed[module] is not None and name not in allowed[module]
+    ]
+
+
+def test_each_module_imports_only_its_layers():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sorted(LAYERS) == sorted(path.stem for path in sources)
+    assert [line for path in sources for line in _layering_offenders(path, LAYERS[path.stem])] == []
+
+
+def test_layering_reports_a_forbidden_import(tmp_path):
+    # numeric once took the Laplacian from exact; classify may take
+    # LambdaParam from exact, but neither another name nor the whole module
+    source = tmp_path / "numeric.py"
+    source.write_text("from .exact import laplacian\nfrom . import errors, exact\n")
+    assert _layering_offenders(source, LAYERS["numeric"]) == [
+        "numeric.py: laplacian from exact",
+        "numeric.py: all from exact",
+    ]
+    source = tmp_path / "classify.py"
+    source.write_text("from .exact import LambdaParam, laplacian\nfrom . import exact\n")
+    assert _layering_offenders(source, LAYERS["classify"]) == [
+        "classify.py: laplacian from exact",
+        "classify.py: all from exact",
+    ]
+
+
+def test_runtime_imports_are_the_standard_library_and_numpy():
+    # pyproject.toml depends on numpy alone, and the package never imports
+    # its tests; the CLI, which only parses and serializes, imports no numpy
+    offenders = [
+        f"{path.name}: {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, _ in _imports(path)
+        if not module.startswith(".")
+        and module.split(".")[0] not in sys.stdlib_module_names
+        and (module.split(".")[0] != "numpy" or path.stem == "cli")
+    ]
+    assert offenders == []
+
+
 def test_route_comparisons_live_in_gauntlet():
-    # classify decides from the tree alone, the CLI only serializes, census
-    # only generates and catalogs, and every OracleDisagreement (not its
-    # InvariantViolated subclass) is built once, where the routes are compared
-    classify_from_exact = [
-        names for module, names in _imports(PACKAGE / "classify.py") if module == ".exact"
-    ]
-    assert classify_from_exact == [["LambdaParam"]]
-
-    routes = {".exact", ".numeric", ".construct"}
-    cli_imports = [
-        (module, names)
-        for module, names in _imports(PACKAGE / "cli.py")
-        if module in routes
-        or module.split(".")[0] == "numpy"
-        or (module == "." and routes & {f".{name}" for name in names})
-    ]
-    assert cli_imports == []
-
-    deciders = routes | {".classify"}
-    census_imports = [
-        (module, names)
-        for module, names in _imports(PACKAGE / "census.py")
-        if module in deciders or (module == "." and deciders & {f".{name}" for name in names})
-    ]
-    assert census_imports == []
-
+    # every OracleDisagreement (not its InvariantViolated subclass) is built
+    # once, where the routes are compared
     raisers = [
         path.name
         for path in PACKAGE.glob("*.py")
