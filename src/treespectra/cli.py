@@ -170,22 +170,20 @@ def cmd_eigenbasis(args) -> int:
     started = time.perf_counter()
     tree = canonical_relabel(_load_tree(args.input))
     basis = gauntlet.certify_basis(tree, args.q, args.b)
-    pairs, trace = basis.pairs, basis.trace
-    param = pairs[0].param
-
+    ratio = str(basis.param.ratio)
     payload = {
         "q": args.q,
         "b": args.b,
-        "ratio": str(param.ratio),
-        "lambda": fmt_float(param.value),
-        "count": len(pairs),
+        "ratio": ratio,
+        "lambda": fmt_float(basis.param.value),
+        "count": len(basis.vectors),
         "rank": basis.rank,
         "residuals": [fmt_float(r) for r in basis.residuals],
-        "vectors": [[fmt_float(x) for x in pair.vector] for pair in pairs],
+        "vectors": [[fmt_float(x) for x in vector] for vector in basis.vectors],
         "trace": {
-            "gamma": str(param.ratio),
-            "path_records": [asdict(r) for r in trace.path_records],
-            "glue_steps": [asdict(s) for s in trace.glue_steps],
+            "gamma": ratio,
+            "path_records": [asdict(r) for r in basis.path_records],
+            "glue_steps": [asdict(s) for s in basis.glue_steps],
         },
     }
 
@@ -193,8 +191,8 @@ def cmd_eigenbasis(args) -> int:
         with open(args.out, "w") as fh:
             labels = ",".join(f"v{i}" for i in range(1, tree.n + 1))
             fh.write(f"vector,{labels}\n")
-            for idx, pair in enumerate(pairs, start=1):
-                fh.write(f"{idx}," + ",".join(fmt_float(x) for x in pair.vector) + "\n")
+            for idx, vector in enumerate(basis.vectors, start=1):
+                fh.write(f"{idx}," + ",".join(fmt_float(x) for x in vector) + "\n")
         payload["out"] = args.out
 
     envelope = _envelope("eigenbasis", {"q": args.q, "b": args.b}, tree, payload, started)

@@ -26,7 +26,6 @@ __all__ = [
     "EigenPair",
     "PathRecord",
     "GlueStep",
-    "ConstructionTrace",
     "path_eigenpair",
     "path_internal_zero_vector",
     "eigenbasis_extremal",
@@ -41,7 +40,6 @@ class EigenPair:
 
     value: float
     vector: np.ndarray
-    param: LambdaParam | None = None
 
 
 @dataclass(frozen=True)
@@ -66,12 +64,6 @@ class GlueStep:
     pendant_pair: tuple[int, int]
     anchor: int
     component: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ConstructionTrace:
-    path_records: tuple[PathRecord, ...]
-    glue_steps: tuple[GlueStep, ...]
 
 
 def path_eigenpair(n: int, j: int) -> EigenPair:
@@ -111,7 +103,6 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> tuple[EigenPa
     delta = (2 * b + 1) * (n1 + n2 + 1)
     n = k1 + k2 + 1
     pair = path_eigenpair(n, delta)
-    pair = EigenPair(value=pair.value, vector=pair.vector, param=param)
 
     # The closed form guarantees these; the checks catch integer slips.
     if abs(pair.vector[k1]) > ZERO_TOL:
@@ -229,10 +220,12 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     """p-1 independent eigenvectors for one extremal eigenvalue.
 
     Requires a major vertex and every pendant pair at distance == 2q
-    (mod 2q+1).  Returns ``(pairs, trace)`` where each pair carries the
-    eigenvalue 2(1 - cos((2b+1)pi/(2q+1))) and the trace records the peel
-    order.  All vectors vanish at every major vertex, and more generally at
-    every vertex whose distance to some major is divisible by 2q+1.
+    (mod 2q+1).  Returns ``(param, vectors, path_records, glue_steps)``:
+    the eigenvalue 2(1 - cos((2b+1)pi/(2q+1))) as a LambdaParam, its p-1
+    eigenvectors deepest first, and one path record and glue step per peel
+    step, in peel order.  All vectors vanish at every major vertex, and
+    more generally at every vertex whose distance to some major is
+    divisible by 2q+1.
     """
     param = LambdaParam(q, b)
     if not tree.majors:
@@ -252,5 +245,4 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
                     )
 
     vectors, records, steps = _peel_basis(tree, q, b)
-    pairs = [EigenPair(value=param.value, vector=v, param=param) for v in vectors]
-    return pairs, ConstructionTrace(path_records=tuple(records), glue_steps=tuple(steps))
+    return param, tuple(vectors), tuple(records), tuple(steps)

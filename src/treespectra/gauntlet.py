@@ -255,13 +255,16 @@ _RESIDUAL_MAX = 1e-10
 class BasisCertificate:
     """An explicit eigenbasis after its rank and residuals passed.
 
-    ``pairs`` and ``trace`` are what :func:`eigenbasis_extremal` built;
-    ``residuals`` holds each vector's scaled residual, in the same order,
-    and ``rank`` the numeric rank of the vectors, which equals p-1.
+    ``param``, ``vectors``, ``path_records`` and ``glue_steps`` are what
+    :func:`eigenbasis_extremal` built; ``residuals`` holds each vector's
+    scaled residual, in the same order, and ``rank`` the numeric rank of
+    the vectors, which equals p-1.
     """
 
-    pairs: tuple[construct.EigenPair, ...]
-    trace: construct.ConstructionTrace
+    param: exact.LambdaParam
+    vectors: tuple[np.ndarray, ...]
+    path_records: tuple[construct.PathRecord, ...]
+    glue_steps: tuple[construct.GlueStep, ...]
     residuals: tuple[float, ...]
     rank: int
 
@@ -273,15 +276,15 @@ def certify_basis(tree: Tree, q: int, b: int = 0) -> BasisCertificate:
     within 1e-10 of the vector's max-norm, measured on the float Laplacian;
     either failure raises OracleDisagreement with the tree's edges.
     """
-    pairs, trace = construct.eigenbasis_extremal(tree, q, b)
+    param, vectors, records, steps = construct.eigenbasis_extremal(tree, q, b)
     lap = np.array(exact.laplacian(tree), dtype=float)
-    residuals = tuple(numeric.residual_norm(lap, pr.value, pr.vector) for pr in pairs)
-    rank = numeric.numeric_rank([pr.vector for pr in pairs])
-    if rank != len(pairs):
-        raise _disagreement(tree, f"eigenbasis rank is {rank}, not p-1={len(pairs)}")
+    residuals = tuple(numeric.residual_norm(lap, param.value, x) for x in vectors)
+    rank = numeric.numeric_rank(vectors)
+    if rank != len(vectors):
+        raise _disagreement(tree, f"eigenbasis rank is {rank}, not p-1={len(vectors)}")
     worst = max(residuals)
     if worst > _RESIDUAL_MAX:
         raise _disagreement(
             tree, f"eigenbasis residual is {worst:.15g}, above {_RESIDUAL_MAX:.15g}"
         )
-    return BasisCertificate(pairs=tuple(pairs), trace=trace, residuals=residuals, rank=rank)
+    return BasisCertificate(param, vectors, records, steps, residuals, rank)

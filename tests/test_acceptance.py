@@ -146,13 +146,13 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
                 ]
                 assert set(tree.majors) <= set(forced)
                 for b in range(q):
-                    pairs, trace = eigenbasis_extremal(tree, q, b)
-                    assert len(pairs) == p - 1
-                    for pair in pairs:
-                        assert residual_norm(lap, pair.value, pair.vector) <= 1e-10
+                    param, vectors, _, _ = eigenbasis_extremal(tree, q, b)
+                    assert len(vectors) == p - 1
+                    for x in vectors:
+                        assert residual_norm(lap, param.value, x) <= 1e-10
                         for v in forced:
-                            assert abs(pair.vector[v - 1]) <= 1e-10
-                    assert numeric_rank([pr.vector for pr in pairs]) == p - 1
+                            assert abs(x[v - 1]) <= 1e-10
+                    assert numeric_rank(vectors) == p - 1
                     bases_checked += 1
     assert trees_checked > 0 and bases_checked >= trees_checked
     print(

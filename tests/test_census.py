@@ -767,9 +767,9 @@ class TestCertifyBasis:
     def test_spider_basis(self):
         # legs 1, 1, 4 are all = 1 (mod 3): q = 1, p - 1 = 2 vectors
         basis = gauntlet.certify_basis(spider(1, 1, 4), 1)
-        assert basis.rank == len(basis.pairs) == len(basis.residuals) == 2
+        assert basis.rank == len(basis.vectors) == len(basis.residuals) == 2
         assert all(r <= 1e-10 for r in basis.residuals)
-        assert all((pr.param.q, pr.param.b) == (1, 0) for pr in basis.pairs)
+        assert (basis.param.q, basis.param.b) == (1, 0)
 
     @pytest.mark.parametrize(
         "spoil, message",

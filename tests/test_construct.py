@@ -102,29 +102,29 @@ class TestInternalZeroVector:
 class TestEigenbasisExtremal:
     def test_star_basis(self):
         t = star(3)
-        pairs, trace = eigenbasis_extremal(t, q=1)
-        assert len(pairs) == 2
-        assert numeric_rank([p.vector for p in pairs]) == 2
-        for p in pairs:
-            assert p.value == pytest.approx(1.0, abs=1e-15)
-            assert residual_norm(laplacian(t), p.value, p.vector) < 1e-10
-            assert abs(p.vector[0]) < 1e-12  # center
-            assert (p.param.q, p.param.b) == (1, 0)
-            assert p.param.ratio == Fraction(1, 3)
-        step, = trace.glue_steps
+        param, vectors, _, glue_steps = eigenbasis_extremal(t, q=1)
+        assert len(vectors) == 2
+        assert numeric_rank(vectors) == 2
+        assert param.value == pytest.approx(1.0, abs=1e-15)
+        assert (param.q, param.b) == (1, 0)
+        assert param.ratio == Fraction(1, 3)
+        for x in vectors:
+            assert residual_norm(laplacian(t), param.value, x) < 1e-10
+            assert abs(x[0]) < 1e-12  # center
+        step, = glue_steps
         assert step.pendant_pair == (2, 3)
         assert step.anchor == 1
         assert step.component == (1, 3, 4)
         # deepest first: the bare path 3-1-4, then the peeled path 2-1-3
-        assert pairs[0].vector[1] == 0.0 and pairs[0].vector[3] != 0.0
-        assert pairs[1].vector[3] == 0.0 and pairs[1].vector[1] != 0.0
+        assert vectors[0][1] == 0.0 and vectors[0][3] != 0.0
+        assert vectors[1][3] == 0.0 and vectors[1][1] != 0.0
 
     def test_star_of_1200_leaves(self):
         # one peel step per leaf, far past the interpreter's recursion limit
-        pairs, trace = eigenbasis_extremal(star(1200), q=1)
-        assert len(pairs) == 1199
-        assert len(trace.glue_steps) == 1198
-        assert all(abs(p.vector[0]) < 1e-10 for p in pairs)
+        _, vectors, _, glue_steps = eigenbasis_extremal(star(1200), q=1)
+        assert len(vectors) == 1199
+        assert len(glue_steps) == 1198
+        assert all(abs(x[0]) < 1e-10 for x in vectors)
 
     def test_deeper_vector_off_zero_at_anchor_raises(self, monkeypatch):
         # spider(1,1,4) peels the leg 2-1 at anchor 1 and leaves the bare
@@ -152,16 +152,16 @@ class TestEigenbasisExtremal:
         t = spider(2, 2, 2)
         for b, lam in ((0, 2 * (1 - math.cos(math.pi / 5))),
                        (1, 2 * (1 - math.cos(3 * math.pi / 5)))):
-            pairs, trace = eigenbasis_extremal(t, q=2, b=b)
-            assert len(pairs) == 2
-            assert numeric_rank([p.vector for p in pairs]) == 2
-            for p in pairs:
-                assert p.value == pytest.approx(lam, abs=1e-14)
-                assert residual_norm(laplacian(t), p.value, p.vector) < 1e-10
+            param, vectors, _, _ = eigenbasis_extremal(t, q=2, b=b)
+            assert len(vectors) == 2
+            assert numeric_rank(vectors) == 2
+            assert param.value == pytest.approx(lam, abs=1e-14)
+            for x in vectors:
+                assert residual_norm(laplacian(t), param.value, x) < 1e-10
 
     def test_zeros_at_majors_and_congruent_vertices(self):
         t = spider(1, 1, 4)
-        pairs, _ = eigenbasis_extremal(t, q=1)
+        _, vectors, _, _ = eigenbasis_extremal(t, q=1)
         major_rows = [t.bfs(m)[0] for m in t.majors]
         forced = {
             v
@@ -170,9 +170,9 @@ class TestEigenbasisExtremal:
             if row[v] % 3 == 0
         }
         assert forced == {1, 6}
-        for p in pairs:
+        for x in vectors:
             for v in forced:
-                assert abs(p.vector[v - 1]) < 1e-10
+                assert abs(x[v - 1]) < 1e-10
 
     def test_two_major_tree(self):
         # legs (1,1) at each end of a 3-edge path between the majors; after
@@ -180,25 +180,23 @@ class TestEigenbasisExtremal:
         t = from_edge_list(
             [(1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8)]
         )
-        pairs, trace = eigenbasis_extremal(t, q=1)
-        assert len(pairs) == 3
-        assert numeric_rank([p.vector for p in pairs]) == 3
-        for p in pairs:
-            assert residual_norm(laplacian(t), p.value, p.vector) < 1e-10
+        param, vectors, path_records, glue_steps = eigenbasis_extremal(t, q=1)
+        assert len(vectors) == 3
+        assert numeric_rank(vectors) == 3
+        for x in vectors:
+            assert residual_norm(laplacian(t), param.value, x) < 1e-10
         # peeling leg 1-2 drops major 2 to degree 2, so the leg of pendant 3
         # runs on through 2, 4 and 5 to major 6 in the second step
-        param = pairs[0].param
         assert (param.q, param.b, param.ratio) == (1, 0, Fraction(1, 3))
-        assert all(p.param is param for p in pairs)
-        assert trace.path_records == (
+        assert path_records == (
             construct.PathRecord(k1=1, k2=1, n1=0, n2=0, delta=1),
             construct.PathRecord(k1=4, k2=1, n1=1, n2=0, delta=2),
         )
-        assert trace.glue_steps == (
+        assert glue_steps == (
             construct.GlueStep(pendant_pair=(1, 3), anchor=2, component=(2, 3, 4, 5, 6, 7, 8)),
             construct.GlueStep(pendant_pair=(3, 7), anchor=6, component=(6, 7, 8)),
         )
-        supports = [tuple(np.flatnonzero(np.abs(p.vector) > 1e-12) + 1) for p in pairs]
+        supports = [tuple(np.flatnonzero(np.abs(x) > 1e-12) + 1) for x in vectors]
         assert supports == [(7, 8), (3, 4, 5, 7), (1, 3)]
 
     def test_rejects_wrong_residue(self):
