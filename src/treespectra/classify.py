@@ -75,7 +75,6 @@ class GammaWitness:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    n: int
     p: int
     certificate: CongruenceCertificate
     extremal: bool
@@ -315,7 +314,6 @@ def classify_m1(tree: Tree) -> ClassificationReport:
         m1_class = "p-2" if verdict else "other"
 
     return ClassificationReport(
-        n=tree.n,
         p=p,
         certificate=cert,
         extremal=extremal,

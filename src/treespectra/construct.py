@@ -93,6 +93,8 @@ def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> tuple[EigenPa
     k1+1 (index k1), and its first entry cos(gamma pi/2) is nonzero.
     """
     param = LambdaParam(q, b)
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (k1, k2)):
+        raise CongruenceViolated(f"arm lengths must be integers, got k1={k1!r}, k2={k2!r}")
     modulus = 2 * q + 1
     if k1 % modulus != q or k2 % modulus != q:
         raise CongruenceViolated(

@@ -46,7 +46,8 @@ class ZeroPolynomial(TreeSpectraError):
 
 
 class NonSymmetric(TreeSpectraError):
-    """The matrix handed to the symmetric eigensolver is not a finite symmetric matrix."""
+    """A matrix handed to the float route is not finite, square and symmetric,
+    or not n x n for a vector of length n."""
 
 
 class NonFinite(TreeSpectraError):

@@ -89,14 +89,22 @@ def residual_norm(matrix, lam: float, vector) -> float:
     """max-norm of M*x - lam*x, scaled by the max-norm of x.
 
     A float array is used as it is, so a caller that checks many vectors
-    against one matrix converts it once.  Raises ZeroVector for x = 0.
+    against one matrix converts it once; nothing here scans the matrix.
+    Raises ZeroVector for x = 0, NonSymmetric unless M is n x n for x of
+    length n, and NonFinite when the residual is not finite.
     """
     x = np.asarray(vector, dtype=float)
     scale = float(np.max(np.abs(x))) if x.size else 0.0
     if scale == 0.0:
         raise ZeroVector("residual of the zero vector is undefined")
-    res = np.asarray(matrix, dtype=float) @ x - lam * x
-    return float(np.max(np.abs(res)) / scale)
+    m = np.asarray(matrix, dtype=float)
+    if x.ndim != 1 or m.shape != (x.size, x.size):
+        raise NonSymmetric(f"matrix of shape {m.shape} does not fit a vector of shape {x.shape}")
+    with np.errstate(all="ignore"):  # a non-finite residual raises below
+        residual = float(np.max(np.abs(m @ x - lam * x)) / scale)
+    if not np.isfinite(residual):
+        raise NonFinite(f"residual is {residual}")
+    return residual
 
 
 def numeric_rank(vectors) -> int:

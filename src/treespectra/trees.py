@@ -96,6 +96,8 @@ def _check_label(tree: Tree, v) -> None:
 
 
 def _as_label(x) -> int:
+    if isinstance(x, bool):  # operator.index takes True as 1
+        raise LabelOutOfRange(f"vertex label {x!r} is not an integer")
     try:
         x = operator.index(x)
     except TypeError:

@@ -507,7 +507,7 @@ class TestInGammaAgainstTripleScan:
 class TestClassifyM1:
     def test_star_report(self):
         rep = classify_m1(star(3))
-        assert (rep.n, rep.p) == (4, 3)
+        assert rep.p == 3
         assert rep.extremal
         assert rep.lambda_set == (LambdaParam(1, 0),)
         assert rep.m1_class == "p-1"

@@ -97,6 +97,11 @@ class TestInternalZeroVector:
             path_internal_zero_vector(1, 4, q=1, b=1)
         with pytest.raises(CongruenceViolated):
             path_internal_zero_vector(1, 1, q=0, b=0)
+        # True == 1 (mod 3) would pass the congruence and index the vector as a mask
+        with pytest.raises(CongruenceViolated, match="must be integers"):
+            path_internal_zero_vector(True, 1, q=1, b=0)
+        with pytest.raises(CongruenceViolated, match="must be integers"):
+            path_internal_zero_vector(1, 1.0, q=1, b=0)
 
 
 class TestEigenbasisExtremal:

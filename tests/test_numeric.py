@@ -83,6 +83,27 @@ class TestResidualNorm:
         with pytest.raises(ZeroVector):
             residual_norm(laplacian(star(3)), 1.0, np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 2)])
+    def test_shape_mismatch(self, shape):
+        lap = np.array(laplacian(star(3)), dtype=float)
+        with pytest.raises(NonSymmetric, match="does not fit"):
+            residual_norm(lap, 1.0, np.ones(shape))
+        with pytest.raises(NonSymmetric, match="does not fit"):
+            residual_norm(lap[:, :3], 1.0, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residual(self, bad):
+        lap = np.array(laplacian(star(3)), dtype=float)
+        x = np.array([0.0, 1.0, -1.0, 0.0])
+        spoiled = lap.copy()
+        spoiled[1, 1] = bad
+        with pytest.raises(NonFinite):
+            residual_norm(spoiled, 1.0, x)
+        with pytest.raises(NonFinite):
+            residual_norm(lap, bad, x)
+        with pytest.raises(NonFinite):
+            residual_norm(lap, 1.0, np.array([0.0, 1.0, bad, 0.0]))
+
 
 class TestNumericRank:
     def test_dependent_vectors(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from shapes import path, star
@@ -57,6 +58,10 @@ class TestFromEdgeList:
     def test_bad_label(self):
         with pytest.raises(LabelOutOfRange):
             from_edge_list([(0, 1)])
+        # bool is an int subclass; True would pass as label 1
+        with pytest.raises(LabelOutOfRange, match="True is not an integer"):
+            from_edge_list([(True, 2), (2, 3)])
+        assert from_edge_list([(np.int64(5), np.int32(7))]).n == 2
 
     def test_single_vertex(self):
         t = single_vertex()
