@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Compare the CLI's outputs at a git revision with the working tree's.
+
+    python tests/same_outputs.py REV
+
+REV is extracted with ``git archive`` into a temporary directory.  One
+process runs ``cli.main`` from REV's ``src/``, another from the working
+tree's, on the same inputs:
+
+- ``tests/data/reports/*.edges`` and the 75 seed-11 trees of the
+  ``check_random`` and ``check_extremal`` workloads (``bench/workloads.py``,
+  imported read-only; it writes the edge lists to a temporary directory);
+- per tree: ``check`` JSON (``timing_seconds`` masked) and ``check --text``,
+  and for every admissible (q, b) ``eigenbasis`` JSON (timing masked),
+  ``eigenbasis --text --out`` and the CSV it writes;
+- ``enumerate --max-n 12`` (CSV on stdout).
+
+Every output is compared with its exit code and stderr.  Prints the first
+difference, or the count of identical outputs; exits 0 when all agree, 1
+otherwise and 2 when REV cannot be read.  Not collected by pytest (no
+``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+TIMING = re.compile(r'"timing_seconds": "[^"]*"')
+SEED = 11
+
+
+def _inputs(workdir: Path) -> list[tuple[str, str]]:
+    """(label, edge-list path) for every tree the comparison runs."""
+    inputs = [
+        (f"reports/{path.stem}", str(path))
+        for path in sorted((REPO / "tests" / "data" / "reports").glob("*.edges"))
+    ]
+    sys.path.insert(0, str(REPO / "bench"))
+    import workloads
+
+    for name in ("check_random", "check_extremal"):
+        out = workdir / name
+        out.mkdir()
+        requests = workloads.build(name, "full", SEED, out, REPO, None)
+        paths = sorted(r.path for r in requests)
+        inputs += [(f"{name}/{Path(path).stem}", path) for path in paths]
+    return inputs
+
+
+def _worker(src: str, inputs_file: str, result_file: str) -> None:
+    # Runs in its own process, with cwd a fresh directory, so the --out
+    # path printed in the reports is the same on both sides.
+    sys.path.insert(0, src)
+    from treespectra import cli
+
+    loaded = Path(cli.__file__).resolve()
+    if Path(src).resolve() not in loaded.parents:
+        raise SystemExit(f"imported {loaded}, not from {src}")
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        return [code, TIMING.sub('"timing_seconds": "*"', out.getvalue()), err.getvalue()]
+
+    results = {}
+    for label, path in json.loads(Path(inputs_file).read_text()):
+        check = run(["check", path])
+        results[f"{label} check"] = check
+        results[f"{label} check --text"] = run(["check", path, "--text"])
+        q_list = json.loads(check[1])["payload"]["congruence"]["q_list"] if check[0] == 0 else []
+        for q in q_list:
+            for b in range(q):
+                key = f"{label} eigenbasis --q {q} --b {b}"
+                argv = ["eigenbasis", path, "--q", str(q), "--b", str(b)]
+                results[key] = run(argv)
+                results[f"{key} --text --out"] = run([*argv, "--text", "--out", "basis.csv"])
+                csv = Path("basis.csv")
+                results[f"{key} basis.csv"] = csv.read_text() if csv.exists() else None
+                csv.unlink(missing_ok=True)
+    results["enumerate --max-n 12"] = run(["enumerate", "--max-n", "12"])
+    Path(result_file).write_text(json.dumps(results))
+
+
+def _first_difference(key: str, old, new) -> str:
+    if old is None or new is None:
+        return f"{key}: present only at {'REV' if new is None else 'the working tree'}"
+    if not isinstance(old, list):
+        old, new = [None, old, ""], [None, new, ""]
+    for part, a, b in zip(("exit code", "output", "stderr"), old, new):
+        if a == b:
+            continue
+        if part == "exit code":
+            return f"{key}: exit code {a} at REV, {b} in the working tree"
+        for i, (line_a, line_b) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+            if line_a != line_b:
+                return (
+                    f"{key}: {part} line {i}\n"
+                    f"  REV:          {line_a}\n  working tree: {line_b}"
+                )
+        counts = len(a.splitlines()), len(b.splitlines())
+        return f"{key}: {part} has {counts[0]} lines at REV, {counts[1]} in the working tree"
+    return f"{key}: differs"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[0] == "--worker":
+        _worker(*argv[1:])
+        return 0
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    (rev,) = argv
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(REPO), "archive", "--format=tar", rev], capture_output=True
+        )
+        if archive.returncode:
+            print(archive.stderr.decode(), end="", file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        inputs_file = tmp / "inputs.json"
+        inputs_file.write_text(json.dumps(_inputs(tmp)))
+
+        results = {}
+        for side, src in (("rev", tmp / "rev" / "src"), ("work", REPO / "src")):
+            cwd = tmp / f"cwd-{side}"
+            cwd.mkdir()
+            result_file = tmp / f"{side}.json"
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+            subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--worker",
+                 str(src), str(inputs_file), str(result_file)],
+                cwd=cwd, env=env, check=True,
+            )
+            results[side] = json.loads(result_file.read_text())
+
+    old, new = results["rev"], results["work"]
+    for key in [*old, *(k for k in new if k not in old)]:
+        if old.get(key) != new.get(key):
+            print(_first_difference(key, old.get(key), new.get(key)))
+            return 1
+    print(f"{len(old)} outputs identical at {rev} and in the working tree")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
