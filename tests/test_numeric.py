@@ -83,13 +83,11 @@ class TestResidualNorm:
         with pytest.raises(ZeroVector):
             residual_norm(laplacian(star(3)), 1.0, np.zeros(4))
 
-    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 2)])
-    def test_shape_mismatch(self, shape):
-        lap = np.array(laplacian(star(3)), dtype=float)
+    @pytest.mark.parametrize("cols, shape", [(4, (3,)), (4, (5,)), (4, (2, 2)), (3, (4,))])
+    def test_shape_mismatch(self, cols, shape):
+        lap = np.array(laplacian(star(3)), dtype=float)[:, :cols]
         with pytest.raises(NonSymmetric, match="does not fit"):
             residual_norm(lap, 1.0, np.ones(shape))
-        with pytest.raises(NonSymmetric, match="does not fit"):
-            residual_norm(lap[:, :3], 1.0, np.ones(4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_residual(self, bad):
