@@ -3,8 +3,9 @@
 The centerpiece is :func:`eigenbasis_extremal`: for a tree whose pendant
 distances all satisfy d == 2q (mod 2q+1), it produces p-1 linearly
 independent eigenvectors for the eigenvalue 2(1 - cos((2b+1)pi/(2q+1))) by
-peeling one pendant leg at a time and laying a sign-alternating cosine
-profile along one pendant-to-pendant path per step.
+peeling one pendant leg at a time and laying the closed-form path
+eigenvector, a sign-alternating cosine profile, along one
+pendant-to-pendant path per step and along the bare path left at the end.
 
 Vectors are numpy arrays indexed by ``label - 1``.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "PathRecord",
     "GlueStep",
     "path_eigenpair",
-    "path_internal_zero_vector",
     "eigenbasis_extremal",
 ]
 
@@ -44,9 +44,10 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Bookkeeping for one internal-zero path vector: arm lengths k1, k2
-    (both == q mod 2q+1), their quotients N1, N2, and the cosine index
-    delta = (2b+1)(N1+N2+1) used on the path of n = k1+k2+1 vertices."""
+    """Bookkeeping for one peel step's path: arm lengths k1, k2 on either
+    side of the anchor (both == q mod 2q+1), their quotients N1, N2 by
+    2q+1, and the cosine index delta = (2b+1)(N1+N2+1) of the path's
+    eigenvector, the path having n = k1+k2+1 vertices."""
 
     k1: int
     k2: int
@@ -82,44 +83,6 @@ def path_eigenpair(n: int, j: int) -> EigenPair:
     return EigenPair(value=2.0 * (1.0 - math.cos(angle)), vector=vector)
 
 
-def path_internal_zero_vector(k1: int, k2: int, q: int, b: int) -> tuple[EigenPair, PathRecord]:
-    """Eigenvector on the path with arms k1, k2 vanishing at the joint.
-
-    Needs k1 == k2 == q (mod 2q+1) and 0 <= b < q.  Returns ``(pair,
-    record)``: the closed-form path eigenvector with index
-    delta = (2b+1)(N1+N2+1), and the arms, quotients and delta it used.
-    The vector is zero exactly at positions whose doubled offset is
-    divisible by the reduced modulus, in particular at the joint, vertex
-    k1+1 (index k1), and its first entry cos(gamma pi/2) is nonzero.
-    """
-    param = LambdaParam(q, b)
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (k1, k2)):
-        raise CongruenceViolated(f"arm lengths must be integers, got k1={k1!r}, k2={k2!r}")
-    modulus = 2 * q + 1
-    if k1 % modulus != q or k2 % modulus != q:
-        raise CongruenceViolated(
-            f"arm lengths must be == {q} (mod {modulus}), got k1={k1}, k2={k2}"
-        )
-    n1 = (k1 - q) // modulus
-    n2 = (k2 - q) // modulus
-    delta = (2 * b + 1) * (n1 + n2 + 1)
-    n = k1 + k2 + 1
-    pair = path_eigenpair(n, delta)
-
-    # The closed form guarantees these; the checks catch integer slips.
-    if abs(pair.vector[k1]) > ZERO_TOL:
-        raise InvariantViolated(
-            f"closed-form path vector is {pair.vector[k1]!r}, not 0, "
-            f"at vertex {k1 + 1} (k1={k1}, k2={k2}, q={q}, b={b})"
-        )
-    if abs(pair.vector[0] - math.cos(param.ratio * math.pi / 2.0)) > 1e-12:
-        raise InvariantViolated(
-            f"closed-form path vector starts at {pair.vector[0]!r}, "
-            f"not cos({param.ratio}*pi/2) (k1={k1}, k2={k2}, q={q}, b={b})"
-        )
-    return pair, PathRecord(k1=k1, k2=k2, n1=n1, n2=n2, delta=delta)
-
-
 def _peel_basis(tree: Tree, q: int, b: int):
     # Peel one pendant leg per step until a bare path is left, on the input
     # tree's own labels: ``deg`` holds live degrees and a peeled vertex drops
@@ -146,8 +109,9 @@ def _peel_basis(tree: Tree, q: int, b: int):
         legs[u] = [u, *passed]
         at.setdefault(major, []).append(u)
 
+    modulus = 2 * q + 1
+    paths = []  # one pendant-to-pendant path per peel step, then the bare path
     anchors = []
-    peeled = []
     records = []
     steps = []
     while len(legs) > 2:
@@ -161,13 +125,11 @@ def _peel_basis(tree: Tree, q: int, b: int):
         group, anchor = min(shared)
         u, w = group[:2]
         leg_u, leg_w = legs.pop(u), legs[w]
-        pair, record = path_internal_zero_vector(len(leg_u), len(leg_w), q, b)
-        records.append(record)
-
-        vec = np.zeros(n)
-        vec[[v - 1 for v in (*leg_u, anchor, *reversed(leg_w))]] = pair.vector
-        peeled.append(vec)
+        paths.append([*leg_u, anchor, *reversed(leg_w)])
         anchors.append(anchor)
+        k1, k2 = len(leg_u), len(leg_w)
+        n1, n2 = k1 // modulus, k2 // modulus
+        records.append(PathRecord(k1, k2, n1, n2, delta=(2 * b + 1) * (n1 + n2 + 1)))
 
         for v in leg_u:
             deg[v] = 0
@@ -182,39 +144,50 @@ def _peel_basis(tree: Tree, q: int, b: int):
             insort(at.setdefault(major, []), w)
         steps.append(GlueStep(pendant_pair=(u, w), anchor=anchor, component=tuple(live)))
 
-    # Bare path.  Its order is divisible by 2q+1, so the matching cosine
-    # index is integral and the closed-form eigenvector applies directly.
     u, w = sorted(legs)
     passed, last = walk(u, adj[u][0])
-    path = [u, *passed, last]
-    if last != w or len(path) != len(live):
+    bare = [u, *passed, last]
+    if last != w or len(bare) != len(live):
         raise InvariantViolated(
-            f"two-pendant tree of order {len(live)} has a {len(path)}-vertex end-to-end walk",
+            f"two-pendant tree of order {len(live)} has a {len(bare)}-vertex end-to-end walk",
             edges=tree.edges,
         )
-    j, rem = divmod(len(live) * (2 * b + 1), 2 * q + 1)
-    if rem:
-        raise InvariantViolated(
-            f"bare path of order {len(live)} is not divisible by 2q+1={2 * q + 1}",
-            edges=tree.edges,
-        )
-    bare = np.zeros(n)
-    bare[[v - 1 for v in path]] = path_eigenpair(len(live), j).vector
+    paths.append(bare)
 
-    # Deepest first: the bare path's vector, then the peeled steps in
-    # reverse.  Every vector found after a step vanishes at that step's
-    # anchor, so zero-padding across the removed leg keeps it an
-    # eigenvector of the larger tree.
-    vectors = [bare] + peeled[::-1]
-    stacked = np.array(vectors)
-    for step, anchor in enumerate(anchors):
-        deeper = stacked[: len(anchors) - step, anchor - 1]
-        bad = np.flatnonzero(np.abs(deeper) > ZERO_TOL)
-        if bad.size:
+    # Deepest first: the bare path's vector, then the peeled steps' in
+    # reverse.  Every path's order is divisible by 2q+1, so its cosine index
+    # j is integral.  The vector of step k vanishes at the anchors of steps
+    # 0..k, so zero-padding across the removed legs keeps it an eigenvector
+    # of the larger tree; its first entry, at the path's first pendant, is
+    # cos(gamma pi/2).
+    anchor_index = np.array(anchors, dtype=np.intp) - 1
+    first = math.cos((2 * b + 1) * math.pi / (2 * modulus))
+    vectors = []
+    for k in reversed(range(len(paths))):
+        path = paths[k]
+        j, rem = divmod(len(path) * (2 * b + 1), modulus)
+        if rem:
             raise InvariantViolated(
-                f"deeper eigenvector is {float(deeper[bad[0]])!r}, not 0, at anchor {anchor}",
+                f"path of order {len(path)} from {path[0]} to {path[-1]} "
+                f"is not divisible by 2q+1={modulus}",
                 edges=tree.edges,
             )
+        vec = np.zeros(n)
+        vec[[v - 1 for v in path]] = path_eigenpair(len(path), j).vector
+        off = vec[anchor_index[: k + 1]]
+        bad = np.flatnonzero(np.abs(off) > ZERO_TOL)
+        if bad.size:
+            raise InvariantViolated(
+                f"deeper eigenvector is {float(off[bad[0]])!r}, not 0, at anchor {anchors[bad[0]]}",
+                edges=tree.edges,
+            )
+        if abs(vec[path[0] - 1] - first) > 1e-12:
+            raise InvariantViolated(
+                f"closed-form path vector starts at {float(vec[path[0] - 1])!r}, not "
+                f"cos({2 * b + 1}/{modulus}*pi/2), on the path from {path[0]} to {path[-1]}",
+                edges=tree.edges,
+            )
+        vectors.append(vec)
     return vectors, records, steps
 
 

@@ -180,8 +180,10 @@ def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
     """Parse the plain edge-list format: one ``u v`` pair per line.
 
     Blank lines are skipped and lines whose first non-space character is
-    ``#`` are comments.  Raises :class:`ParseError` carrying the 1-based
-    line number on anything else.
+    ``#`` are comments.  A label is ASCII decimal digits only (``[0-9]+``):
+    ``int`` alone would also read ``1_0``, ``+1`` and non-ASCII digits.
+    Raises :class:`ParseError` carrying the 1-based line number on anything
+    else.
     """
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -194,10 +196,12 @@ def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
                 f"line {lineno}: expected two labels, got {len(tokens)} tokens",
                 line=lineno,
             )
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            raise ParseError(f"line {lineno}: labels must be digits 0-9", line=lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: labels must be integers", line=lineno) from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"line {lineno}: label too long", line=lineno) from None
         if u < 1 or v < 1:
             raise ParseError(f"line {lineno}: labels must be positive", line=lineno)
         pairs.append((u, v))

@@ -12,7 +12,9 @@ tree's, on the same inputs:
   imported read-only; it writes the edge lists to a temporary directory);
 - per tree: ``check`` JSON (``timing_seconds`` masked) and ``check --text``,
   and for every admissible (q, b) ``eigenbasis`` JSON (timing masked),
-  ``eigenbasis --text --out`` and the CSV it writes;
+  ``eigenbasis --text --out`` and the CSV it writes; plus one
+  ``eigenbasis`` that fails, at one past the largest admissible q (q = 1
+  when there is none);
 - ``enumerate --max-n 12`` (CSV on stdout).
 
 Every output is compared with its exit code and stderr.  Prints the first
@@ -88,6 +90,12 @@ def _worker(src: str, inputs_file: str, result_file: str) -> None:
                 csv = Path("basis.csv")
                 results[f"{key} basis.csv"] = csv.read_text() if csv.exists() else None
                 csv.unlink(missing_ok=True)
+        # One past the largest admissible q is never admissible: its
+        # modulus exceeds the largest odd divisor of the pendant gcd.
+        q = max(q_list, default=0) + 1
+        results[f"{label} eigenbasis --q {q} (inadmissible)"] = run(
+            ["eigenbasis", path, "--q", str(q)]
+        )
     results["enumerate --max-n 12"] = run(["enumerate", "--max-n", "12"])
     Path(result_file).write_text(json.dumps(results))
 

@@ -13,7 +13,6 @@ from treespectra import (
     laplacian,
     numeric_rank,
     path_eigenpair,
-    path_internal_zero_vector,
     residual_norm,
     trees,
 )
@@ -65,45 +64,6 @@ class TestPathEigenpair:
             path_eigenpair(3, True)
 
 
-class TestInternalZeroVector:
-    def test_arms_1_and_4(self):
-        pair, r = path_internal_zero_vector(1, 4, q=1, b=0)
-        assert abs(pair.vector[1]) < 1e-14  # the joint, vertex k1 + 1
-        assert (r.k1, r.k2, r.n1, r.n2, r.delta) == (1, 4, 0, 1, 2)
-        assert pair.value == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(pair.vector, [S3, 0, -S3, -S3, 0, S3], atol=1e-12)
-
-    def test_symmetric_arms_q2(self):
-        pair, record = path_internal_zero_vector(2, 2, q=2, b=0)
-        assert record.delta == 1
-        assert pair.value == pytest.approx(2 * (1 - math.cos(math.pi / 5)), abs=1e-15)
-        assert abs(pair.vector[2]) < 1e-14  # the joint, vertex k1 + 1
-
-    def test_minimal_case(self):
-        pair, _ = path_internal_zero_vector(1, 1, q=1, b=0)
-        assert np.allclose(pair.vector, [S3, 0, -S3], atol=1e-14)
-
-    def test_first_entry_nonzero(self):
-        for q in (1, 2, 3):
-            for b in range(q):
-                pair, _ = path_internal_zero_vector(q, q + (2 * q + 1), q, b)
-                assert abs(pair.vector[0]) > 0.01
-                assert abs(pair.vector[q]) < 1e-12  # the joint, vertex k1 + 1
-
-    def test_rejects_bad_arms(self):
-        with pytest.raises(CongruenceViolated):
-            path_internal_zero_vector(2, 4, q=1, b=0)
-        with pytest.raises(CongruenceViolated):
-            path_internal_zero_vector(1, 4, q=1, b=1)
-        with pytest.raises(CongruenceViolated):
-            path_internal_zero_vector(1, 1, q=0, b=0)
-        # True == 1 (mod 3) would pass the congruence and index the vector as a mask
-        with pytest.raises(CongruenceViolated, match="must be integers"):
-            path_internal_zero_vector(True, 1, q=1, b=0)
-        with pytest.raises(CongruenceViolated, match="must be integers"):
-            path_internal_zero_vector(1, 1.0, q=1, b=0)
-
-
 class TestEigenbasisExtremal:
     def test_star_basis(self):
         t = star(3)
@@ -144,6 +104,42 @@ class TestEigenbasisExtremal:
         monkeypatch.setattr(construct, "path_eigenpair", ones_on_the_bare_path)
         with pytest.raises(InvariantViolated, match="deeper eigenvector is 1.0, not 0, at anchor 1"):
             eigenbasis_extremal(spider(1, 1, 4), q=1)
+
+    def test_step_vector_off_zero_at_its_anchor_raises(self, monkeypatch):
+        # spider(1,1,4) peels along the 3-vertex path 2-1-3, whose vector
+        # must vanish at its own anchor, the joint 1
+        real = construct.path_eigenpair
+
+        def ones_on_the_peeled_path(n, j):
+            pair = real(n, j)
+            return EigenPair(pair.value, np.ones(n)) if n == 3 else pair
+
+        monkeypatch.setattr(construct, "path_eigenpair", ones_on_the_peeled_path)
+        with pytest.raises(InvariantViolated, match="is 1.0, not 0, at anchor 1"):
+            eigenbasis_extremal(spider(1, 1, 4), q=1)
+
+    def test_sign_flipped_path_vector_raises(self, monkeypatch):
+        # -x is still an eigenvector with the same zeros, but the closed form
+        # starts every path at +cos(gamma pi/2)
+        real = construct.path_eigenpair
+        monkeypatch.setattr(
+            construct, "path_eigenpair", lambda n, j: EigenPair(real(n, j).value, -real(n, j).vector)
+        )
+        with pytest.raises(InvariantViolated, match="starts at -0.866"):
+            eigenbasis_extremal(spider(1, 1, 4), q=1)
+
+    def test_path_order_off_the_modulus_raises(self):
+        # spider(1,1,4) peels 2-1-3 and leaves 3-1-4-5-6-7, neither of order
+        # divisible by 5; the bare path, laid first, is named
+        with pytest.raises(InvariantViolated, match="order 6 from 3 to 7 is not divisible by 2q[+]1=5"):
+            construct._peel_basis(spider(1, 1, 4), 2, 0)
+
+    def test_bare_walk_that_misses_the_other_pendant_raises(self):
+        # not a tree: pendants 1 and 5 hang off a triangle 2-3-4, so the walk
+        # from 1 stops at 2 instead of reaching 5
+        graph = trees._build(5, [(1, 2), (2, 3), (3, 4), (2, 4), (3, 5)])
+        with pytest.raises(InvariantViolated, match="order 5 has a 2-vertex end-to-end walk"):
+            construct._peel_basis(graph, 1, 0)
 
     def test_no_pair_at_one_major_raises(self):
         # not a tree: a triangle with one leg at each corner, so no two legs

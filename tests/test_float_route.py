@@ -6,9 +6,11 @@ extremal trees are built from the congruence rule: legs of length = q
 (mod 2q+1).  Both generators live here so the test shares no code with
 the package's own enumeration or the benchmark inputs.  The explicit
 eigenbasis is checked on extremal trees up to order 200, against the
-peel rule written out pair by pair.
+peel rule written out pair by pair, and for the triangular shape that a
+rank certificate read off the construction would rest on.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from shapes import prufer_tree
 
 from treespectra import (
+    admissible_q,
     cluster_multiplicity,
     eigen_symmetric,
     eigenbasis_extremal,
@@ -175,6 +178,33 @@ def first_single_major_pair(tree, component):
     return None
 
 
+def assert_triangular_at_peeled_pendants(tree, q, vectors, glue_steps):
+    """Rows: each glue step's peeled pendant, then the bare path's smaller
+    pendant; columns: the vectors in peel order.  Every entry above the
+    diagonal is exactly 0.0 and every diagonal entry, cos(gamma pi/2), is
+    at least sin(pi/(2q+1)) in size, so the p-1 vectors are independent."""
+    peeled = [step.pendant_pair[0] for step in glue_steps]
+    rows = [*peeled, min(set(tree.pendants) - set(peeled))]
+    matrix = np.array(vectors[::-1])[:, np.array(rows) - 1].T
+    assert matrix.shape == (len(tree.pendants) - 1,) * 2
+    assert (np.triu(matrix, 1) == 0.0).all()
+    assert (np.abs(np.diag(matrix)) >= math.sin(math.pi / (2 * q + 1))).all()
+
+
+def test_eigenbasis_is_triangular_at_peeled_pendants_to_order_12():
+    bases = 0
+    for n in range(2, 13):
+        for tree in free_trees(n):
+            if not tree.majors:
+                continue
+            for q in admissible_q(tree).q_list:
+                for b in range(q):
+                    _, vectors, _, glue_steps = eigenbasis_extremal(tree, q, b)
+                    assert_triangular_at_peeled_pendants(tree, q, vectors, glue_steps)
+                    bases += 1
+    assert bases == 47
+
+
 @settings(SETTINGS, max_examples=40)
 @given(extremal_trees(max_n=BASIS_MAX_N, max_q=5, max_majors=6, max_legs=5), st.data())
 def test_eigenbasis_on_extremal_trees_past_order_12(case, data):
@@ -189,6 +219,7 @@ def test_eigenbasis_on_extremal_trees_past_order_12(case, data):
         assert numeric_rank(vectors) == p - 1
         for x in vectors:
             assert residual_norm(lap, param.value, x) <= 1e-10
+        assert_triangular_at_peeled_pendants(tree, q, vectors, glue_steps)
 
     component = tuple(range(1, tree.n + 1))
     for step in glue_steps:

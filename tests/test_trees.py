@@ -165,6 +165,14 @@ class TestParseText:
             parse_edge_list_text("1 x\n")
         assert info.value.line == 1
 
+    def test_labels_are_ascii_digits(self):
+        # int() alone reads 1_0 as 10, an Arabic-Indic one as 1, and +1 as 1
+        for label in ("1_0", "\u0661", "+1", "-1", "1.0", "1" * 5000):
+            with pytest.raises(ParseError) as info:
+                parse_edge_list_text(f"1 2\n{label} 2\n")
+            assert info.value.line == 2
+        assert parse_edge_list_text("10 0002\n") == ((10, 2),)
+
     def test_non_positive(self):
         with pytest.raises(ParseError):
             parse_edge_list_text("0 2\n")
