@@ -714,6 +714,20 @@ SPOILS = {
     ),
 }
 
+# Extra edges that grow the Q group's fork (6..10) off the residues its
+# pendants and branch points need, and the message each spoiled tree gives
+# when the witness counts the new vertices into the fork's attachment.
+Q_DEPTH_SPOILS = {
+    "pendant_off_residue": (
+        [(9, 13)],
+        "pendant 13 is not 1 (mod 3) from its Q anchor 1",
+    ),
+    "meeting_off_residue": (
+        [(7, 13), (13, 14)],
+        "pendants of the Q group at 1 meet at 7, not 0 (mod 3) below it",
+    ),
+}
+
 
 class TestVerifyGammaWitness:
     def test_every_witness_to_order_12(self):
@@ -739,6 +753,17 @@ class TestVerifyGammaWitness:
         spoil, message = SPOILS[name]
         witness = spoil(in_gamma(tree)[1])
         assert gauntlet.verify_gamma_witness(tree, witness) == message
+
+    @pytest.mark.parametrize("name", sorted(Q_DEPTH_SPOILS))
+    def test_q_group_depth_rules(self, name):
+        extra, message = Q_DEPTH_SPOILS[name]
+        witness = in_gamma(from_edge_list(Q_GROUP_TREE))[1]
+        fork = witness.attachments[0].vertices
+        assert fork == (6, 7, 8, 9, 10)
+        grown = tuple(sorted({*fork, *(v for edge in extra for v in edge)}))
+        spoiled = _spoiled(witness, index=0, vertices=grown)
+        tree = from_edge_list(Q_GROUP_TREE + extra)
+        assert gauntlet.verify_gamma_witness(tree, spoiled) == message
 
     def test_bool_label_rejected(self):
         # True equals 1 but is no vertex label; JSON true parses to it
