@@ -102,14 +102,14 @@ def _tree_from_levels(levels) -> Tree:
 
 
 def _centroids(tree: Tree) -> tuple[int, ...]:
-    # Subtree sizes from one Tree.bfs out of vertex 1, children before
-    # parents by descending distance; a centroid's heaviest side, its
+    # Subtree sizes from one Tree.bfs out of vertex 1, its order read
+    # backwards, children before parents; a centroid's heaviest side, its
     # largest child subtree or everything above it, is the lightest.
     n = tree.n
-    dist, parent = tree.bfs(1)
+    _, parent, order = tree.bfs(1)
     size = [1] * (n + 1)
     heaviest = [0] * (n + 1)
-    for v in sorted(range(2, n + 1), key=dist.__getitem__, reverse=True):
+    for v in reversed(order[1:]):
         size[parent[v]] += size[v]
         heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
     weight = {v: max(heaviest[v], n - size[v]) for v in range(1, n + 1)}
@@ -120,11 +120,11 @@ def _centroids(tree: Tree) -> tuple[int, ...]:
 def _rooted_levels(tree: Tree, root: int) -> tuple[int, ...]:
     # Level sequence rooted at ``root`` (root at level 1) with every
     # vertex's child blocks in decreasing order.  One Tree.bfs out of the
-    # root, read by descending distance, puts children before parents, so
-    # one pass builds every block bottom-up, with no recursion.
-    dist, parent = tree.bfs(root)
+    # root, its order read backwards, puts children before parents, so one
+    # pass builds every block bottom-up, with no recursion.
+    dist, parent, order = tree.bfs(root)
     child_blocks: list = [[] for _ in range(tree.n + 1)]
-    for v in sorted(range(1, tree.n + 1), key=dist.__getitem__, reverse=True):
+    for v in reversed(order):
         blocks = child_blocks[v]
         child_blocks[v] = None  # frees each block once used: O(n) live, not O(n^2)
         blocks.sort(reverse=True)

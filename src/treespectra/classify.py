@@ -32,7 +32,6 @@ __all__ = [
     "ClassificationReport",
     "pendant_distance_gcd",
     "admissible_q",
-    "is_extremal",
     "extremal_lambda_set",
     "in_gamma",
     "classify_m1",
@@ -113,17 +112,6 @@ def admissible_q(tree: Tree) -> CongruenceCertificate:
     )
 
 
-def is_extremal(tree: Tree):
-    """Whether some eigenvalue reaches multiplicity p-1, with certificate.
-
-    Paths always qualify (p-1 = 1 there); otherwise the tree qualifies
-    exactly when at least one odd modulus >= 3 divides every pendant-pair
-    distance plus one.
-    """
-    cert = admissible_q(tree)
-    return cert.is_path or bool(cert.q_list), cert
-
-
 def extremal_lambda_set(tree: Tree) -> tuple[LambdaParam, ...]:
     """All extremal eigenvalues of a non-path tree, deduplicated and sorted.
 
@@ -131,12 +119,12 @@ def extremal_lambda_set(tree: Tree) -> tuple[LambdaParam, ...]:
     0 <= b < q coincide whenever the reduced ratios do; one representative
     per ratio survives, ordered by eigenvalue.
     """
-    extremal, cert = is_extremal(tree)
+    cert = admissible_q(tree)
     if cert.is_path:
         raise NotExtremal(
             "path spectra are simple; the extremal set is defined for non-paths"
         )
-    if not extremal:
+    if not cert.q_list:
         raise NotExtremal(f"no admissible modulus divides the pendant gcd {cert.g}")
     return _lambda_params(cert)
 
@@ -190,8 +178,8 @@ def in_gamma(tree: Tree):
         return False, None
 
     for major in tree.majors:
-        row_m, parent = tree.bfs(major)
-        pieces = _hung_pieces(tree, row_m, parent)
+        row_m, parent, order = tree.bfs(major)
+        pieces = _hung_pieces(tree, row_m, parent, order)
         legs = {u: _root_path(parent, u) for u in pendants}
         for trio in combinations(pendants, 3):
             omega = _omega_type(sorted(row_m[u] % 3 for u in trio))
@@ -212,29 +200,29 @@ def in_gamma(tree: Tree):
     return False, None
 
 
-def _hung_pieces(tree: Tree, row, parent):
+def _hung_pieces(tree: Tree, row, parent, order):
     """The family each subtree hung below the root can be accounted under.
 
-    ``row`` and ``parent`` come from one :meth:`Tree.bfs`; the subtree
-    below each non-root c hangs at its anchor ``parent[c]``.  A mod-3 piece
-    has every tree pendant inside 1 (mod 3) from the anchor and pairwise
-    2 (mod 3) apart; two such pendants meeting at x lie 2 + d(anchor, x)
-    apart (mod 3) and the meeting vertices are the majors inside, so
-    majors must sit at 0.  Distances from the anchor are differences along
-    ``row``: pendants must sit at ``row[c]`` and majors at ``row[c] - 1``
-    (mod 3).  A path piece, a path on 2 (mod 3) vertices with its anchor at
-    one end, is a subtree with no major and one pendant, at ``row[c]``
-    (mod 3); so every path piece is a mod-3 piece too.
+    ``row``, ``parent`` and ``order`` come from one :meth:`Tree.bfs`; the
+    subtree below each non-root c hangs at its anchor ``parent[c]``.  A
+    mod-3 piece has every tree pendant inside 1 (mod 3) from the anchor
+    and pairwise 2 (mod 3) apart; two such pendants meeting at x lie
+    2 + d(anchor, x) apart (mod 3) and the meeting vertices are the majors
+    inside, so majors must sit at 0.  Distances from the anchor are
+    differences along ``row``: pendants must sit at ``row[c]`` and majors
+    at ``row[c] - 1`` (mod 3).  A path piece, a path on 2 (mod 3) vertices
+    with its anchor at one end, is a subtree with no major and one pendant,
+    at ``row[c]`` (mod 3); so every path piece is a mod-3 piece too.
 
     Returns by label 'P' for a path piece, 'Q' for any other mod-3 piece
-    and None otherwise.  One pass by descending distance ORs 6-bit residue
-    masks up the parents: bit r for a pendant at residue r, bit 3 + r for
-    a major.
+    and None otherwise.  One pass over ``order`` backwards, children before
+    parents, ORs 6-bit residue masks up the parents: bit r for a pendant at
+    residue r, bit 3 + r for a major.
     """
     adj = tree.adjacency
     mask = [0] * (tree.n + 1)
     pieces = [None] * (tree.n + 1)
-    for c in sorted(range(1, tree.n + 1), key=row.__getitem__, reverse=True):
+    for c in reversed(order):
         r = row[c] % 3
         deg = len(adj[c])
         mask[c] |= (1 if deg == 1 else 8 if deg >= 3 else 0) << r
@@ -297,11 +285,16 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     orders and on the :func:`in_gamma` family.  Nothing here computes a
     spectrum: :func:`treespectra.gauntlet.certify` checks the verdict
     against the exact nullity and the numeric clusters.
+
+    The extremal verdict, some eigenvalue of multiplicity p-1, is decided
+    here alone: it holds for paths (p-1 = 1 there) and for trees with some
+    admissible q from :func:`admissible_q`.
     """
     p = len(tree.pendants)
     if p < 2:
         raise TooFewPendants("classification needs at least two pendants")
-    extremal, cert = is_extremal(tree)
+    cert = admissible_q(tree)
+    extremal = cert.is_path or bool(cert.q_list)
     lambda_set = _lambda_params(cert) if extremal and not cert.is_path else ()
 
     witness = None

@@ -88,7 +88,7 @@ def verify_gamma_witness(tree: Tree, witness: classify.GammaWitness) -> str | No
     ends = witness.endpoints
     if len(set(ends)) != 3 or major in ends or any(len(adj[u]) != 1 for u in ends):
         return "the legs do not end at three distinct pendants off the major"
-    dist, parent = tree.bfs(major)
+    dist, parent, order = tree.bfs(major)
     legs = [_root_path(parent, u) for u in ends]
     if len({leg[1] for leg in legs}) != 3:
         return "two legs leave the major by the same edge"
@@ -136,20 +136,22 @@ def verify_gamma_witness(tree: Tree, witness: classify.GammaWitness) -> str | No
         else:
             return f"attachment {att.vertices} has no family P or Q"
 
+    # Each attachment is one component hung at its anchor, so its members
+    # lie below the anchor in the major's search: a member's depth below the
+    # anchor is a difference of distances, and its children are all its
+    # neighbours but one.
+    q_members = {anchor: [] for anchor in q_groups}  # in the search's order
+    for x in order:
+        if owner[x] != "core" and owner[x].family == "Q":
+            q_members[owner[x].anchor].append(x)
     for anchor, group in q_groups.items():
         if len(group) < 2:
             return f"the Q group at {anchor} has one member"
-        members = {v for att in group for v in att.vertices}
-        depth = {anchor: 0}
-        order = [anchor]
-        for x in order:
-            kids = [y for y in adj[x] if y in members and y not in depth]
-            for y in kids:
-                depth[y] = depth[x] + 1
-                order.append(y)
-            if not kids and depth[x] % 3 != 1:
+        for x in q_members[anchor]:
+            depth = dist[x] - dist[anchor]
+            if len(adj[x]) == 1 and depth % 3 != 1:
                 return f"pendant {x} is not 1 (mod 3) from its Q anchor {anchor}"
-            if len(kids) >= 2 and depth[x] % 3 != 0:
+            if len(adj[x]) >= 3 and depth % 3 != 0:
                 return f"pendants of the Q group at {anchor} meet at {x}, not 0 (mod 3) below it"
     return None
 

@@ -9,9 +9,9 @@ mutates a tree.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.  There is one breadth-first search,
-:meth:`Tree.bfs`, which returns distances and parents: every distance is
-read off its first half, paths are read off its parents, and the
-canonical forms and ``classify`` read it by descending distance, children
+:meth:`Tree.bfs`, which returns distances, parents and the visit order:
+every distance is read off the first, paths are read off the parents, and
+the canonical forms and ``classify`` walk the order backwards, children
 before parents.
 Two walks stay separate on purpose: ``exact.tree_inertia`` keeps its own
 preorder, so the exact route shares no code with the combinatorial
@@ -66,13 +66,15 @@ class Tree:
         object.__setattr__(self, "pendants", tuple(v for v in labels if len(adj[v]) == 1))
         object.__setattr__(self, "majors", tuple(v for v in labels if len(adj[v]) >= 3))
 
-    def bfs(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Distances and parents from one breadth-first search out of ``u``.
+    def bfs(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Distances, parents and visit order of one breadth-first search out of ``u``.
 
-        Both tuples are indexed by label (slot 0 unused).  ``parent[v]`` is
-        the neighbor of ``v`` one step closer to ``u``, and ``parent[u]`` is
-        ``u``, so walking the parents from any ``v`` spells the path to
-        ``u``.  Nothing is cached.
+        ``dist`` and ``parent`` are indexed by label (slot 0 unused).
+        ``parent[v]`` is the neighbor of ``v`` one step closer to ``u``, and
+        ``parent[u]`` is ``u``, so walking the parents from any ``v`` spells
+        the path to ``u``.  ``order`` lists the labels as the search reached
+        them: ``u`` first, each vertex after its parent, distances never
+        decreasing.  Nothing is cached.
         """
         _check_label(self, u)
         dist = [-1] * (self.n + 1)
@@ -87,7 +89,7 @@ class Tree:
                     dist[y] = step
                     parent[y] = x
                     order.append(y)
-        return tuple(dist), tuple(parent)
+        return tuple(dist), tuple(parent), tuple(order)
 
 
 def _check_label(tree: Tree, v) -> None:

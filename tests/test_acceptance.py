@@ -30,7 +30,6 @@ from treespectra import (
     free_trees,
     from_edge_list,
     in_gamma,
-    is_extremal,
     laplacian,
     minimal_poly_lambda,
     numeric_rank,
@@ -130,8 +129,8 @@ def test_criterion_4_eigenbasis_certificates(trees_by_n):
         for tree in trees:
             if not tree.majors:
                 continue
-            flag, cert = is_extremal(tree)
-            if not flag:
+            cert = admissible_q(tree)
+            if not cert.q_list:
                 continue
             p = len(tree.pendants)
             trees_checked += 1
@@ -171,8 +170,7 @@ def test_criterion_5_lambda_values(trees_by_n):
         for tree in trees:
             if not tree.majors:
                 continue
-            flag, _ = is_extremal(tree)
-            if not flag:
+            if not admissible_q(tree).q_list:
                 continue
             for param in extremal_lambda_set(tree):
                 r, s = param.ratio.numerator, param.ratio.denominator

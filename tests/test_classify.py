@@ -18,7 +18,6 @@ from treespectra import (
     free_trees,
     from_edge_list,
     in_gamma,
-    is_extremal,
     laplacian,
     path_between,
     pendant_distance_gcd,
@@ -141,8 +140,8 @@ def assert_meeting_vertex_rule(tree):
     # may stand in for the major's.  Returns the number of mod-3 pieces.
     expected = {}  # (anchor, c) -> (path piece, mod-3 piece)
     for root in range(1, tree.n + 1):
-        row, parent = tree.bfs(root)
-        table = _hung_pieces(tree, row, parent)
+        row, parent, order = tree.bfs(root)
+        table = _hung_pieces(tree, row, parent, order)
         for c in range(1, tree.n + 1):
             if c == root:
                 continue
@@ -173,20 +172,21 @@ class TestMeetingVertexRule:
 
 
 class TestIsExtremal:
+    # the extremal verdict of classify_m1, with the certificate it rests on
     def test_paths_always(self):
         for n in (2, 3, 7):
-            flag, cert = is_extremal(path(n))
-            assert flag and cert.is_path
+            report = classify_m1(path(n))
+            assert report.extremal and report.certificate.is_path
 
     def test_star(self):
-        flag, cert = is_extremal(star(3))
-        assert flag
-        assert cert.q_list == (1,)
+        report = classify_m1(star(3))
+        assert report.extremal
+        assert report.certificate.q_list == (1,)
 
     def test_negative(self):
-        flag, cert = is_extremal(spider(1, 2, 2))
-        assert not flag
-        assert cert.g == 1
+        report = classify_m1(spider(1, 2, 2))
+        assert not report.extremal
+        assert report.certificate.g == 1
 
 
 class TestLambdaSet:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from shapes import path, star
 from test_classify import prufer_trees
 from test_float_route import SETTINGS
@@ -114,6 +115,17 @@ class TestClassifyVertices:
             Tree(n=1, edges=(), adjacency=((), ()), pendants=())
 
 
+def assert_bfs_order(t, u):
+    # the visit order of Tree.bfs: a permutation of 1..n that starts at u,
+    # puts every vertex after its parent and never lowers the distance
+    dist, parent, order = t.bfs(u)
+    assert sorted(order) == list(range(1, t.n + 1))
+    assert order[0] == u
+    position = {v: i for i, v in enumerate(order)}
+    assert all(position[parent[v]] < position[v] for v in order[1:])
+    assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
+
+
 class TestDistanceAndPaths:
     def test_distance(self):
         t = path(6)
@@ -134,12 +146,22 @@ class TestDistanceAndPaths:
     @settings(SETTINGS)
     @given(prufer_trees())
     def test_bfs_parents_step_toward_the_root(self, t):
-        dist, parent = t.bfs(1)
+        dist, parent, _ = t.bfs(1)
         assert dist[1] == 0
         assert parent[1] == 1
         for v in range(2, t.n + 1):
             assert parent[v] in t.adjacency[v]
             assert dist[parent[v]] == dist[v] - 1
+
+    @settings(SETTINGS)
+    @given(prufer_trees(), st.data())
+    def test_bfs_order(self, t, data):
+        assert_bfs_order(t, data.draw(st.integers(1, t.n)))
+
+    def test_bfs_order_on_a_long_path(self):
+        t = path(5000)
+        for u in (1, 2500, 5000):
+            assert_bfs_order(t, u)
 
     def test_triangle_equality_through_tree(self):
         t = from_edge_list([(1, 2), (2, 3), (2, 4), (4, 5)])
