@@ -23,6 +23,7 @@ it checks, :class:`Tree` included.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -178,21 +179,28 @@ def from_edge_list(pairs) -> Tree:
     return _build(n, edges)
 
 
+_LINE_END = re.compile(r"\r\n|\r|\n")  # the line ends text-mode open() reads
+_BLANKS = re.compile(r"[ \t]+")
+
+
 def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
     """Parse the plain edge-list format: one ``u v`` pair per line.
 
-    Blank lines are skipped and lines whose first non-space character is
-    ``#`` are comments.  A label is ASCII decimal digits only (``[0-9]+``):
-    ``int`` alone would also read ``1_0``, ``+1`` and non-ASCII digits.
-    Raises :class:`ParseError` carrying the 1-based line number on anything
-    else.
+    A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, and labels are
+    separated only by runs of ASCII spaces and tabs.  Lines of spaces and
+    tabs alone are skipped, and lines whose first other character is ``#``
+    are comments.  A label is ASCII decimal digits only (``[0-9]+``):
+    ``int`` alone would also read ``1_0``, ``+1`` and non-ASCII digits.  Any
+    other character, a form feed or a no-break space say, stays inside its
+    token, so the error names the line an editor shows.  Raises
+    :class:`ParseError` carrying the 1-based line number on anything else.
     """
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = _BLANKS.split(line)
         if len(tokens) != 2:
             raise ParseError(
                 f"line {lineno}: expected two labels, got {len(tokens)} tokens",

@@ -195,6 +195,24 @@ class TestParseText:
             assert info.value.line == 2
         assert parse_edge_list_text("10 0002\n") == ((10, 2),)
 
+    def test_only_newlines_end_lines_and_only_blanks_split_labels(self):
+        # str.splitlines also ends a line at a form feed or U+2028, and
+        # str.split also splits at a no-break space; each such character
+        # belongs to its token, on the line an editor shows
+        for text, line in (
+            ("1 2\x0c2 3\nx y\n", 1),
+            ("1 2 2 3\n", 1),
+            ("1 2\n2\xa03\n", 2),
+            ("1 2\n2\xa03 4\n", 2),
+            ("1 2\n\x0c\n2 3\n", 2),
+            ("1 2\x1c\n", 1),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_edge_list_text(text)
+            assert info.value.line == line, repr(text)
+        for text in ("1 2\r\n2 3\r\n", "1 2\r2 3\r", "1\t2\n \t2 \t 3\t\n\t\n#\tx\n"):
+            assert parse_edge_list_text(text) == ((1, 2), (2, 3)), repr(text)
+
     def test_non_positive(self):
         with pytest.raises(ParseError):
             parse_edge_list_text("0 2\n")
