@@ -14,17 +14,22 @@ and the catalog keeps that sequence as the entry's canonical form, so no
 entry is canonicalized a second time.  Any other tree's canonical form is
 read off :meth:`Tree.bfs`: one search finds the centroids, and one more per
 centroid roots the form there.  An independent brute-force count backs the
-census for small orders: numpy decodes every Prufer code in blocks to a
-bracket word of its rooted tree, and only the distinct words are keyed,
+census for small orders: numpy decodes every Prufer code in blocks to the
+Matula number of its tree rooted at one fixed vertex (D. W. Matula, SIAM
+Review 10, 1968: a leaf is 1, any other vertex the product of prime(number
+of c) over its children c, so isomorphic rooted trees, and only they,
+share a number), and only the distinct numbers are rebuilt and keyed,
 rooted at their centers.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -156,14 +161,24 @@ def free_trees(n: int):
     Each is the tree of one level sequence kept by the generator, which is
     already that tree's canonical form (the catalog keeps the sequence
     itself), so each class shows up once, in the successor rule's order.
+    An order below 1, a bool or a non-integer raises ValueError, and one
+    above ``ORDER_CAP`` CapExceeded.
     """
     for seq in _free_levels(n):
         yield _tree_from_levels(seq)
 
 
+def _integer_order(n) -> int:
+    # ``n`` as an int; a bool or a non-integer is no order.
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"order must be an integer, got {n!r}")
+    return int(n)
+
+
 def _free_levels(n: int):
     # The rooted level sequences that coincide with the canonical form of
     # their own underlying free tree: one per isomorphism class.
+    n = _integer_order(n)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > ORDER_CAP:
@@ -206,98 +221,122 @@ def _heaviest_root_block(seq) -> tuple[int, int]:
 # their high n-2-k digits, for the largest such k; the low digits and their
 # vertex masks are built once per call and reused by every pass.  The cap
 # bounds transient memory: the census benchmark (n up to 8) peaked at
-# 32.1 MB RSS with 8192 rows and at 38.4 MB with 32768, no faster.
+# 32.6 MB RSS with 8192 rows and at 38.2 MB with 32768, no faster.
 _PRUFER_ROWS = 8192
+
+
+@cache
+def _matula_primes():
+    # prime(m) at index m, 2 at index 1, for every prime below 2^16; index 0
+    # is unused.  Built on first use, so importing census costs nothing.
+    sieve = np.ones(1 << 16, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, 1 << 8):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.concatenate(([0], np.flatnonzero(sieve))).astype(np.uint16)
+    primes.flags.writeable = False  # shared by every caller
+    return primes
 
 
 def _prufer_blocks(n: int):
     """Decode all n^(n-2) Prufer codes over 0..n-1, one block of rows at a time.
 
-    Yields ``(digits, leaves, words)`` per block, in running-index order.
+    Yields ``(digits, leaves, values)`` per block, in running-index order.
     Row r of ``digits`` (uint8) is a code, the base-n digits of a running
     index.  Step i removes the leaf ``leaves[r, i]`` (uint8) and hangs it
     under ``digits[r, i]``; the last leaf hangs under n-1, which is never
-    removed.  ``words[r]`` (int32) is the decoded tree's bracket code,
-    rooted at n-1 with children in removal order: a 1 bit, then
-    ``1 <child codes> 0`` for each child.  Equal words mean isomorphic
-    trees, but one isomorphism class spans several words.
+    removed.  ``values[r]`` (uint16) is the Matula number of the decoded
+    tree rooted at n-1: a leaf's number is 1, and any other vertex's is the
+    product of prime(number of c) over its children c, so equal values
+    mean isomorphic rooted trees and each rooted tree has one value.
 
     A block holds the n^k codes that share their high n-2-k digits, k as
     large as ``_PRUFER_ROWS`` allows; the low digits, and the masks of the
     vertices absent from each of their suffixes, are the same in every
     block.  Vertex masks are uint16.  The leaf is the lowest live vertex
     absent from the rest of the code, and its index is the exponent of
-    that mask bit; a child's code of s vertices is 2s bits long, read off
-    as an exponent too.  Words stay below 2^17, so float32 holds both
-    exactly.
+    that mask bit.  Each vertex carries the product of prime(number of c)
+    over the children c removed so far, which is the number of the subtree
+    hung below it; a vertex is removed only after its children, so its
+    number is final when it is.  Every such subtree has at most n vertices,
+    and no rooted tree on 9 or fewer has a number above 19 577, so for
+    n <= 9 uint16 holds them exactly; prime(number) is read off
+    ``_matula_primes``.
     """
+    primes = _matula_primes()
     m = n - 2
     k = 0
     while k < m and n ** (k + 1) <= _PRUFER_ROWS:
         k += 1
     h = m - k
     rows = n**k
-    low = np.empty((rows, k), dtype=np.uint8)
+    low = np.empty((k, rows), dtype=np.uint8)
     index = np.arange(rows)
     for j in range(k - 1, -1, -1):
-        index, low[:, j] = np.divmod(index, n)
-    # absent[r, j]: the vertices that occur nowhere in low digits j.. of row r.
+        index, low[j] = np.divmod(index, n)
+    # Digits, masks and leaves are stored one digit or step per numpy row,
+    # so each step reads and writes contiguous memory; digits and leaves
+    # are yielded transposed, one code per row.
+    # absent[j, r]: the vertices that occur nowhere in low digits j.. of row r.
     present = np.left_shift(1, low.astype(np.uint16))
-    absent = ~np.bitwise_or.accumulate(present[:, ::-1], axis=1)[:, ::-1]
-    absent_low = absent[:, 0] if k else np.full(rows, 0xFFFF, dtype=np.uint16)
-    # word[v * rows + r]: the sentinel bit and the codes of the children
-    # removed so far of vertex v in row r.  A vertex is removed only after
-    # its children, so its code is final when it is.
+    absent = ~np.bitwise_or.accumulate(present[::-1], axis=0)[::-1]
+    absent_low = absent[0] if k else np.full(rows, 0xFFFF, dtype=np.uint16)
+    # number[v * rows + r]: the Matula number of what hangs below vertex v
+    # in row r so far.
     column = np.arange(rows)
-    below = column - rows  # + rows * (leaf + 1) finds the leaf's word
-    parents = [column + rows * low[:, j].astype(np.intp) for j in range(k)]
-    word = np.empty(n * rows, dtype=np.int32)
-    by_vertex = word.reshape(n, rows)
+    below = column - rows  # + rows * (leaf + 1) finds the leaf's number
+    parents = [column + rows * low[j].astype(np.intp) for j in range(k)]
+    number = np.empty(n * rows, dtype=np.uint16)
+    by_vertex = number.reshape(n, rows)
     for block in range(n**h):
         high = [block // n**j % n for j in range(h - 1, -1, -1)]
-        digits = np.empty((rows, m), dtype=np.uint8)
-        digits[:, :h] = high
-        digits[:, h:] = low
-        leaves = np.empty((rows, n - 1), dtype=np.uint8)
+        digits = np.empty((m, rows), dtype=np.uint8)
+        digits[:h] = np.reshape(high, (h, 1))
+        digits[h:] = low
+        leaves = np.empty((n - 1, rows), dtype=np.uint8)
         alive = np.full(rows, (1 << (n - 1)) - 1, dtype=np.uint16)  # all but the root
-        word.fill(1)
+        number.fill(1)
         for i in range(n - 1):
             if i < h:  # high digits i.. are the same in every row
                 later = sum({1 << d for d in high[i:]})
                 free = alive & absent_low & (0xFFFF ^ later)
             elif i < m:
-                free = alive & absent[:, i - h]
+                free = alive & absent[i - h]
             else:
                 free = alive
             bit = free & -free
             leaf_1 = np.frexp(bit.astype(np.float32))[1]  # leaf + 1
-            leaves[:, i] = leaf_1
-            child = word[below + rows * leaf_1] << 1
-            width = np.frexp(child.astype(np.float32))[1]
-            if h <= i < m:
-                up = parents[i - h]
-                word[up] = (word[up] << width) | child
+            leaves[i] = leaf_1
+            child = primes.take(number.take(below + rows * leaf_1))
+            if h <= i < m:  # one parent per row, each in its own column
+                np.multiply.at(number, parents[i - h], child)
             else:  # the parent is the same in every row
-                up = by_vertex[high[i] if i < h else n - 1]
-                up <<= width
-                up |= child
+                by_vertex[high[i] if i < h else n - 1] *= child
             alive ^= bit
         leaves -= 1
-        yield digits, leaves, by_vertex[n - 1].copy()
+        yield digits.T, leaves.T, by_vertex[n - 1].copy()
 
 
-def _plane_edges(word: int, n: int) -> list[tuple[int, int]]:
-    # Edges (child, parent) of the rooted plane tree a bracket word spells,
-    # on vertices 0..n-1 with the root at 0.
+def _matula_edges(value: int, primes: list[int]) -> list[tuple[int, int]]:
+    # Edges (child, parent) of the rooted tree whose Matula number is
+    # ``value``, on vertices 0, 1, ... with the root at 0: each prime
+    # factor prime(c) of a vertex's number is one child, whose number is c.
+    # ``primes`` is _matula_primes() as a list.
     edges = []
-    stack = [0]
-    for bit in range(2 * n - 3, -1, -1):
-        if word >> bit & 1:
-            child = len(edges) + 1
-            edges.append((child, stack[-1]))
-            stack.append(child)
-        else:
-            stack.pop()
+    stack = [(value, 0)]
+    while stack:
+        number, parent = stack.pop()
+        c = 1
+        while number > 1:
+            p = primes[c]
+            if p * p > number:  # what is left is prime
+                c, p = bisect_left(primes, number), number
+            while number % p == 0:
+                number //= p
+                edges.append((len(edges) + 1, parent))
+                stack.append((c, len(edges)))
+            c += 1
     return edges
 
 
@@ -346,29 +385,32 @@ def _free_key(n: int, edges) -> str:
 
 def _prufer_classes(n: int) -> Counter:
     # Number of labeled trees in each isomorphism class, by free-tree key.
-    tally = np.zeros(1 << (2 * n - 1), dtype=np.int64)  # labeled trees per word
-    for _, _, words in _prufer_blocks(n):
-        np.add.at(tally, words, 1)
+    tally = np.zeros(1 << 16, dtype=np.int64)  # labeled trees per Matula number
+    for _, _, values in _prufer_blocks(n):
+        counts = np.bincount(values)
+        tally[: counts.size] += counts
+    primes = _matula_primes().tolist()
     classes: Counter = Counter()
-    for word in np.flatnonzero(tally).tolist():
-        classes[_free_key(n, _plane_edges(word, n))] += int(tally[word])
+    for value in np.flatnonzero(tally).tolist():
+        classes[_free_key(n, _matula_edges(value, primes))] += int(tally[value])
     return classes
 
 
 def prufer_count_oracle(n: int) -> int:
     """Count isomorphism classes by brute force over all n^(n-2) labeled trees.
 
-    Only sensible for n in 2..9.  Every Prufer code is decoded, in numpy
-    blocks of up to ``_PRUFER_ROWS`` codes that share their high digits, to
-    a bracket word of its tree rooted at n-1; only the distinct words (at
-    most Catalan(n-1) of them) are rebuilt and keyed, by the smaller AHU
-    string rooted at a center.  Nothing here shares code with the
-    level-sequence generator it checks: centers, not its centroids, root
-    the keys.
+    Only sensible for n in 2..9; any other order, a bool or a non-integer
+    raises CapExceeded.  Every Prufer code is decoded, in numpy blocks of up
+    to ``_PRUFER_ROWS`` codes that share their high digits, to the Matula
+    number of its tree rooted at n-1; a bincount per block tallies them, and
+    only the distinct ones (one per rooted tree on n vertices, 286 at
+    n = 9) are rebuilt by factoring and keyed, by the smaller AHU string
+    rooted at a center.  Nothing here shares code with the level-sequence
+    generator it checks: centers, not its centroids, root the keys.
     """
-    if not 2 <= n <= 9:
-        raise CapExceeded(f"brute-force census supports 2..9, got {n}")
-    return len(_prufer_classes(n))
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 2 <= n <= 9:
+        raise CapExceeded(f"brute-force census supports 2..9, got {n!r}")
+    return len(_prufer_classes(int(n)))
 
 
 def tree_name(tree: Tree) -> str:
@@ -424,10 +466,12 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     raises OracleDisagreement carrying the offending edge list.  Entries are
     sorted by (n, canonical form).  ``jobs > 1`` fans the per-tree work out
     to worker processes, order preserved; the pool never has more workers
-    than the machine has CPUs.
+    than the machine has CPUs.  A bool or non-integer ``max_n`` raises
+    ValueError, and one above ``ORDER_CAP`` CapExceeded.
     """
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
+    max_n = _integer_order(max_n)
     if max_n > ORDER_CAP:
         raise CapExceeded(f"order {max_n} above the supported cap {ORDER_CAP}")
     sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))

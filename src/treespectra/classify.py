@@ -188,7 +188,7 @@ def in_gamma(tree: Tree):
             paths = [legs[u] for u in trio]
             if len({leg[1] for leg in paths}) < 3:
                 continue  # legs must leave m by distinct edges
-            ok, attachments = _check_attachments(tree, row_m, pieces, paths)
+            ok, attachments = _check_attachments(tree, row_m, parent, order, pieces, paths)
             if ok:
                 return True, GammaWitness(
                     major=major,
@@ -235,11 +235,12 @@ def _hung_pieces(tree: Tree, row, parent, order):
     return pieces
 
 
-def _check_attachments(tree: Tree, row_m, pieces, paths):
+def _check_attachments(tree: Tree, row_m, parent, order, pieces, paths):
     # The legs leave the major by distinct edges, so every other core vertex
     # lies on one leg.  The core is connected and holds the major, so each
     # component of T - core is the subtree hung at an off-core neighbour of
     # its anchor.  Attachments are ordered by anchor, then smallest vertex.
+    # ``row_m``, ``parent`` and ``order`` are the major's Tree.bfs.
     major = paths[0][0]
     adj = tree.adjacency
     leg_end = {v: leg[-1] for leg in paths for v in leg[1:]}
@@ -260,16 +261,19 @@ def _check_attachments(tree: Tree, row_m, pieces, paths):
         family = "Q" if "Q" in kinds else "P"
         hung += [(anchor, c, family) for c in comps]
 
-    attachments = []
-    for anchor, c, family in hung:
-        below, stack = [], [c]
-        while stack:
-            x = stack.pop()
-            below.append(x)
-            stack += [y for y in adj[x] if row_m[y] > row_m[x]]
-        attachments.append(
-            GammaAttachment(anchor=anchor, vertices=tuple(sorted(below)), family=family)
-        )
+    # One pass over the search's order, parents first, labels each off-core
+    # vertex with the top of its component: itself when its parent is on
+    # the core, else its parent's top.
+    below = {c: [] for _, c, _ in hung}
+    top = {}
+    for x in order:
+        if x not in core:
+            top[x] = top.get(parent[x], x)
+            below[top[x]].append(x)
+    attachments = [
+        GammaAttachment(anchor=anchor, vertices=tuple(sorted(below[c])), family=family)
+        for anchor, c, family in hung
+    ]
     attachments.sort(key=lambda att: (att.anchor, att.vertices))
     return True, tuple(attachments)
 

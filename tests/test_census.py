@@ -83,14 +83,76 @@ def aut_order(tree):
     return order
 
 
-def spell(children, v):
-    """The bracket word below v, children in list order: 1 <child> 0 each."""
-    return "".join("1" + spell(children, c) + "0" for c in children[v])
+def _sieve(bound):
+    """The primes below ``bound``, by the sieve of Eratosthenes."""
+    composite = bytearray(bound)
+    primes = []
+    for p in range(2, bound):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, bound, p))
+    return primes
+
+
+# PRIMES[m] is the m-th prime, PRIMES[1] = 2; index 0 is unused.
+PRIMES = [0] + _sieve(1 << 16)
+
+
+def matula(children, v):
+    """Matula number of the tree below v: 1 for a leaf, else the product of
+    prime(number of c) over v's children c."""
+    number = 1
+    for c in children[v]:
+        number *= PRIMES[matula(children, c)]
+    return number
+
+
+def rooted_numbers(max_n):
+    """Matula numbers of every rooted tree of order 1..max_n, by order.  A
+    tree of order k + 1 is a root over a forest of order k, and a forest's
+    product is prime(number) of one of its trees times the rest's."""
+    numbers = {1: {1}}
+    forests = {0: {1}}
+    for k in range(1, max_n):
+        forests[k] = {
+            PRIMES[t] * rest
+            for j in range(1, k + 1)
+            for t in numbers[j]
+            for rest in forests[k - j]
+        }
+        numbers[k + 1] = forests[k]
+    return numbers
+
+
+def rooted_tree_counts(max_n):
+    """Rooted unlabeled trees of order 0..max_n, from the Euler transform
+    k r(k+1) = sum_{j=1..k} (sum_{d | j} d r(d)) r(k-j+1), r(1) = 1."""
+    r = [0, 1]
+    for k in range(1, max_n):
+        total = sum(
+            sum(d * r[d] for d in range(1, j + 1) if j % d == 0) * r[k - j + 1]
+            for j in range(1, k + 1)
+        )
+        r.append(total // k)
+    return r
+
+
+def free_tree_counts(max_n):
+    """Free trees of order 0..max_n by Otter's formula: t(n) = r(n) minus the
+    unordered pairs of distinct rooted trees whose orders sum to n."""
+    r = rooted_tree_counts(max_n)
+    counts = [0]
+    for n in range(1, max_n + 1):
+        pairs = sum(r[i] * r[n - i] for i in range(1, n))
+        if n % 2 == 0:
+            pairs -= r[n // 2]
+        counts.append(r[n] - pairs // 2)
+    return counts
 
 
 def textbook_decode(code, n):
     """The leaves of a Prufer code over 0..n-1 in removal order, one code
-    at a time, and the bracket word of its tree rooted at n-1."""
+    at a time, and the Matula number of its tree rooted at n-1."""
     degree = [1 + code.count(v) for v in range(n)]
     removed = []
     for x in code:
@@ -102,7 +164,7 @@ def textbook_decode(code, n):
     children = {v: [] for v in range(n)}
     for leaf, parent in zip(removed, code + [n - 1]):
         children[parent].append(leaf)
-    return removed, int("1" + spell(children, n - 1), 2)
+    return removed, matula(children, n - 1)
 
 
 def trees_kept_by_full_canonical_filter(n):
@@ -230,6 +292,21 @@ class TestFreeTrees:
         with pytest.raises(CapExceeded):
             list(free_trees(ORDER_CAP + 1))
 
+    @pytest.mark.parametrize("order", [True, False, 4.0, 2.5, "4", None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError):
+            list(free_trees(order))
+
+    def test_numpy_integer_order(self):
+        assert sum(1 for _ in free_trees(np.int64(7))) == 11
+        assert sum(1 for _ in free_trees(np.uint8(6))) == 6
+
+    def test_otter_counts(self):
+        # Otter's formula from the Euler transform, with no table of counts
+        expected = free_tree_counts(ORDER_CAP)
+        for n in range(1, ORDER_CAP + 1):
+            assert sum(1 for _ in free_trees(n)) == expected[n]
+
 
 class TestCanonicalForm:
     def test_invariant_under_relabeling(self):
@@ -304,6 +381,20 @@ class TestPruferOracle:
         with pytest.raises(CapExceeded):
             prufer_count_oracle(10)
 
+    @pytest.mark.parametrize("order", [9.0, 8.5, True, False, "8", None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(CapExceeded):
+            prufer_count_oracle(order)
+
+    def test_numpy_integer_order(self):
+        assert prufer_count_oracle(np.int64(7)) == prufer_count_oracle(np.uint8(7)) == 11
+
+    def test_otter_counts(self):
+        # Otter's formula from the Euler transform, with no table of counts
+        expected = free_tree_counts(9)
+        for n in range(2, 10):
+            assert prufer_count_oracle(n) == expected[n]
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_decode_is_a_bijection(self, n):
         trees = set()
@@ -332,36 +423,61 @@ class TestPruferOracle:
         # the first and last row of every block and every 997th row
         start = 0
         checked = 0
-        for digits, leaves, words in census._prufer_blocks(n):
-            assert (digits.dtype, leaves.dtype, words.dtype) == (np.uint8, np.uint8, np.int32)
-            stop = start + len(words)
+        for digits, leaves, values in census._prufer_blocks(n):
+            assert (digits.dtype, leaves.dtype, values.dtype) == (np.uint8, np.uint8, np.uint16)
+            stop = start + len(values)
             multiples = range(start + -start % 997, stop, 997)  # of 997, in the block
             picks = {start, stop - 1, *multiples}
             for index in sorted(picks):
                 code = [index // n**j % n for j in range(n - 3, -1, -1)]
                 r = index - start
                 assert digits[r].tolist() == code
-                assert (leaves[r].tolist(), int(words[r])) == textbook_decode(code, n)
+                assert (leaves[r].tolist(), int(values[r])) == textbook_decode(code, n)
                 checked += 1
             start = stop
         assert start == n ** (n - 2)
         assert checked > n ** (n - 2) // 997
 
-    def test_words_spell_the_tree_rooted_at_n_minus_1(self):
-        # the bracket word written out recursively, children in removal order;
-        # _plane_edges rebuilds a plane tree that spells the same word
+    def test_values_are_matula_numbers_of_the_tree_rooted_at_n_minus_1(self):
+        # the Matula number computed recursively from each decoded tree
         n = 7
-        for digits, leaves, words in census._prufer_blocks(n):
-            for code, removed, word in zip(digits.tolist(), leaves.tolist(), words.tolist()):
+        for digits, leaves, values in census._prufer_blocks(n):
+            for code, removed, value in zip(digits.tolist(), leaves.tolist(), values.tolist()):
                 children = {v: [] for v in range(n)}
                 for leaf, parent in zip(removed, code + [n - 1]):
                     children[parent].append(leaf)
-                assert word == int("1" + spell(children, n - 1), 2)
+                assert value == matula(children, n - 1)
 
-                rebuilt = {v: [] for v in range(n)}
-                for child, parent in census._plane_edges(word, n):
+    def test_matula_edges_rebuild_every_rooted_tree(self):
+        # _matula_edges factors each number of order <= 9 back into a tree
+        # on 0..k-1, rooted at 0, that has that number
+        primes = census._matula_primes().tolist()
+        assert primes == PRIMES
+        for k, numbers in rooted_numbers(9).items():
+            for number in numbers:
+                edges = census._matula_edges(number, primes)
+                assert sorted(child for child, _ in edges) == list(range(1, k))
+                assert all(parent < child for child, parent in edges)  # so a tree
+                rebuilt = {v: [] for v in range(k)}
+                for child, parent in edges:
                     rebuilt[parent].append(child)
-                assert word == int("1" + spell(rebuilt, 0), 2)
+                assert matula(rebuilt, 0) == number
+
+    def test_values_fit_in_uint16(self):
+        # the kernel multiplies in uint16: by the recursion over rooted
+        # trees, no number of order <= 9 exceeds 19 577, and each order has
+        # as many numbers as it has rooted trees
+        numbers = rooted_numbers(9)
+        assert [len(numbers[k]) for k in range(1, 10)] == rooted_tree_counts(9)[1:]
+        assert max(max(found) for found in numbers.values()) == 19577 < 1 << 16
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_rooted_tree_is_decoded(self, n):
+        # the values seen are exactly the numbers of the rooted trees of order n
+        seen = set()
+        for _, _, values in census._prufer_blocks(n):
+            seen.update(np.unique(values).tolist())
+        assert seen == rooted_numbers(n)[n]
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_class_sizes_are_orbit_sizes(self, n):
@@ -531,6 +647,14 @@ class TestBuildCatalog:
             build_catalog(ORDER_CAP + 1)
         with pytest.raises(ValueError):
             build_catalog(4, "bogus")
+
+    @pytest.mark.parametrize("order", [True, False, 4.0, 2.5, "4", None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError):
+            build_catalog(order)
+
+    def test_numpy_integer_order(self):
+        assert build_catalog(np.int64(4)) == build_catalog(4)
 
 
 class TestCertify:

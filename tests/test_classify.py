@@ -316,9 +316,9 @@ class TestInGamma:
         calls = []
         real = classify._check_attachments
 
-        def counting(tree, row_m, pieces, paths):
+        def counting(tree, row_m, parent, order, pieces, paths):
             calls.append(tuple(paths))
-            return real(tree, row_m, pieces, paths)
+            return real(tree, row_m, parent, order, pieces, paths)
 
         monkeypatch.setattr(classify, "_check_attachments", counting)
         tree = spider(3, 3, 3, 3)

@@ -350,7 +350,14 @@ def test_route_comparisons_live_in_gauntlet():
     assert raisers == ["gauntlet.py"]
 
 
-ORACLE = ("_prufer_blocks", "_plane_edges", "_free_key", "_prufer_classes", "prufer_count_oracle")
+ORACLE = (
+    "_matula_primes",
+    "_prufer_blocks",
+    "_matula_edges",
+    "_free_key",
+    "_prufer_classes",
+    "prufer_count_oracle",
+)
 
 
 def test_census_oracle_names_nothing_of_the_generator():
