@@ -18,8 +18,8 @@ census for small orders: numpy decodes every Prufer code in blocks to the
 Matula number of its tree rooted at one fixed vertex (D. W. Matula, SIAM
 Review 10, 1968: a leaf is 1, any other vertex the product of prime(number
 of c) over its children c, so isomorphic rooted trees, and only they,
-share a number), and only the distinct numbers are rebuilt and keyed,
-rooted at their centers.
+share a number) and counts the codes per number in one tally; only the
+distinct numbers are rebuilt and keyed, rooted at their centers.
 """
 
 from __future__ import annotations
@@ -168,21 +168,22 @@ def free_trees(n: int):
         yield _tree_from_levels(seq)
 
 
-def _integer_order(n) -> int:
-    # ``n`` as an int; a bool or a non-integer is no order.
+def _order(n) -> int:
+    # ``n`` as an int order: a bool, a non-integer or an order below 1
+    # raises ValueError, and one above ORDER_CAP CapExceeded.
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise ValueError(f"order must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n > ORDER_CAP:
+        raise CapExceeded(f"order {n} above the supported cap {ORDER_CAP}")
     return int(n)
 
 
 def _free_levels(n: int):
     # The rooted level sequences that coincide with the canonical form of
     # their own underlying free tree: one per isomorphism class.
-    n = _integer_order(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n > ORDER_CAP:
-        raise CapExceeded(f"order {n} above the supported cap {ORDER_CAP}")
+    n = _order(n)
     for seq in _level_sequences(n):
         start, heaviest = _heaviest_root_block(seq)
         if heaviest + heaviest < n:
@@ -217,11 +218,12 @@ def _heaviest_root_block(seq) -> tuple[int, int]:
     return best if best[1] >= n - start else (start, n - start)
 
 
-# Rows per numpy pass, at most.  A pass covers the n^k codes that share
-# their high n-2-k digits, for the largest such k; the low digits and their
-# vertex masks are built once per call and reused by every pass.  The cap
-# bounds transient memory: the census benchmark (n up to 8) peaked at
-# 32.6 MB RSS with 8192 rows and at 38.2 MB with 32768, no faster.
+# Rows per numpy pass, at most.  A pass decodes the n^k codes that share
+# their high n-2-k digits, for the largest such k, and adds their root
+# numbers to the tally; the low digits and their vertex masks are built
+# once per call and reused by every pass.  The cap bounds transient memory:
+# the census benchmark (n up to 8) peaked at 32.6 MB RSS with 8192 rows and
+# at 38.2 MB with 32768, no faster.
 _PRUFER_ROWS = 8192
 
 
@@ -239,30 +241,27 @@ def _matula_primes():
     return primes
 
 
-def _prufer_blocks(n: int):
-    """Decode all n^(n-2) Prufer codes over 0..n-1, one block of rows at a time.
+def _prufer_tally(n: int) -> np.ndarray:
+    """Labeled trees on 0..n-1 per Matula number of the tree rooted at n-1.
 
-    Yields ``(digits, leaves, values)`` per block, in running-index order.
-    Row r of ``digits`` (uint8) is a code, the base-n digits of a running
-    index.  Step i removes the leaf ``leaves[r, i]`` (uint8) and hangs it
-    under ``digits[r, i]``; the last leaf hangs under n-1, which is never
-    removed.  ``values[r]`` (uint16) is the Matula number of the decoded
-    tree rooted at n-1: a leaf's number is 1, and any other vertex's is the
-    product of prime(number of c) over its children c, so equal values
-    mean isomorphic rooted trees and each rooted tree has one value.
+    Entry v of the int64 array (2^16 entries) counts the Prufer codes over
+    0..n-1 whose tree, rooted at n-1, has Matula number v.  All n^(n-2)
+    codes are decoded, one block at a time, and each block's root numbers
+    are bincounted into the tally.
 
     A block holds the n^k codes that share their high n-2-k digits, k as
     large as ``_PRUFER_ROWS`` allows; the low digits, and the masks of the
     vertices absent from each of their suffixes, are the same in every
-    block.  Vertex masks are uint16.  The leaf is the lowest live vertex
-    absent from the rest of the code, and its index is the exponent of
-    that mask bit.  Each vertex carries the product of prime(number of c)
-    over the children c removed so far, which is the number of the subtree
-    hung below it; a vertex is removed only after its children, so its
-    number is final when it is.  Every such subtree has at most n vertices,
-    and no rooted tree on 9 or fewer has a number above 19 577, so for
-    n <= 9 uint16 holds them exactly; prime(number) is read off
-    ``_matula_primes``.
+    block.  Vertex masks are uint16.  Step i removes the lowest live vertex
+    absent from the rest of the code, whose index is the exponent of that
+    mask bit, and hangs it under digit i; the last leaf hangs under n-1,
+    which is never removed.  Each vertex carries the product of
+    prime(number of c) over the children c removed so far, which is the
+    number of the subtree hung below it; a vertex is removed only after its
+    children, so its number is final when it is.  Every such subtree has at
+    most n vertices, and no rooted tree on 9 or fewer has a number above
+    19 577, so for n <= 9 uint16 holds them exactly; prime(number) is read
+    off ``_matula_primes``.
     """
     primes = _matula_primes()
     m = n - 2
@@ -275,10 +274,8 @@ def _prufer_blocks(n: int):
     index = np.arange(rows)
     for j in range(k - 1, -1, -1):
         index, low[j] = np.divmod(index, n)
-    # Digits, masks and leaves are stored one digit or step per numpy row,
-    # so each step reads and writes contiguous memory; digits and leaves
-    # are yielded transposed, one code per row.
-    # absent[j, r]: the vertices that occur nowhere in low digits j.. of row r.
+    # absent[j, r]: the vertices that occur nowhere in low digits j.. of row
+    # r; one digit per numpy row, so each step reads contiguous memory.
     present = np.left_shift(1, low.astype(np.uint16))
     absent = ~np.bitwise_or.accumulate(present[::-1], axis=0)[::-1]
     absent_low = absent[0] if k else np.full(rows, 0xFFFF, dtype=np.uint16)
@@ -289,12 +286,9 @@ def _prufer_blocks(n: int):
     parents = [column + rows * low[j].astype(np.intp) for j in range(k)]
     number = np.empty(n * rows, dtype=np.uint16)
     by_vertex = number.reshape(n, rows)
+    tally = np.zeros(1 << 16, dtype=np.int64)
     for block in range(n**h):
         high = [block // n**j % n for j in range(h - 1, -1, -1)]
-        digits = np.empty((m, rows), dtype=np.uint8)
-        digits[:h] = np.reshape(high, (h, 1))
-        digits[h:] = low
-        leaves = np.empty((n - 1, rows), dtype=np.uint8)
         alive = np.full(rows, (1 << (n - 1)) - 1, dtype=np.uint16)  # all but the root
         number.fill(1)
         for i in range(n - 1):
@@ -307,15 +301,15 @@ def _prufer_blocks(n: int):
                 free = alive
             bit = free & -free
             leaf_1 = np.frexp(bit.astype(np.float32))[1]  # leaf + 1
-            leaves[i] = leaf_1
             child = primes.take(number.take(below + rows * leaf_1))
             if h <= i < m:  # one parent per row, each in its own column
                 np.multiply.at(number, parents[i - h], child)
             else:  # the parent is the same in every row
                 by_vertex[high[i] if i < h else n - 1] *= child
             alive ^= bit
-        leaves -= 1
-        yield digits.T, leaves.T, by_vertex[n - 1].copy()
+        counts = np.bincount(by_vertex[n - 1])
+        tally[: counts.size] += counts
+    return tally
 
 
 def _matula_edges(value: int, primes: list[int]) -> list[tuple[int, int]]:
@@ -385,10 +379,7 @@ def _free_key(n: int, edges) -> str:
 
 def _prufer_classes(n: int) -> Counter:
     # Number of labeled trees in each isomorphism class, by free-tree key.
-    tally = np.zeros(1 << 16, dtype=np.int64)  # labeled trees per Matula number
-    for _, _, values in _prufer_blocks(n):
-        counts = np.bincount(values)
-        tally[: counts.size] += counts
+    tally = _prufer_tally(n)
     primes = _matula_primes().tolist()
     classes: Counter = Counter()
     for value in np.flatnonzero(tally).tolist():
@@ -402,10 +393,10 @@ def prufer_count_oracle(n: int) -> int:
     Only sensible for n in 2..9; any other order, a bool or a non-integer
     raises CapExceeded.  Every Prufer code is decoded, in numpy blocks of up
     to ``_PRUFER_ROWS`` codes that share their high digits, to the Matula
-    number of its tree rooted at n-1; a bincount per block tallies them, and
-    only the distinct ones (one per rooted tree on n vertices, 286 at
-    n = 9) are rebuilt by factoring and keyed, by the smaller AHU string
-    rooted at a center.  Nothing here shares code with the level-sequence
+    number of its tree rooted at n-1, and ``_prufer_tally`` counts the codes
+    per number; only the distinct numbers (one per rooted tree on n
+    vertices, 286 at n = 9) are rebuilt by factoring and keyed, by the
+    smaller AHU string rooted at a center.  Nothing here shares code with the level-sequence
     generator it checks: centers, not its centroids, root the keys.
     """
     if isinstance(n, bool) or not isinstance(n, Integral) or not 2 <= n <= 9:
@@ -466,14 +457,12 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     raises OracleDisagreement carrying the offending edge list.  Entries are
     sorted by (n, canonical form).  ``jobs > 1`` fans the per-tree work out
     to worker processes, order preserved; the pool never has more workers
-    than the machine has CPUs.  A bool or non-integer ``max_n`` raises
-    ValueError, and one above ``ORDER_CAP`` CapExceeded.
+    than the machine has CPUs.  A ``max_n`` below 1, a bool or a
+    non-integer raises ValueError, and one above ``ORDER_CAP`` CapExceeded.
     """
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
-    max_n = _integer_order(max_n)
-    if max_n > ORDER_CAP:
-        raise CapExceeded(f"order {max_n} above the supported cap {ORDER_CAP}")
+    max_n = _order(max_n)
     sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))
     entry_for = partial(_catalog_entry, tol=tol)
     workers = min(jobs, os.cpu_count() or 1)

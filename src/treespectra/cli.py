@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__, gauntlet
 from .census import FILTERS, ORDER_CAP, build_catalog, canonical_relabel
 from .errors import OracleDisagreement, ParseError, TreeSpectraError
-from .trees import from_edge_list, parse_edge_list_text
+from .trees import _ascii_digits, from_edge_list, parse_edge_list_text
 
 SCHEMA_VERSION = 1
 
@@ -282,8 +282,10 @@ _TOL_HELP = (
 
 
 def _tolerance(text: str) -> float:
-    """argparse type for --tol: a finite, non-negative float."""
+    """argparse type for --tol: a finite float >= 0, in ASCII without ``_`` or spaces."""
     try:
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
@@ -292,15 +294,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _digits(text: str) -> int:
+    """argparse type for --q and --b: ASCII digits 0-9, as edge-list labels."""
+    if not _ascii_digits(text):
+        raise argparse.ArgumentTypeError(f"must be digits 0-9, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    """argparse type for --max-n and --jobs: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    """argparse type for --max-n and --jobs: ASCII digits 0-9, at least 1."""
+    if not _ascii_digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+    return int(text)
 
 
 @functools.cache
@@ -332,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         "eigenbasis", help="construct the p-1 eigenvectors for one extremal eigenvalue"
     )
     p_basis.add_argument("input", help="edge-list file: one 'u v' pair per line")
-    p_basis.add_argument("--q", type=int, required=True, help="modulus parameter, 2q+1 >= 3")
-    p_basis.add_argument("--b", type=int, default=0, help="branch index in [0, q)")
+    p_basis.add_argument("--q", type=_digits, required=True, help="modulus parameter, 2q+1 >= 3")
+    p_basis.add_argument("--b", type=_digits, default=0, help="branch index in [0, q)")
     p_basis.add_argument("--out", help="write vectors as CSV to this file")
     add_mode_flags(p_basis)
     p_basis.set_defaults(func=cmd_eigenbasis)

@@ -183,14 +183,18 @@ _LINE_END = re.compile(r"\r\n|\r|\n")  # the line ends text-mode open() reads
 _BLANKS = re.compile(r"[ \t]+")
 
 
+def _ascii_digits(text: str) -> bool:
+    # ``[0-9]+``: int() alone also reads 1_0, +1, spaces and other scripts' digits.
+    return text.isascii() and text.isdigit()
+
+
 def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
     """Parse the plain edge-list format: one ``u v`` pair per line.
 
     A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, and labels are
     separated only by runs of ASCII spaces and tabs.  Lines of spaces and
     tabs alone are skipped, and lines whose first other character is ``#``
-    are comments.  A label is ASCII decimal digits only (``[0-9]+``):
-    ``int`` alone would also read ``1_0``, ``+1`` and non-ASCII digits.  Any
+    are comments.  A label is ASCII decimal digits only (``[0-9]+``).  Any
     other character, a form feed or a no-break space say, stays inside its
     token, so the error names the line an editor shows.  Raises
     :class:`ParseError` carrying the 1-based line number on anything else.
@@ -206,7 +210,7 @@ def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
                 f"line {lineno}: expected two labels, got {len(tokens)} tokens",
                 line=lineno,
             )
-        if not all(t.isascii() and t.isdigit() for t in tokens):
+        if not all(map(_ascii_digits, tokens)):
             raise ParseError(f"line {lineno}: labels must be digits 0-9", line=lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])

@@ -124,6 +124,22 @@ def rooted_numbers(max_n):
     return numbers
 
 
+def rooted_aut_order(number):
+    """|Aut R| of the rooted tree R with Matula number ``number``: equal
+    child subtrees permute among themselves, so k children of number c
+    contribute k! |Aut c|^k."""
+    order = 1
+    for c, p in enumerate(PRIMES[1:], start=1):
+        if number == 1:
+            return order
+        k = 0
+        while number % p == 0:
+            number //= p
+            k += 1
+        if k:
+            order *= math.factorial(k) * rooted_aut_order(c) ** k
+
+
 def rooted_tree_counts(max_n):
     """Rooted unlabeled trees of order 0..max_n, from the Euler transform
     k r(k+1) = sum_{j=1..k} (sum_{d | j} d r(d)) r(k-j+1), r(1) = 1."""
@@ -396,57 +412,26 @@ class TestPruferOracle:
             assert prufer_count_oracle(n) == expected[n]
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_decode_is_a_bijection(self, n):
+    def test_decode_is_a_bijection(self, n, monkeypatch):
+        # the textbook decode, one code at a time, over every code gives
+        # each labeled tree once, and the kernel's tally counts exactly
+        # their Matula numbers rooted at n-1: in its default blocks, and
+        # with one low digit per block, so that most digits are high
         trees = set()
-        rows = 0
-        for digits, leaves, _ in census._prufer_blocks(n):
-            for code, removed in zip(digits.tolist(), leaves.tolist()):
-                assert code == [rows // n**j % n for j in range(n - 3, -1, -1)]
-                rows += 1
-                edges = list(zip(removed, code + [n - 1]))
-                from_edge_list((u + 1, w + 1) for u, w in edges)  # raises unless a tree
-                degree = Counter(v for edge in edges for v in edge)
-                assert [degree[v] for v in range(n)] == [1 + code.count(v) for v in range(n)]
-                trees.add(frozenset(frozenset(edge) for edge in edges))
-        assert rows == len(trees) == n ** (n - 2)
-
-    def test_decode_takes_the_smallest_leaf(self):
-        # the textbook decode, one code at a time, on every order-6 code
-        n = 6
-        for digits, leaves, _ in census._prufer_blocks(n):
-            for code, removed in zip(digits.tolist(), leaves.tolist()):
-                assert removed == textbook_decode(code, n)[0]
-
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_sampled_rows_match_the_textbook_decode(self, n):
-        # n = 8 and 9 span several blocks that share their low digits; check
-        # the first and last row of every block and every 997th row
-        start = 0
-        checked = 0
-        for digits, leaves, values in census._prufer_blocks(n):
-            assert (digits.dtype, leaves.dtype, values.dtype) == (np.uint8, np.uint8, np.uint16)
-            stop = start + len(values)
-            multiples = range(start + -start % 997, stop, 997)  # of 997, in the block
-            picks = {start, stop - 1, *multiples}
-            for index in sorted(picks):
-                code = [index // n**j % n for j in range(n - 3, -1, -1)]
-                r = index - start
-                assert digits[r].tolist() == code
-                assert (leaves[r].tolist(), int(values[r])) == textbook_decode(code, n)
-                checked += 1
-            start = stop
-        assert start == n ** (n - 2)
-        assert checked > n ** (n - 2) // 997
-
-    def test_values_are_matula_numbers_of_the_tree_rooted_at_n_minus_1(self):
-        # the Matula number computed recursively from each decoded tree
-        n = 7
-        for digits, leaves, values in census._prufer_blocks(n):
-            for code, removed, value in zip(digits.tolist(), leaves.tolist(), values.tolist()):
-                children = {v: [] for v in range(n)}
-                for leaf, parent in zip(removed, code + [n - 1]):
-                    children[parent].append(leaf)
-                assert value == matula(children, n - 1)
+        numbers = Counter()
+        for index in range(n ** (n - 2)):
+            code = [index // n**j % n for j in range(n - 3, -1, -1)]
+            removed, number = textbook_decode(code, n)
+            edges = list(zip(removed, code + [n - 1]))
+            from_edge_list((u + 1, w + 1) for u, w in edges)  # raises unless a tree
+            trees.add(frozenset(map(frozenset, edges)))
+            numbers[number] += 1
+        assert len(trees) == n ** (n - 2)
+        for rows in (census._PRUFER_ROWS, n):
+            monkeypatch.setattr(census, "_PRUFER_ROWS", rows)
+            tally = census._prufer_tally(n)
+            assert tally.dtype == np.int64
+            assert {v: tally[v] for v in np.flatnonzero(tally).tolist()} == numbers
 
     def test_matula_edges_rebuild_every_rooted_tree(self):
         # _matula_edges factors each number of order <= 9 back into a tree
@@ -473,11 +458,15 @@ class TestPruferOracle:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_every_rooted_tree_is_decoded(self, n):
-        # the values seen are exactly the numbers of the rooted trees of order n
-        seen = set()
-        for _, _, values in census._prufer_blocks(n):
-            seen.update(np.unique(values).tolist())
-        assert seen == rooted_numbers(n)[n]
+        # the tally's support is exactly the numbers of the rooted trees of
+        # order n, and each rooted tree R is counted once per labeling with
+        # its root fixed at n-1: (n-1)!/|Aut R| times
+        tally = census._prufer_tally(n)
+        orbits = {
+            number: math.factorial(n - 1) // rooted_aut_order(number)
+            for number in rooted_numbers(n)[n]
+        }
+        assert {v: tally[v] for v in np.flatnonzero(tally).tolist()} == orbits
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_class_sizes_are_orbit_sizes(self, n):
@@ -645,6 +634,9 @@ class TestBuildCatalog:
     def test_validation(self):
         with pytest.raises(CapExceeded):
             build_catalog(ORDER_CAP + 1)
+        for order in (0, -3):  # rejected like free_trees(0), not an empty catalog
+            with pytest.raises(ValueError, match=">= 1"):
+                build_catalog(order)
         with pytest.raises(ValueError):
             build_catalog(4, "bogus")
 

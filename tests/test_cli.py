@@ -212,7 +212,10 @@ class TestExitCodes:
     def test_bad_tol_is_2(self, tmp_path, capsys):
         f = write(tmp_path, "t.txt", SPIDER114)
         for command in (["check", f], ["enumerate", "--max-n", "4"]):
-            for value in ("nan", "inf", "-inf", "-1"):
+            for value in (
+                *("nan", "inf", "-inf", "-1"),
+                *("1_0", "\u0661e-12", " 1e-12", "1e-12\u00a0"),  # float() alone reads these
+            ):
                 assert main([*command, f"--tol={value}"]) == 2
                 err = capsys.readouterr().err
                 assert "--tol" in err
@@ -226,20 +229,32 @@ class TestExitCodes:
             assert "Traceback" not in err
 
     def test_bad_jobs_is_2(self, capsys):
-        for value in ("0", "-3", "two", "1.5"):
+        for value in ("0", "-3", "two", "1.5", "1_0", "\u0662", "+1", " 1"):
             assert main(["enumerate", "--max-n", "4", f"--jobs={value}"]) == 2
             err = capsys.readouterr().err
             assert "--jobs" in err
             assert "Traceback" not in err
 
     def test_bad_max_n_is_2(self, capsys):
-        # below order 1 there is nothing to catalog: rejected like --jobs 0
-        for value in ("0", "-3"):
+        # below order 1 there is nothing to catalog: rejected like --jobs 0,
+        # and so is any form but ASCII digits, which int() alone would read
+        for value in ("0", "-3", "0_4", "\u0664", "+4", " 4"):
             assert main(["enumerate", f"--max-n={value}"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--max-n: must be an integer >= 1" in captured.err
             assert "Traceback" not in captured.err
+
+    def test_bad_q_and_b_are_2(self, tmp_path, capsys):
+        # ASCII digits only, as in edge lists: int() alone would read the rest
+        f = write(tmp_path, "t.txt", SPIDER114)
+        for value in ("1_0", "\u0663", "+1", " 1", "-1", "1.0", ""):
+            for flag, argv in (("--q", ["--q", value]), ("--b", ["--q", "1", "--b", value])):
+                assert main(["eigenbasis", f, *argv]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"argument {flag}: must be digits 0-9" in captured.err
+                assert "Traceback" not in captured.err
 
     def test_oracle_disagreement_is_3(self, tmp_path, capsys, monkeypatch):
         # A numeric route that finds no eigenvalue anywhere disagrees with

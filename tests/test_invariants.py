@@ -12,7 +12,9 @@ that only ``gauntlet`` compares routes, and reaches them through their
 modules, where the benchmark's tracer wraps them; that the brute-force
 census and the Gamma witness check name nothing of what they check; and
 that every public function is named somewhere in the package outside its
-own ``def``, or is listed in ``KEPT`` with the reason it stays public.
+own ``def``, or is listed in ``KEPT`` with the reason it stays public,
+and that no command-line flag reads its number with bare ``int`` or
+``float``.
 Every function the benchmark's tracer wraps must exist, and
 ``census.free_trees``, which it times per item, must stay a generator
 function; the demos and the README quickstart must run.
@@ -352,7 +354,7 @@ def test_route_comparisons_live_in_gauntlet():
 
 ORACLE = (
     "_matula_primes",
-    "_prufer_blocks",
+    "_prufer_tally",
     "_matula_edges",
     "_free_key",
     "_prufer_classes",
@@ -386,6 +388,20 @@ def test_census_oracle_names_nothing_of_the_generator():
         or (isinstance(node, ast.Attribute) and node.attr in generator)
     }
     assert named == set()
+
+
+def test_cli_flags_read_no_number_with_bare_int_or_float():
+    # int and float also read "1_0", "+1", surrounding spaces and other
+    # scripts' digits, so every numeric flag has a checked argparse type
+    types = [
+        keyword.value
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg == "type"
+    ]
+    assert len(types) >= 5  # --tol twice, --q, --b, --max-n, --jobs
+    assert [node.id for node in types if getattr(node, "id", None) in ("int", "float")] == []
 
 
 def test_witness_check_names_nothing_of_the_decider():
