@@ -18,8 +18,9 @@ census for small orders: numpy decodes every Prufer code in blocks to the
 Matula number of its tree rooted at one fixed vertex (D. W. Matula, SIAM
 Review 10, 1968: a leaf is 1, any other vertex the product of prime(number
 of c) over its children c, so isomorphic rooted trees, and only they,
-share a number) and counts the codes per number in one tally; only the
-distinct numbers are rebuilt and keyed, rooted at their centers.
+share a number) and counts the codes per number in one tally.  Moving the
+root to a child is integer arithmetic on the number, and the numbers it
+links are the rootings of one free tree, so the count builds no tree.
 """
 
 from __future__ import annotations
@@ -312,78 +313,49 @@ def _prufer_tally(n: int) -> np.ndarray:
     return tally
 
 
-def _matula_edges(value: int, primes: list[int]) -> list[tuple[int, int]]:
-    # Edges (child, parent) of the rooted tree whose Matula number is
-    # ``value``, on vertices 0, 1, ... with the root at 0: each prime
-    # factor prime(c) of a vertex's number is one child, whose number is c.
-    # ``primes`` is _matula_primes() as a list.
-    edges = []
-    stack = [(value, 0)]
-    while stack:
-        number, parent = stack.pop()
-        c = 1
-        while number > 1:
-            p = primes[c]
-            if p * p > number:  # what is left is prime
-                c, p = bisect_left(primes, number), number
-            while number % p == 0:
-                number //= p
-                edges.append((len(edges) + 1, parent))
-                stack.append((c, len(edges)))
-            c += 1
-    return edges
-
-
-def _free_key(n: int, edges) -> str:
-    """Free-tree key of a tree on vertices 0..n-1: equal iff isomorphic.
-
-    The smaller AHU string rooted at one of the tree's one or two centers,
-    where a vertex's string is its children's strings, sorted and wrapped
-    in one pair of brackets.  Every isomorphism maps centers to centers.
-    The centers are what is left after peeling leaves layer by layer.
-    """
-    adjacency: list = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    degree = [len(near) for near in adjacency]
-    layer = [v for v in range(n) if degree[v] <= 1]
-    left = n
-    while left > 2:
-        left -= len(layer)
-        peeled = []
-        for v in layer:
-            for w in adjacency[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    peeled.append(w)
-        layer = peeled
-    best = None
-    for root in layer:
-        parent = [-1] * n
-        parent[root] = root
-        order = [root]
-        for v in order:
-            for w in adjacency[v]:
-                if parent[w] < 0:
-                    parent[w] = v
-                    order.append(w)
-        kids: list = [[] for _ in range(n)]
-        for v in reversed(order):  # children first, the root last
-            code = "(" + "".join(sorted(kids[v])) + ")"
-            kids[parent[v]].append(code)
-        if best is None or code < best:
-            best = code
-    return best
+def _rerootings(number: int, primes: list[int]) -> list[int]:
+    # Matula numbers of the same free tree rooted at each child of the root
+    # instead.  A child numbered i, prime(i) dividing ``number``, takes the
+    # rest of the old root as one more child, so it becomes the root
+    # i * prime(number / prime(i)).  One trial-division pass gives one move
+    # per distinct prime factor.  ``primes`` is _matula_primes() as a list;
+    # for n <= 9 the rest has at most 8 vertices, so its number is at most
+    # 2 221, well inside the table.
+    moves = []
+    rest = number
+    i = 1
+    while rest > 1:
+        p = primes[i]
+        if p * p > rest:  # what is left is prime
+            i, p = bisect_left(primes, rest), rest
+        if rest % p == 0:
+            moves.append(i * primes[number // p])
+            while rest % p == 0:
+                rest //= p
+        i += 1
+    return moves
 
 
 def _prufer_classes(n: int) -> Counter:
-    # Number of labeled trees in each isomorphism class, by free-tree key.
+    # Number of labeled trees in each isomorphism class, keyed by the least
+    # Matula number among the class's rootings.  A move's inverse is a move
+    # out of its result, and moves along edges reach every rooting, so the
+    # classes are the components of _rerootings.  Each is flooded from its
+    # least number, since the tally's numbers are taken in ascending order.
     tally = _prufer_tally(n)
     primes = _matula_primes().tolist()
+    key: dict[int, int] = {}
     classes: Counter = Counter()
     for value in np.flatnonzero(tally).tolist():
-        classes[_free_key(n, _matula_edges(value, primes))] += int(tally[value])
+        if value not in key:
+            key[value] = value
+            stack = [value]
+            while stack:
+                for moved in _rerootings(stack.pop(), primes):
+                    if moved not in key:
+                        key[moved] = value
+                        stack.append(moved)
+        classes[key[value]] += int(tally[value])
     return classes
 
 
@@ -394,10 +366,10 @@ def prufer_count_oracle(n: int) -> int:
     raises CapExceeded.  Every Prufer code is decoded, in numpy blocks of up
     to ``_PRUFER_ROWS`` codes that share their high digits, to the Matula
     number of its tree rooted at n-1, and ``_prufer_tally`` counts the codes
-    per number; only the distinct numbers (one per rooted tree on n
-    vertices, 286 at n = 9) are rebuilt by factoring and keyed, by the
-    smaller AHU string rooted at a center.  Nothing here shares code with the level-sequence
-    generator it checks: centers, not its centroids, root the keys.
+    per number: one number per rooted tree on n vertices, 286 at n = 9.
+    ``_rerootings`` moves the root along an edge by arithmetic on the
+    number, and the classes are the sets of numbers it links.  Nothing here
+    builds a tree or shares code with the level-sequence generator it checks.
     """
     if isinstance(n, bool) or not isinstance(n, Integral) or not 2 <= n <= 9:
         raise CapExceeded(f"brute-force census supports 2..9, got {n!r}")
@@ -457,12 +429,15 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     raises OracleDisagreement carrying the offending edge list.  Entries are
     sorted by (n, canonical form).  ``jobs > 1`` fans the per-tree work out
     to worker processes, order preserved; the pool never has more workers
-    than the machine has CPUs.  A ``max_n`` below 1, a bool or a
-    non-integer raises ValueError, and one above ``ORDER_CAP`` CapExceeded.
+    than the machine has CPUs.  A ``max_n`` or ``jobs`` below 1, a bool or
+    a non-integer raises ValueError, and a ``max_n`` above ``ORDER_CAP``
+    CapExceeded.
     """
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
     max_n = _order(max_n)
+    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))
     entry_for = partial(_catalog_entry, tol=tol)
     workers = min(jobs, os.cpu_count() or 1)

@@ -298,14 +298,18 @@ def _digits(text: str) -> int:
     """argparse type for --q and --b: ASCII digits 0-9, as edge-list labels."""
     if not _ascii_digits(text):
         raise argparse.ArgumentTypeError(f"must be digits 0-9, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"value too long ({len(text)} digits)") from None
 
 
 def _positive_int(text: str) -> int:
     """argparse type for --max-n and --jobs: ASCII digits 0-9, at least 1."""
-    if not _ascii_digits(text) or int(text) < 1:
+    value = _digits(text) if _ascii_digits(text) else 0
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+    return value
 
 
 @functools.cache

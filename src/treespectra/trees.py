@@ -13,11 +13,11 @@ in this module speaks labels directly.  There is one breadth-first search,
 every distance is read off the first, paths are read off the parents, and
 the canonical forms and ``classify`` walk the order backwards, children
 before parents.
-Two walks stay separate on purpose: ``exact.tree_inertia`` keeps its own
+One walk stays separate on purpose: ``exact.tree_inertia`` keeps its own
 preorder, so the exact route shares no code with the combinatorial
-deciders it checks, and the census oracle's ``_free_key`` builds its own
-adjacency from the Prufer edges, so it shares nothing with the generator
-it checks, :class:`Tree` included.
+deciders it checks.  The census oracle walks no tree at all: it works on
+Matula numbers, so it shares nothing with the generator it checks,
+:class:`Tree` included.
 """
 
 from __future__ import annotations

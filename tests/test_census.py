@@ -124,20 +124,53 @@ def rooted_numbers(max_n):
     return numbers
 
 
+def child_numbers(number):
+    """Numbers of the children of the root of the rooted tree ``number``:
+    c once per factor prime(c), with multiplicity."""
+    found = []
+    for c, p in enumerate(PRIMES[1:], start=1):
+        if number == 1:
+            return found
+        while number % p == 0:
+            number //= p
+            found.append(c)
+
+
+def rooted_tree(number):
+    """Children lists of the rooted tree with Matula number ``number``, on
+    vertices 0..k-1 with the root at 0."""
+    children = {0: []}
+    stack = [(0, number)]
+    while stack:
+        v, below = stack.pop()
+        for c in child_numbers(below):
+            w = len(children)
+            children[w] = []
+            children[v].append(w)
+            stack.append((w, c))
+    return children
+
+
+def least_rooting(tree):
+    """The least Matula number of ``tree`` rooted at any of its vertices."""
+    numbers = []
+    for root in range(1, tree.n + 1):
+        _, parent, order = tree.bfs(root)
+        children = {v: [] for v in order}
+        for v in order[1:]:
+            children[parent[v]].append(v)
+        numbers.append(matula(children, root))
+    return min(numbers)
+
+
 def rooted_aut_order(number):
     """|Aut R| of the rooted tree R with Matula number ``number``: equal
     child subtrees permute among themselves, so k children of number c
     contribute k! |Aut c|^k."""
     order = 1
-    for c, p in enumerate(PRIMES[1:], start=1):
-        if number == 1:
-            return order
-        k = 0
-        while number % p == 0:
-            number //= p
-            k += 1
-        if k:
-            order *= math.factorial(k) * rooted_aut_order(c) ** k
+    for c, k in Counter(child_numbers(number)).items():
+        order *= math.factorial(k) * rooted_aut_order(c) ** k
+    return order
 
 
 def rooted_tree_counts(max_n):
@@ -211,11 +244,6 @@ def moved_pendant(tree, seed):
     new = rng.choice([v for v in range(1, tree.n + 1) if v not in (leaf, old)])
     edges = [e for e in tree.edges if leaf not in e] + [(leaf, new)]
     return from_edge_list(edges)
-
-
-def oracle_key(tree):
-    """The brute-force census's own free-tree key, on labels 0..n-1."""
-    return census._free_key(tree.n, [(u - 1, v - 1) for u, v in tree.edges])
 
 
 @st.composite
@@ -326,11 +354,12 @@ class TestFreeTrees:
 
 class TestCanonicalForm:
     def test_invariant_under_relabeling(self):
-        for n in range(2, 9):
+        for n in range(1, 11):
             for i, tree in enumerate(free_trees(n)):
                 form = canonical_levels(tree)
-                for seed in (i, 1000 + i):
-                    assert canonical_levels(shuffled_copy(tree, seed)) == form
+                for seed in (i, 1000 + i, 9000 + i):
+                    copy = shuffled_copy(tree, seed) if n > 1 else tree
+                    assert canonical_levels(copy) == form
 
     def test_relabel_is_canonical_fixed_point(self):
         t = shuffled_copy(star(4), 7)
@@ -351,7 +380,12 @@ class TestCanonicalForm:
 
     def _check_past_order_12(self, tree, seed):
         # the relabeled copy keeps the form, the relabeling is a fixed
-        # point, and forms agree exactly when the oracle's keys do
+        # point, and forms agree exactly when networkx's tree isomorphism
+        # finds a mapping.  Imported here so that a missing networkx fails
+        # the test, not skips it.
+        import networkx as nx
+        from networkx.algorithms.isomorphism import tree_isomorphism
+
         copy = shuffled_copy(tree, seed)
         form = canonical_levels(tree)
         assert canonical_levels(copy) == form
@@ -360,9 +394,9 @@ class TestCanonicalForm:
         assert canonical_relabel(relabeled).edges == relabeled.edges
         trio = [tree, copy, moved_pendant(tree, seed)]
         forms = [canonical_levels(t) for t in trio]
-        keys = [oracle_key(t) for t in trio]
+        graphs = [nx.Graph(t.edges) for t in trio]
         for i, j in combinations(range(3), 2):
-            assert (forms[i] == forms[j]) == (keys[i] == keys[j])
+            assert (forms[i] == forms[j]) == bool(tree_isomorphism(graphs[i], graphs[j]))
 
     @settings(SETTINGS, max_examples=50)
     @given(random_trees(min_n=13, max_n=300), st.integers(0, 2**32 - 1))
@@ -433,20 +467,23 @@ class TestPruferOracle:
             assert tally.dtype == np.int64
             assert {v: tally[v] for v in np.flatnonzero(tally).tolist()} == numbers
 
-    def test_matula_edges_rebuild_every_rooted_tree(self):
-        # _matula_edges factors each number of order <= 9 back into a tree
-        # on 0..k-1, rooted at 0, that has that number
+    def test_rerootings_move_the_root_to_each_child(self):
+        # every rooted tree of order <= 9, rebuilt from its number, rooted
+        # instead at one child per distinct child number: the old root hangs
+        # below that child with its other children
         primes = census._matula_primes().tolist()
         assert primes == PRIMES
-        for k, numbers in rooted_numbers(9).items():
+        for numbers in rooted_numbers(9).values():
             for number in numbers:
-                edges = census._matula_edges(number, primes)
-                assert sorted(child for child, _ in edges) == list(range(1, k))
-                assert all(parent < child for child, parent in edges)  # so a tree
-                rebuilt = {v: [] for v in range(k)}
-                for child, parent in edges:
-                    rebuilt[parent].append(child)
-                assert matula(rebuilt, 0) == number
+                children = rooted_tree(number)
+                assert matula(children, 0) == number
+                moved = {}
+                for c in children[0]:
+                    rerooted = {v: list(below) for v, below in children.items()}
+                    rerooted[0].remove(c)
+                    rerooted[c].append(0)
+                    moved[matula(children, c)] = matula(rerooted, c)
+                assert sorted(census._rerootings(number, primes)) == sorted(moved.values())
 
     def test_values_fit_in_uint16(self):
         # the kernel multiplies in uint16: by the recursion over rooted
@@ -468,13 +505,17 @@ class TestPruferOracle:
         }
         assert {v: tally[v] for v in np.flatnonzero(tally).tolist()} == orbits
 
-    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_class_sizes_are_orbit_sizes(self, n):
-        # each shape T is hit by exactly n!/|Aut T| labeled trees
-        sizes = census._prufer_classes(n).values()
-        orbits = [math.factorial(n) // aut_order(tree) for tree in free_trees(n)]
-        assert sorted(sizes) == sorted(orbits)
-        assert sum(sizes) == n ** (n - 2)
+        # each shape T is one class, keyed by the least Matula number of T
+        # over its roots, and hit by exactly n!/|Aut T| labeled trees
+        classes = census._prufer_classes(n)
+        orbits = {
+            least_rooting(tree): math.factorial(n) // aut_order(tree) for tree in free_trees(n)
+        }
+        assert len(orbits) == KNOWN_COUNTS[n]
+        assert dict(classes) == orbits
+        assert sum(classes.values()) == n ** (n - 2)
 
     def test_oracle_is_independent_of_the_generator(self, monkeypatch):
         # every module-level function of census outside the oracle refuses
@@ -491,18 +532,6 @@ class TestPruferOracle:
         for name in generator:
             monkeypatch.setattr(census, name, refuse)
         assert prufer_count_oracle(7) == 11
-
-    def test_free_key_matches_canonical_form(self):
-        # keys are equal exactly when canonical forms are, under relabelings
-        keys = {}
-        for n in range(1, 11):
-            for i, tree in enumerate(free_trees(n)):
-                form = canonical_levels(tree)
-                for seed in (i, 5000 + i, 9000 + i):
-                    copy = shuffled_copy(tree, seed) if n > 1 else tree
-                    key = census._free_key(n, [(u - 1, v - 1) for u, v in copy.edges])
-                    assert keys.setdefault(key, form) == form
-        assert len(keys) == sum(KNOWN_COUNTS.values())
 
     def test_aut_order_known_shapes(self):
         assert aut_order(star(7)) == math.factorial(7)
@@ -624,7 +653,7 @@ class TestBuildCatalog:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         requested.clear()
-        for jobs in (10**6, 3, 2, 1):
+        for jobs in (10**6, 3, np.int64(2), 1, np.uint8(1)):
             assert build_catalog(4, jobs=jobs) == serial
         assert requested == [3, 3, 2]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
@@ -647,6 +676,12 @@ class TestBuildCatalog:
 
     def test_numpy_integer_order(self):
         assert build_catalog(np.int64(4)) == build_catalog(4)
+
+    @pytest.mark.parametrize("jobs", [True, False, 0, -2, 2.5, "2", None])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        # rejected, not run serially or failing on min() with a TypeError
+        with pytest.raises(ValueError, match="jobs"):
+            build_catalog(3, jobs=jobs)
 
 
 class TestCertify:

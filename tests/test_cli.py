@@ -245,6 +245,24 @@ class TestExitCodes:
             assert "--max-n: must be an integer >= 1" in captured.err
             assert "Traceback" not in captured.err
 
+    def test_too_long_integer_flags_are_2(self, tmp_path, capsys):
+        # more digits than int() converts: the message names the flag and
+        # says why, not argparse's "invalid <type function> value"
+        f = write(tmp_path, "t.txt", SPIDER114)
+        long = "9" * 5000
+        for flag, argv in (
+            ("--q", ["eigenbasis", f, "--q", long]),
+            ("--b", ["eigenbasis", f, "--q", "1", "--b", long]),
+            ("--max-n", ["enumerate", "--max-n", long]),
+            ("--jobs", ["enumerate", "--max-n", "4", "--jobs", long]),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {flag}: value too long (5000 digits)" in captured.err
+            assert "invalid _" not in captured.err
+            assert "Traceback" not in captured.err
+
     def test_bad_q_and_b_are_2(self, tmp_path, capsys):
         # ASCII digits only, as in edge lists: int() alone would read the rest
         f = write(tmp_path, "t.txt", SPIDER114)

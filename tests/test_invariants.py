@@ -355,8 +355,7 @@ def test_route_comparisons_live_in_gauntlet():
 ORACLE = (
     "_matula_primes",
     "_prufer_tally",
-    "_matula_edges",
-    "_free_key",
+    "_rerootings",
     "_prufer_classes",
     "prufer_count_oracle",
 )
