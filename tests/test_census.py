@@ -485,6 +485,32 @@ class TestPruferOracle:
                     moved[matula(children, c)] = matula(rerooted, c)
                 assert sorted(census._rerootings(number, primes)) == sorted(moved.values())
 
+    def test_free_key_matches_canonical_form(self):
+        # the oracle's key of a labeled tree, the least number that
+        # _rerootings reaches from its number rooted at vertex n, is equal
+        # for two trees exactly when their canonical forms are, under
+        # relabelings
+        primes = census._matula_primes().tolist()
+        keys = {}
+        for n in range(1, 10):
+            for i, tree in enumerate(free_trees(n)):
+                form = canonical_levels(tree)
+                for seed in (i, 5000 + i, 9000 + i):
+                    copy = shuffled_copy(tree, seed) if n > 1 else tree
+                    _, parent, order = copy.bfs(n)
+                    children = {v: [] for v in order}
+                    for v in order[1:]:
+                        children[parent[v]].append(v)
+                    reached = {matula(children, n)}
+                    stack = list(reached)
+                    while stack:
+                        for moved in census._rerootings(stack.pop(), primes):
+                            if moved not in reached:
+                                reached.add(moved)
+                                stack.append(moved)
+                    assert keys.setdefault(min(reached), form) == form
+        assert len(keys) == sum(KNOWN_COUNTS[n] for n in range(1, 10))
+
     def test_values_fit_in_uint16(self):
         # the kernel multiplies in uint16: by the recursion over rooted
         # trees, no number of order <= 9 exceeds 19 577, and each order has
