@@ -25,18 +25,18 @@ links are the rootings of one free tree, so the count builds no tree.
 
 from __future__ import annotations
 
+import operator
 import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from numbers import Integral
 
 import numpy as np
 
 from .errors import CapExceeded
 from .gauntlet import certify
-from .trees import Tree, _build
+from .trees import Tree, _build, _integer
 
 __all__ = [
     "ORDER_CAP",
@@ -172,13 +172,14 @@ def free_trees(n: int):
 def _order(n) -> int:
     # ``n`` as an int order: a bool, a non-integer or an order below 1
     # raises ValueError, and one above ORDER_CAP CapExceeded.
-    if isinstance(n, bool) or not isinstance(n, Integral):
+    order = _integer(n)
+    if order is None:
         raise ValueError(f"order must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n > ORDER_CAP:
-        raise CapExceeded(f"order {n} above the supported cap {ORDER_CAP}")
-    return int(n)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if order > ORDER_CAP:
+        raise CapExceeded(f"order {order} above the supported cap {ORDER_CAP}")
+    return order
 
 
 def _free_levels(n: int):
@@ -371,9 +372,14 @@ def prufer_count_oracle(n: int) -> int:
     number, and the classes are the sets of numbers it links.  Nothing here
     builds a tree or shares code with the level-sequence generator it checks.
     """
-    if isinstance(n, bool) or not isinstance(n, Integral) or not 2 <= n <= 9:
+    # trees._integer's rule, restated: the oracle names nothing of trees
+    try:
+        order = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        order = None
+    if order is None or not 2 <= order <= 9:
         raise CapExceeded(f"brute-force census supports 2..9, got {n!r}")
-    return len(_prufer_classes(int(n)))
+    return len(_prufer_classes(order))
 
 
 def tree_name(tree: Tree) -> str:
@@ -436,11 +442,12 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
     max_n = _order(max_n)
-    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+    workers = _integer(jobs)
+    if workers is None or workers < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))
     entry_for = partial(_catalog_entry, tol=tol)
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         # Imported here: multiprocessing adds about 2 MB to every process
         # that imports the package, and only this branch needs it.

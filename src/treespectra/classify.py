@@ -294,10 +294,8 @@ def classify_m1(tree: Tree) -> ClassificationReport:
     here alone: it holds for paths (p-1 = 1 there) and for trees with some
     admissible q from :func:`admissible_q`.
     """
+    cert = admissible_q(tree)  # raises TooFewPendants below two pendants
     p = len(tree.pendants)
-    if p < 2:
-        raise TooFewPendants("classification needs at least two pendants")
-    cert = admissible_q(tree)
     extremal = cert.is_path or bool(cert.q_list)
     lambda_set = _lambda_params(cert) if extremal and not cert.is_path else ()
 

@@ -13,15 +13,16 @@ Vectors are numpy arrays indexed by ``label - 1``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .classify import pendant_distance_gcd
 from .errors import CongruenceViolated, IndexOutOfRange, InvariantViolated, NoMajorVertex
 from .exact import LambdaParam
-from .trees import Tree
+from .trees import Tree, _integer
 
 __all__ = [
     "EigenPair",
@@ -73,12 +74,13 @@ def path_eigenpair(n: int, j: int) -> EigenPair:
     Eigenvalue 2(1 - cos(pi j / n)) with entries cos((pi j / n)(v - 1/2)),
     v = 1..n.  Index 0 gives the all-ones kernel vector.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    order, index = _integer(n), _integer(j)
+    if order is None or order < 1:
         raise IndexOutOfRange(f"path order must be a positive integer, got {n!r}")
-    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= n - 1:
-        raise IndexOutOfRange(f"eigenvalue index {j!r} not in 0..{n - 1}")
-    angle = math.pi * j / n
-    positions = np.arange(1, n + 1, dtype=float) - 0.5
+    if index is None or not 0 <= index <= order - 1:
+        raise IndexOutOfRange(f"eigenvalue index {j!r} not in 0..{order - 1}")
+    angle = math.pi * index / order
+    positions = np.arange(1, order + 1, dtype=float) - 0.5
     vector = np.cos(angle * positions)
     return EigenPair(value=2.0 * (1.0 - math.cos(angle)), vector=vector)
 
@@ -89,11 +91,11 @@ def _peel_basis(tree: Tree, q: int, b: int):
     # to degree 0.  A leg runs from a pendant through live degree-2 vertices
     # and stops before the first vertex of another degree, its major.
     # Peeling leaves the anchor at degree >= 2, so the live pendants are
-    # always the input pendants not yet peeled.
+    # always the input pendants not yet peeled, and the live vertices those
+    # of nonzero degree (slot 0, a placeholder, has degree 0).
     n = tree.n
     adj = tree.adjacency
     deg = [len(a) for a in adj]
-    live = list(range(1, n + 1))
 
     def walk(prev: int, v: int) -> tuple[list[int], int]:
         passed = []
@@ -111,7 +113,6 @@ def _peel_basis(tree: Tree, q: int, b: int):
 
     modulus = 2 * q + 1
     paths = []  # one pendant-to-pendant path per peel step, then the bare path
-    anchors = []
     records = []
     steps = []
     while len(legs) > 2:
@@ -126,14 +127,12 @@ def _peel_basis(tree: Tree, q: int, b: int):
         u, w = group[:2]
         leg_u, leg_w = legs.pop(u), legs[w]
         paths.append([*leg_u, anchor, *reversed(leg_w)])
-        anchors.append(anchor)
         k1, k2 = len(leg_u), len(leg_w)
         n1, n2 = k1 // modulus, k2 // modulus
         records.append(PathRecord(k1, k2, n1, n2, delta=(2 * b + 1) * (n1 + n2 + 1)))
 
         for v in leg_u:
             deg[v] = 0
-            del live[bisect_left(live, v)]
         deg[anchor] -= 1
         group.remove(u)
         if deg[anchor] == 2 and len(group) == 1:
@@ -142,14 +141,16 @@ def _peel_basis(tree: Tree, q: int, b: int):
             leg_w.extend(passed)
             del at[anchor]
             insort(at.setdefault(major, []), w)
-        steps.append(GlueStep(pendant_pair=(u, w), anchor=anchor, component=tuple(live)))
+        component = tuple(compress(range(n + 1), deg))  # the live labels
+        steps.append(GlueStep(pendant_pair=(u, w), anchor=anchor, component=component))
 
     u, w = sorted(legs)
     passed, last = walk(u, adj[u][0])
     bare = [u, *passed, last]
-    if last != w or len(bare) != len(live):
+    live = n + 1 - deg.count(0)
+    if last != w or len(bare) != live:
         raise InvariantViolated(
-            f"two-pendant tree of order {len(live)} has a {len(bare)}-vertex end-to-end walk",
+            f"two-pendant tree of order {live} has a {len(bare)}-vertex end-to-end walk",
             edges=tree.edges,
         )
     paths.append(bare)
@@ -160,7 +161,7 @@ def _peel_basis(tree: Tree, q: int, b: int):
     # 0..k, so zero-padding across the removed legs keeps it an eigenvector
     # of the larger tree; its first entry, at the path's first pendant, is
     # cos(gamma pi/2).
-    anchor_index = np.array(anchors, dtype=np.intp) - 1
+    anchor_index = np.array([step.anchor for step in steps], dtype=np.intp) - 1
     first = math.cos((2 * b + 1) * math.pi / (2 * modulus))
     vectors = []
     for k in reversed(range(len(paths))):
@@ -178,7 +179,8 @@ def _peel_basis(tree: Tree, q: int, b: int):
         bad = np.flatnonzero(np.abs(off) > ZERO_TOL)
         if bad.size:
             raise InvariantViolated(
-                f"deeper eigenvector is {float(off[bad[0]])!r}, not 0, at anchor {anchors[bad[0]]}",
+                f"deeper eigenvector is {float(off[bad[0]])!r}, not 0, "
+                f"at anchor {steps[bad[0]].anchor}",
                 edges=tree.edges,
             )
         if abs(vec[path[0] - 1] - first) > 1e-12:
@@ -203,6 +205,7 @@ def eigenbasis_extremal(tree: Tree, q: int, b: int = 0):
     divisible by 2q+1.
     """
     param = LambdaParam(q, b)
+    q, b = param.q, param.b  # ints from here on
     if not tree.majors:
         raise NoMajorVertex("tree is a path; extremal multiplicity is trivial there")
     modulus = 2 * q + 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CongruenceViolated, InvariantViolated, ZeroPolynomial
-from .trees import Tree
+from .trees import Tree, _integer
 
 __all__ = [
     "LambdaParam",
@@ -46,7 +46,8 @@ class LambdaParam:
     reduced ratio (2b+1)/(2q+1) agrees, so equality and hashing go through
     ``ratio`` alone.  Both numerator and denominator of the reduced ratio
     are odd, and the ratio sits strictly between 0 and 1.  Raises
-    CongruenceViolated unless q and b are integers with 0 <= b < q.
+    CongruenceViolated unless q and b are integers with 0 <= b < q; numpy
+    integers are stored as ints.
     """
 
     q: int = field(compare=False)
@@ -54,11 +55,14 @@ class LambdaParam:
     ratio: Fraction = field(init=False, compare=True)
 
     def __post_init__(self):
-        if not (isinstance(self.q, int) and not isinstance(self.q, bool) and self.q >= 1):
+        q, b = _integer(self.q), _integer(self.b)
+        if q is None or q < 1:
             raise CongruenceViolated(f"q must be a positive integer, got {self.q!r}")
-        if not (isinstance(self.b, int) and not isinstance(self.b, bool) and 0 <= self.b < self.q):
-            raise CongruenceViolated(f"b must lie in [0, q), got b={self.b!r}, q={self.q}")
-        object.__setattr__(self, "ratio", Fraction(2 * self.b + 1, 2 * self.q + 1))
+        if b is None or not 0 <= b < q:
+            raise CongruenceViolated(f"b must lie in [0, q), got b={self.b!r}, q={q}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "ratio", Fraction(2 * b + 1, 2 * q + 1))
 
     @property
     def value(self) -> float:

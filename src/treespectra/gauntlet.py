@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, construct, errors, exact, numeric
-from .trees import Tree, _root_path
+from .trees import Tree, _integer, _root_path
 
 __all__ = [
     "LambdaRow",
@@ -77,15 +77,22 @@ def verify_gamma_witness(tree: Tree, witness: classify.GammaWitness) -> str | No
       lie 1 + 1 - 2 d(anchor, z) apart, so every vertex of the group with
       two or more children must lie 0 (mod 3) from the anchor.
 
-    Nothing here calls :func:`in_gamma` or its helpers.
+    Labels may be numpy integers; they are read as ints.  Nothing here
+    calls :func:`in_gamma` or its helpers.
     """
-    n, adj, major = tree.n, tree.adjacency, witness.major
-    named = [major, *witness.endpoints]
-    for att in witness.attachments:
+    n, adj = tree.n, tree.adjacency
+    major, *ends = map(_integer, (witness.major, *witness.endpoints))
+    attachments = [
+        classify.GammaAttachment(
+            _integer(att.anchor), tuple(map(_integer, att.vertices)), att.family
+        )
+        for att in witness.attachments
+    ]
+    named = [major, *ends]
+    for att in attachments:
         named += [att.anchor, *att.vertices]
-    if not all(isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n for v in named):
+    if not all(v is not None and 1 <= v <= n for v in named):
         return "a witness label is not a vertex of the tree"
-    ends = witness.endpoints
     if len(set(ends)) != 3 or major in ends or any(len(adj[u]) != 1 for u in ends):
         return "the legs do not end at three distinct pendants off the major"
     dist, parent, order = tree.bfs(major)
@@ -106,7 +113,7 @@ def verify_gamma_witness(tree: Tree, witness: classify.GammaWitness) -> str | No
     for v in leg_of:
         owner[v] = "core"
     owner[major] = "core"
-    for att in witness.attachments:
+    for att in attachments:
         for v in att.vertices:
             if owner[v] is not None:
                 return f"vertex {v} is on the core or in two attachments"
@@ -115,7 +122,7 @@ def verify_gamma_witness(tree: Tree, witness: classify.GammaWitness) -> str | No
         return f"vertex {owner.index(None, 1)} lies in no attachment"
 
     q_groups: dict[int, list] = {}
-    for att in witness.attachments:
+    for att in attachments:
         exits = [
             (x, y) for x in att.vertices for y in adj[x] if owner[y] is not att
         ]

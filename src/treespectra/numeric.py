@@ -44,7 +44,8 @@ def eigen_symmetric(matrix, tol: float = 1e-12) -> Spectrum:
 
     The clustering tolerance is ``tau = max(1e-8, 1e3 * tol * ||M||)``,
     with ``||M||`` the Frobenius norm of the input.  Raises NonSymmetric
-    unless the input is a finite, square, symmetric matrix.
+    unless the input is a finite, square, symmetric matrix, and ValueError
+    unless ``tol`` is finite and >= 0.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -53,6 +54,8 @@ def eigen_symmetric(matrix, tol: float = 1e-12) -> Spectrum:
         raise NonSymmetric("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise NonSymmetric("matrix is not symmetric")
+    if not 0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     norm = float(np.linalg.norm(a))
     tau = max(1e-8, 1e3 * tol * norm)
     values = np.linalg.eigvalsh(a).tolist()

@@ -5,7 +5,8 @@ outside goes through :func:`from_edge_list`, which relabels arbitrary
 positive integer labels by first appearance and rejects anything that is
 not a tree; the package's own generators, whose edges are a tree on
 ``1..n`` by construction, use the internal ``_build``.  Nothing here
-mutates a tree.
+mutates a tree.  Every integer argument of the package, a label, an order
+or an eigenvalue's ``q`` and ``b``, is read by one rule, ``_integer``.
 
 Matrix- and vector-valued modules index arrays by ``label - 1``; everything
 in this module speaks labels directly.  There is one breadth-first search,
@@ -77,7 +78,7 @@ class Tree:
         them: ``u`` first, each vertex after its parent, distances never
         decreasing.  Nothing is cached.
         """
-        _check_label(self, u)
+        u = _check_label(self, u)
         dist = [-1] * (self.n + 1)
         parent = [0] * (self.n + 1)
         dist[u] = 0
@@ -93,21 +94,33 @@ class Tree:
         return tuple(dist), tuple(parent), tuple(order)
 
 
-def _check_label(tree: Tree, v) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= tree.n:
-        raise LabelOutOfRange(f"label {v!r} not in 1..{tree.n}")
+def _integer(x) -> int | None:
+    # The package's one integer rule: ``x`` as an int if operator.index takes
+    # it (numpy integers and 0-d integer arrays too) and it is no bool, which
+    # operator.index would take as 0 or 1; else None.
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def _check_label(tree: Tree, v) -> int:
+    # ``v`` as an int label of ``tree``; an out-of-range one is named as an int.
+    label = _integer(v)
+    if label is None or not 1 <= label <= tree.n:
+        raise LabelOutOfRange(f"label {v if label is None else label!r} not in 1..{tree.n}")
+    return label
 
 
 def _as_label(x) -> int:
-    if isinstance(x, bool):  # operator.index takes True as 1
+    label = _integer(x)
+    if label is None:
         raise LabelOutOfRange(f"vertex label {x!r} is not an integer")
-    try:
-        x = operator.index(x)
-    except TypeError:
-        raise LabelOutOfRange(f"vertex label {x!r} is not an integer") from None
-    if x < 1:
-        raise LabelOutOfRange(f"vertex label {x} is not positive")
-    return x
+    if label < 1:
+        raise LabelOutOfRange(f"vertex label {label} is not positive")
+    return label
 
 
 def _build(n: int, edges) -> Tree:
@@ -225,11 +238,11 @@ def parse_edge_list_text(text: str) -> tuple[tuple[int, int], ...]:
 def path_between(tree: Tree, u: int, v: int) -> tuple[int, ...]:
     """The unique path from ``u`` to ``v`` as a vertex tuple, ``u`` first.
 
-    Walks the parents of one :meth:`Tree.bfs` from ``u``, up from ``v``.
+    Walks the parents of one :meth:`Tree.bfs` from ``u``, up from ``v``;
+    the search checks ``u``.
     """
-    _check_label(tree, u)
-    _check_label(tree, v)
-    return _root_path(tree.bfs(u)[1], v)
+    parent = tree.bfs(u)[1]
+    return _root_path(parent, _check_label(tree, v))
 
 
 def _root_path(parent, v: int) -> tuple[int, ...]:

@@ -695,6 +695,11 @@ class TestBuildCatalog:
         with pytest.raises(ValueError):
             build_catalog(4, "bogus")
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            build_catalog(3, tol=tol)
+
     @pytest.mark.parametrize("order", [True, False, 4.0, 2.5, "4", None])
     def test_order_must_be_an_integer(self, order):
         with pytest.raises(ValueError):
@@ -840,6 +845,13 @@ class TestCertify:
         assert captured.out == ""
         assert f"oracle disagreement: {message}" in captured.err
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_bad_tol_is_a_value_error(self, tol):
+        # +inf once made one cluster of the whole spectrum, which certify
+        # reported as an OracleDisagreement; NaN and -1e-12 passed unseen
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            certify(spider(1, 1, 2), tol)
+
     def test_m1_without_bareiss(self, monkeypatch):
         # the dense elimination took 93 s on the 1 200-vertex path; certify
         # must reach m(T,1) without it
@@ -872,20 +884,70 @@ def _spoiled(witness, **changes):
     return dataclasses.replace(witness, attachments=tuple(attachments))
 
 
+# Each spoil of the witness of Q_GROUP_TREE, which is major 1, endpoints
+# (2, 3, 5), residues (1, 1, 2) of type A and the attachments (6..10) and
+# (11,) at 1 (Q) and (12,) at 4 (P), breaks one rule of the check.  The
+# entry gives extra edges for the tree it is checked on, the spoil and the
+# rule's message.
 SPOILS = {
+    "repeated_endpoint": (
+        [],
+        lambda w: dataclasses.replace(w, endpoints=(2, 2, 5)),
+        "the legs do not end at three distinct pendants off the major",
+    ),
+    "shared_first_edge": (
+        [],
+        lambda w: dataclasses.replace(w, endpoints=(2, 5, 12)),  # 5 and 12 both leave 1 by 4
+        "two legs leave the major by the same edge",
+    ),
+    "misread_residues": (
+        [],
+        lambda w: dataclasses.replace(w, leg_residues=(1, 2, 1)),
+        "leg residues are (1, 1, 2), not (1, 2, 1)",
+    ),
+    "wrong_omega_type": (
+        [],
+        lambda w: dataclasses.replace(w, omega="B"),
+        "leg residues (1, 1, 2) are not of Omega type 'B'",
+    ),
+    "attachment_left_out": (
+        [],
+        lambda w: dataclasses.replace(w, attachments=w.attachments[:2]),
+        "vertex 12 lies in no attachment",
+    ),
     "swapped_endpoint": (
+        [],
         lambda w: dataclasses.replace(w, endpoints=(2, 11, 5)),
         "vertex 11 is on the core or in two attachments",
     ),
     "moved_attachment": (
+        [],
         lambda w: _spoiled(w, index=2, anchor=5),
         "attachment (12,) is not one component hung at 5",
     ),
+    "anchor_off_residue": (
+        # the third leg runs on through 5 to 15, and the pendant 16 hangs at
+        # 5, which is 3 steps from 15: the anchor of a P path must be 1 (mod 3)
+        [(5, 13), (13, 14), (14, 15), (5, 16)],
+        lambda w: dataclasses.replace(
+            w,
+            endpoints=(2, 3, 15),
+            attachments=(*w.attachments, classify.GammaAttachment(5, (16,), "P")),
+        ),
+        "anchor 5 is not 1 (mod 3) from its leg's end",
+    ),
     "flipped_family": (
+        [],
         lambda w: _spoiled(w, index=0, family="P"),
         "attachment (6, 7, 8, 9, 10) is no path on 2 (mod 3) vertices",
     ),
+    "unknown_family": (
+        [],
+        lambda w: _spoiled(w, index=2, family="R"),
+        "attachment (12,) has no family P or Q",
+    ),
     "q_group_of_one": (
+        [],
         lambda w: _spoiled(w, index=1, family="P"),
         "the Q group at 1 has one member",
     ),
@@ -926,9 +988,9 @@ class TestVerifyGammaWitness:
 
     @pytest.mark.parametrize("name", sorted(SPOILS))
     def test_spoiled_witness_rejected(self, name):
-        tree = from_edge_list(Q_GROUP_TREE)
-        spoil, message = SPOILS[name]
-        witness = spoil(in_gamma(tree)[1])
+        extra, spoil, message = SPOILS[name]
+        witness = spoil(in_gamma(from_edge_list(Q_GROUP_TREE))[1])
+        tree = from_edge_list(Q_GROUP_TREE + extra)
         assert gauntlet.verify_gamma_witness(tree, witness) == message
 
     @pytest.mark.parametrize("name", sorted(Q_DEPTH_SPOILS))
@@ -956,7 +1018,7 @@ class TestVerifyGammaWitness:
 
     def test_certify_rejects_a_spoiled_witness(self, monkeypatch):
         tree = from_edge_list(Q_GROUP_TREE)
-        spoil, message = SPOILS["flipped_family"]
+        _, spoil, message = SPOILS["flipped_family"]
         real = classify.in_gamma
         monkeypatch.setattr(classify, "in_gamma", lambda t: (True, spoil(real(t)[1])))
         with pytest.raises(OracleDisagreement) as info:

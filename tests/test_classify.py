@@ -532,7 +532,8 @@ class TestClassifyM1:
         assert classify_m1(path(2)).m1_class == "p-2"
 
     def test_too_few_pendants(self):
-        with pytest.raises(TooFewPendants):
+        # pendant_distance_gcd checks it, once, for classify_m1
+        with pytest.raises(TooFewPendants, match="need at least two pendants, found 0"):
             classify_m1(single_vertex())
 
     def test_cross_check_holds_small(self):

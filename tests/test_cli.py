@@ -311,6 +311,14 @@ class TestEigenbasis:
         out = capsys.readouterr().out
         assert "vectors: 2, rank 2" in out
 
+    def test_text_mode_with_csv_out(self, tmp_path, capsys):
+        f = write(tmp_path, "t.txt", SPIDER114)
+        out = tmp_path / "basis.csv"
+        assert main(["eigenbasis", f, "--q", "1", "--text", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["vectors: 2, rank 2", lines[2], f"written to {out}"]
+        assert len(out.read_text().splitlines()) == 3
+
     @pytest.mark.parametrize(
         "spoil, quantity",
         [

@@ -80,6 +80,9 @@ class TestRationalNullity:
         # 2 - sqrt(2) is irrational, so any rational shift misses it
         assert rational_nullity(laplacian(path(4)), Fraction(3, 2)) == 0
 
+    def test_empty_matrix(self):
+        assert rational_nullity((), 1) == 0
+
     def test_kernel_is_always_one_dimensional(self):
         for n in range(2, 9):
             for tree in free_trees(n):
@@ -201,6 +204,23 @@ class TestPolyHelpers:
     def test_divmod_remainder(self):
         q, r = poly_divmod(IntPolynomial((1, 0, 1)), IntPolynomial((1, 1)))
         assert r.coeffs == (2,)
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            poly_divmod(IntPolynomial((1, 1)), IntPolynomial(()))
+
+    def test_divmod_by_non_monic(self):
+        with pytest.raises(ValueError, match="divisor must be monic"):
+            poly_divmod(IntPolynomial((1, 0, 1)), IntPolynomial((1, 2)))
+
+    def test_divmod_of_lower_degree(self):
+        p = IntPolynomial((3, 1))
+        q, r = poly_divmod(p, IntPolynomial((1, 0, 1)))
+        assert q.coeffs == () and r == p
+
+    def test_mul_by_zero(self):
+        zero, p = IntPolynomial(()), IntPolynomial((-1, 1))
+        assert poly_mul(zero, p).coeffs == poly_mul(p, zero).coeffs == ()
 
 
 class TestMultiplicityExact:

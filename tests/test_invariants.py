@@ -14,13 +14,16 @@ census and the Gamma witness check name nothing of what they check; and
 that every public function is named somewhere in the package outside its
 own ``def``, or is listed in ``KEPT`` with the reason it stays public,
 and that no command-line flag reads its number with bare ``int`` or
-``float``.
+``float``.  Only ``trees._integer``, and the census oracle's copy of it,
+decide whether an argument is an integer, and every entry point with an
+integer argument reads numpy integers as ints and refuses non-integers.
 Every function the benchmark's tracer wraps must exist, and
 ``census.free_trees``, which it times per item, must stay a generator
 function; the demos and the README quickstart must run.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -30,11 +33,31 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from shapes import spider
 
 import treespectra
-from treespectra import LambdaParam, census, exact, gauntlet, minimal_poly_lambda
-from treespectra.errors import InvariantViolated
+from treespectra import (
+    LambdaParam,
+    census,
+    eigenbasis_extremal,
+    exact,
+    from_edge_list,
+    gauntlet,
+    in_gamma,
+    minimal_poly_lambda,
+    path_between,
+    path_eigenpair,
+    trees,
+)
+from treespectra.errors import (
+    CapExceeded,
+    CongruenceViolated,
+    IndexOutOfRange,
+    InvariantViolated,
+    LabelOutOfRange,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "treespectra"
@@ -401,6 +424,189 @@ def test_cli_flags_read_no_number_with_bare_int_or_float():
     ]
     assert len(types) >= 5  # --tol twice, --q, --b, --max-n, --jobs
     assert [node.id for node in types if getattr(node, "id", None) in ("int", "float")] == []
+
+
+# The functions of the package that decide for themselves whether an
+# argument is an integer, each with its reason; every other integer argument
+# goes through trees._integer.
+INTEGER_RULE = {
+    "trees._integer": "it is the rule: operator.index, and no bool",
+    "census.prufer_count_oracle": "the census oracle names nothing of trees, so it restates the rule",
+}
+
+
+def _integer_test(node):
+    """The source of ``node`` if it decides integer-ness: isinstance with int
+    or Integral, or operator.index, called or imported; else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        classes = node.args[1:]
+        if classes and isinstance(classes[0], ast.Tuple):
+            classes = classes[0].elts
+        names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
+        if names & {"int", "Integral"}:
+            return ast.unparse(node)
+    if isinstance(node, ast.Attribute) and node.attr == "index":
+        if getattr(node.value, "id", None) == "operator":
+            return ast.unparse(node)
+    if isinstance(node, ast.ImportFrom) and node.module == "operator":
+        if any(alias.name == "index" for alias in node.names):
+            return ast.unparse(node)
+    return None
+
+
+def _integer_tests(path):
+    """``module.function: source`` for every integer test in a source, by the
+    innermost function or class that holds it."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            what = _integer_test(child)
+            if what is not None:
+                found.append(f"{inner}: {what}")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_one_integer_rule():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _integer_tests(path)]
+    assert sorted({line.split(":")[0] for line in found}) == sorted(INTEGER_RULE), found
+
+
+def test_integer_rule_reports_a_planted_check(tmp_path):
+    source = tmp_path / "exact.py"
+    source.write_text(
+        "import operator\n"
+        "from numbers import Integral\n"
+        "from operator import index\n"
+        "class LambdaParam:\n"
+        "    def __post_init__(self):\n"
+        "        if isinstance(q, int) or isinstance(b, (bool, Integral)):\n"
+        "            return operator.index(q)\n"
+    )
+    assert _integer_tests(source) == [
+        "exact: from operator import index",
+        "exact.LambdaParam.__post_init__: isinstance(q, int)",
+        "exact.LambdaParam.__post_init__: isinstance(b, (bool, Integral))",
+        "exact.LambdaParam.__post_init__: operator.index",
+    ]
+
+
+# spider(2, 2, 2) has 7 vertices and its pendant pairs lie 4 apart, so q = 2
+# is admissible; GAMMA is in Gamma, with the attachment (6,) at 4.
+SPIDER = spider(2, 2, 2)
+GAMMA = from_edge_list([(1, 2), (1, 3), (1, 4), (4, 5), (4, 6)])
+
+
+def _witness_as(convert):
+    # GAMMA's witness with every label converted and its attachment's family
+    # spoiled, so that the message names labels
+    witness = in_gamma(GAMMA)[1]
+    (att,) = witness.attachments
+    att = dataclasses.replace(
+        att, anchor=convert(att.anchor), vertices=tuple(map(convert, att.vertices)), family="R"
+    )
+    return dataclasses.replace(
+        witness,
+        major=convert(witness.major),
+        endpoints=tuple(map(convert, witness.endpoints)),
+        attachments=(att,),
+    )
+
+
+# Each public entry point with an integer argument: a call passing each
+# such argument through ``convert``, and how it refuses a non-integer (an
+# exception type, or the message it returns).
+INTEGER_ARGUMENTS = {
+    "Tree.bfs": (lambda convert: SPIDER.bfs(convert(1)), LabelOutOfRange),
+    "path_between": (
+        lambda convert: (path_between(SPIDER, convert(2), 7), path_between(SPIDER, 7, convert(2))),
+        LabelOutOfRange,
+    ),
+    "from_edge_list": (
+        lambda convert: from_edge_list([(convert(5), 9), (9, convert(3))]),
+        LabelOutOfRange,
+    ),
+    "LambdaParam": (
+        lambda convert: (LambdaParam(convert(2), 1), LambdaParam(3, convert(2))),
+        CongruenceViolated,
+    ),
+    "path_eigenpair": (
+        lambda convert: (path_eigenpair(convert(4), 1), path_eigenpair(4, convert(1))),
+        IndexOutOfRange,
+    ),
+    "eigenbasis_extremal": (
+        lambda convert: (
+            eigenbasis_extremal(SPIDER, convert(2), 1),
+            eigenbasis_extremal(SPIDER, 2, convert(1)),
+        ),
+        CongruenceViolated,
+    ),
+    "certify_basis": (
+        lambda convert: gauntlet.certify_basis(SPIDER, convert(2), convert(1)),
+        CongruenceViolated,
+    ),
+    "verify_gamma_witness": (
+        lambda convert: gauntlet.verify_gamma_witness(GAMMA, _witness_as(convert)),
+        "a witness label is not a vertex of the tree",
+    ),
+    "free_trees": (lambda convert: list(census.free_trees(convert(5))), ValueError),
+    "build_catalog": (
+        lambda convert: (census.build_catalog(convert(4)), census.build_catalog(4, jobs=convert(1))),
+        ValueError,
+    ),
+    "prufer_count_oracle": (lambda convert: census.prufer_count_oracle(convert(6)), CapExceeded),
+}
+
+INTEGER_FORMS = {"int64": np.int64, "uint8": np.uint8, "0-d array": np.array}
+NON_INTEGERS = {"True": True, "2.5": 2.5, "'3'": "3", "None": None, "float64": np.float64(1.0)}
+
+
+def _typed(obj):
+    """``obj`` with every leaf paired with its type, so == compares types too."""
+    if dataclasses.is_dataclass(obj):
+        fields = dataclasses.fields(obj)
+        return type(obj), tuple(_typed(getattr(obj, f.name)) for f in fields)
+    if isinstance(obj, (tuple, list)):
+        return type(obj), tuple(map(_typed, obj))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype, obj.tolist()
+    return type(obj), obj
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("form", [*INTEGER_FORMS, *NON_INTEGERS])
+def test_integer_arguments(name, form):
+    # numpy integers are read as the same int, and non-integers refused as
+    # before, at every entry point
+    call, refusal = INTEGER_ARGUMENTS[name]
+    if form in INTEGER_FORMS:
+        assert _typed(call(INTEGER_FORMS[form])) == _typed(call(int))
+    elif isinstance(refusal, str):
+        assert call(lambda _: NON_INTEGERS[form]) == refusal
+    else:
+        with pytest.raises(refusal):
+            call(lambda _: NON_INTEGERS[form])
+
+
+def test_labels_checked_once_and_named_as_ints(monkeypatch):
+    with pytest.raises(LabelOutOfRange, match=r"^label 9 not in 1\.\.7$"):
+        SPIDER.bfs(np.int64(9))
+    checked = []
+    real = trees._check_label
+
+    def counting(tree, v):
+        checked.append(v)
+        return real(tree, v)
+
+    monkeypatch.setattr(trees, "_check_label", counting)
+    assert path_between(SPIDER, 2, 7) == (2, 1, 6, 7)
+    assert checked == [2, 7]  # u by Tree.bfs, v by path_between
 
 
 def test_witness_check_names_nothing_of_the_decider():

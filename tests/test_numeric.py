@@ -46,6 +46,14 @@ class TestEigenSymmetric:
         with pytest.raises(NonSymmetric):
             eigen_symmetric(((bad, 0.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_rejects_bad_tol(self, tol):
+        # NaN and negative tol once fell back to tau = 1e-8 unseen, and +inf
+        # put the whole spectrum in one cluster
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            eigen_symmetric(laplacian(path(3)), tol=tol)
+        assert eigen_symmetric(laplacian(path(3)), tol=0).tau == 1e-8
+
     def test_matches_path_closed_form(self):
         n = 17
         spec = eigen_symmetric(laplacian(path(n)))
