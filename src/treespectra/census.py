@@ -437,7 +437,8 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     to worker processes, order preserved; the pool never has more workers
     than the machine has CPUs.  A ``max_n`` or ``jobs`` below 1, a bool or
     a non-integer raises ValueError, and a ``max_n`` above ``ORDER_CAP``
-    CapExceeded.
+    CapExceeded.  A ``tol`` that is not finite and >= 0 raises ValueError
+    too, even at ``max_n`` 1, where no tree reaches the float route.
     """
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; choose from {FILTERS}")
@@ -445,6 +446,8 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
     workers = _integer(jobs)
     if workers is None or workers < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if not 0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))
     entry_for = partial(_catalog_entry, tol=tol)
     workers = min(workers, os.cpu_count() or 1)

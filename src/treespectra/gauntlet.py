@@ -176,14 +176,16 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     extremal verdict and on the multiplicity p-1 of every extremal
     eigenvalue.  The exact m(T,1) is the zero count of the elimination of
     L - I along the tree (:func:`tree_inertia`), checked before any float
-    route runs; the extremal multiplicities divide one characteristic
-    polynomial, built only when some eigenvalue is extremal, of the one
-    Laplacian that LAPACK also reads.  Two more checks follow: the
-    elimination's count of eigenvalues below 1 must equal the number of
-    float eigenvalues below 1 - tau, and on a non-path the clusters of
-    size p-1 must be as many as the extremal eigenvalues.  Any
-    disagreement raises OracleDisagreement naming the quantity, each
-    route's value and the tree's edges.
+    route runs, and is the multiplicity of the extremal eigenvalue 1.  Any
+    other extremal multiplicity comes from dividing one characteristic
+    polynomial, built only when such an eigenvalue exists, of the one
+    Laplacian that LAPACK also reads, by the minimal polynomial, once for
+    all its conjugates.  Two more checks follow: the elimination's count
+    of eigenvalues below 1 must equal the number of float eigenvalues
+    below 1 - tau, and on a non-path the clusters of size p-1 must be as
+    many as the extremal eigenvalues.  Any disagreement raises
+    OracleDisagreement naming the quantity, each route's value and the
+    tree's edges.
     """
     report = classify.classify_m1(tree)
     if report.gamma_witness is not None:
@@ -215,10 +217,18 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
         )
 
     rows = []
-    phi = exact.char_poly(lap) if report.lambda_set else None
+    phi = None
+    # Exact counts by the ratio's denominator: conjugates share mu, and phi
+    # is over Z, so they share the count.  The one ratio over 3 is lambda = 1.
+    counts = {3: m1_exact}
     for param in report.lambda_set:
         mu = exact.minimal_poly_lambda(param)
-        m_exact = exact.root_multiplicity(phi, mu)
+        s = param.ratio.denominator
+        if s not in counts:
+            if phi is None:
+                phi = exact.char_poly(lap)
+            counts[s] = exact.root_multiplicity(phi, mu)
+        m_exact = counts[s]
         m_numeric = numeric.cluster_multiplicity(spectrum, param.value)
         if m_exact != p - 1 or m_numeric != p - 1:
             raise _disagreement(

@@ -697,8 +697,10 @@ class TestBuildCatalog:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            build_catalog(3, tol=tol)
+        # refused before any tree is built: order 1 never reaches the float route
+        for max_n, jobs in ((1, 1), (2, 1), (3, 1), (1, 2), (3, 2)):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                build_catalog(max_n, jobs=jobs, tol=tol)
 
     @pytest.mark.parametrize("order", [True, False, 4.0, 2.5, "4", None])
     def test_order_must_be_an_integer(self, order):
@@ -742,6 +744,39 @@ class TestCertify:
         assert cert.lambda_rows == ()
         assert cert.m1_numeric == cert.m1_exact == 1
         assert char_poly_orders == []
+
+    @pytest.mark.parametrize("tree", [star(199), spider(1, 1, 4)], ids=["star_200", "spider_114"])
+    def test_unit_row_comes_from_the_elimination(self, monkeypatch, tree):
+        # the only ratio over 3 is 1/3, lambda = 1, whose exact count is the
+        # zero count of the tree elimination; no characteristic polynomial
+        def no_char_poly(matrix):
+            raise AssertionError("certify built a characteristic polynomial")
+
+        monkeypatch.setattr(exact, "char_poly", no_char_poly)
+        cert = certify(tree)
+        assert cert.report.certificate.admissible_moduli == (3,)
+        (row,) = cert.lambda_rows
+        assert str(row.param.ratio) == "1/3"
+        assert row.exact == row.numeric == cert.m1_exact == cert.m1_numeric == cert.report.p - 1
+
+    def test_one_division_per_minimal_polynomial(self, monkeypatch, char_poly_orders):
+        # moduli 3, 5 and 15 give seven rows over three denominators: 1/3
+        # comes from the elimination, and the conjugates over 5 and over 15
+        # share one count each
+        calls = []
+        real = exact.root_multiplicity
+
+        def counting(phi, mu):
+            calls.append(mu.coeffs)
+            return real(phi, mu)
+
+        monkeypatch.setattr(exact, "root_multiplicity", counting)
+        cert = certify(spider(7, 7, 7))
+        assert cert.report.certificate.admissible_moduli == (3, 5, 15)
+        assert len(cert.lambda_rows) == 7
+        assert all(row.exact == row.numeric == 2 for row in cert.lambda_rows)
+        assert char_poly_orders == [22]
+        assert sorted(map(len, calls)) == [3, 5]  # degrees phi(5)/2 and phi(15)/2
 
     def test_classify_m1_builds_the_certificate_once(self, monkeypatch):
         # spider(1,1,4) is in the mod-3 family: p and the congruence read the

@@ -16,6 +16,7 @@ from treespectra import (
     laplacian,
     minimal_poly_lambda,
     multiplicity_exact,
+    pendant_distance_gcd,
     rational_nullity,
     root_multiplicity,
     single_vertex,
@@ -118,6 +119,24 @@ class TestTreeInertia:
         below, zero = tree_inertia(tree, 1)
         assert zero == rational_nullity(laplacian(tree), 1)
         assert (below, zero) == eigvalsh_inertia(tree, 1)
+
+    def test_unit_zeros_match_char_poly(self):
+        # certify reads m(T,1) off the elimination for the ratio 1/3 row and
+        # never divides char_poly by x - 1; this is that comparison, on every
+        # tree of order <= 12 with 3 | g (exactly the trees with that row,
+        # plus the paths of order 3k) and on stars of order 4 to 60
+        unit = minimal_poly_lambda(LambdaParam(1, 0))
+        trees = [
+            tree
+            for n in range(2, 13)
+            for tree in free_trees(n)
+            if pendant_distance_gcd(tree) % 3 == 0
+        ]
+        assert len(trees) == 40
+        for tree in trees + [star(3), star(9), star(29), star(59)]:
+            zero = tree_inertia(tree, 1)[1]
+            assert root_multiplicity(char_poly(laplacian(tree)), unit) == zero, tree.edges
+            assert zero == len(tree.pendants) - 1, tree.edges
 
 
 class TestCharPoly:

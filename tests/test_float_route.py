@@ -7,22 +7,27 @@ extremal trees are built from the congruence rule: legs of length = q
 the package's own enumeration or the benchmark inputs.  The explicit
 eigenbasis is checked on extremal trees up to order 200, against the
 peel rule written out pair by pair, and for the triangular shape that a
-rank certificate read off the construction would rest on.
+rank certificate read off the construction would rest on.  ``certify``
+runs on extremal trees up to order 150 whose only modulus is 3, with
+``char_poly`` refused.
 """
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from shapes import prufer_tree
 
 from treespectra import (
     admissible_q,
+    certify,
     cluster_multiplicity,
     eigen_symmetric,
     eigenbasis_extremal,
+    exact,
     extremal_lambda_set,
     free_trees,
     from_edge_list,
@@ -35,6 +40,7 @@ from treespectra import (
 )
 
 EXTREMAL_MAX_N = 45  # char_poly is O(n^4) in pure Python; keeps the suite fast
+UNIT_MAX_N = 150  # certify builds no char_poly when 3 is the only modulus
 BASIS_MAX_N = 200  # the basis construction alone reaches further
 
 SETTINGS = settings(
@@ -159,6 +165,24 @@ def test_float_clusters_reach_p_minus_1_on_extremal_trees(case):
     for param in params:
         assert cluster_multiplicity(spectrum, param.value) == p - 1
         assert multiplicity_exact(tree, param) == p - 1
+
+
+@SETTINGS
+@given(extremal_trees(max_n=UNIT_MAX_N, max_q=1, max_majors=16, max_legs=8))
+def test_certify_unit_row_without_char_poly(case):
+    # with 3 the only modulus, the one extremal eigenvalue is 1, whose exact
+    # count is the tree elimination's; char_poly would take seconds here
+    _, tree = case
+    assume(admissible_q(tree).admissible_moduli == (3,))
+
+    def no_char_poly(matrix):
+        raise AssertionError("certify built a characteristic polynomial")
+
+    with mock.patch.object(exact, "char_poly", no_char_poly):
+        cert = certify(tree)
+    (row,) = cert.lambda_rows
+    assert str(row.param.ratio) == "1/3"
+    assert row.exact == row.numeric == cert.m1_exact == cert.m1_numeric == len(tree.pendants) - 1
 
 
 def first_single_major_pair(tree, component):
