@@ -165,10 +165,11 @@ def in_gamma(tree: Tree):
     each pendant's leg m..u is read off the parents, and one bottom-up pass
     tabulates which subtrees hung below m are path or mod-3 pieces.  The
     scan reads each triple's leg residues off the row first, then rejects
-    the triple if two of its legs leave m by the same edge, and only then
-    looks its hanging components up in the table.  Each test only filters
-    the same scan, so their order changes neither the verdict nor the
-    witness.
+    the triple if two of its legs leave m by the same edge.  What hangs off
+    a leg's inner vertices depends on that leg alone, so it is judged once
+    per major, at the first triple past both tests that holds the leg; each
+    triple judges only what hangs at m.  The tests only filter the same
+    scan, so their order changes neither the verdict nor the witness.
 
     Returns ``(verdict, witness-or-None)``; the witness is the first found,
     scanning majors in ascending order and pendant triples lexicographically.
@@ -181,21 +182,25 @@ def in_gamma(tree: Tree):
         row_m, parent, order = tree.bfs(major)
         pieces = _hung_pieces(tree, row_m, parent, order)
         legs = {u: _root_path(parent, u) for u in pendants}
+        judged = {}  # pendant -> what hangs off its leg, or None if not allowed
         for trio in combinations(pendants, 3):
             omega = _omega_type(sorted(row_m[u] % 3 for u in trio))
             if omega is None:
                 continue
-            paths = [legs[u] for u in trio]
-            if len({leg[1] for leg in paths}) < 3:
+            steps = {legs[u][1] for u in trio}
+            if len(steps) < 3:
                 continue  # legs must leave m by distinct edges
-            ok, attachments = _check_attachments(tree, row_m, parent, order, pieces, paths)
-            if ok:
+            for u in trio:
+                if u not in judged:
+                    judged[u] = _judge_leg(tree, row_m, pieces, legs[u])
+            hung = [_hung_at(tree, row_m, pieces, major, steps, trio), *map(judged.get, trio)]
+            if None not in hung:
                 return True, GammaWitness(
                     major=major,
                     endpoints=trio,
                     leg_residues=tuple(row_m[u] % 3 for u in trio),
                     omega=omega,
-                    attachments=attachments,
+                    attachments=_attachments(parent, order, [legs[u] for u in trio], hung),
                 )
     return False, None
 
@@ -235,36 +240,41 @@ def _hung_pieces(tree: Tree, row, parent, order):
     return pieces
 
 
-def _check_attachments(tree: Tree, row_m, parent, order, pieces, paths):
-    # The legs leave the major by distinct edges, so every other core vertex
-    # lies on one leg.  The core is connected and holds the major, so each
-    # component of T - core is the subtree hung at an off-core neighbour of
-    # its anchor.  Attachments are ordered by anchor, then smallest vertex.
-    # ``row_m``, ``parent`` and ``order`` are the major's Tree.bfs.
-    major = paths[0][0]
-    adj = tree.adjacency
-    leg_end = {v: leg[-1] for leg in paths for v in leg[1:]}
-    core = set(leg_end) | {major}
-    hung = []  # (anchor, c, family)
-    for anchor in (major, *leg_end):
-        comps = [c for c in adj[anchor] if c not in core]
-        if not comps:
-            continue
-        ends = [leg[-1] for leg in paths] if anchor == major else [leg_end[anchor]]
-        if all((row_m[u] - row_m[anchor]) % 3 != 1 for u in ends):
-            return False, ()
-        # A path piece is a mod-3 piece too, so once one component is 'Q'
-        # all of them form one mod-3 group, which needs two or more.
-        kinds = [pieces[c] for c in comps]
-        if None in kinds or ("Q" in kinds and len(kinds) < 2):
-            return False, ()
-        family = "Q" if "Q" in kinds else "P"
-        hung += [(anchor, c, family) for c in comps]
+def _hung_at(tree: Tree, row_m, pieces, anchor, core, ends):
+    # The components at a core anchor, its neighbours off ``core``, as
+    # (anchor, c, family), or None unless the anchor is 1 (mod 3) from an end
+    # it answers to and each is a 'P' or 'Q' piece; as a path piece is also a
+    # mod-3 piece, one 'Q' makes all one mod-3 group, which needs two or more.
+    comps = [c for c in tree.adjacency[anchor] if c not in core]
+    kinds = [pieces[c] for c in comps]
+    if kinds and all((row_m[u] - row_m[anchor]) % 3 != 1 for u in ends):
+        return None
+    if None in kinds or ("Q" in kinds and len(kinds) < 2):
+        return None
+    family = "Q" if "Q" in kinds else "P"
+    return [(anchor, c, family) for c in comps]
 
-    # One pass over the search's order, parents first, labels each off-core
-    # vertex with the top of its component: itself when its parent is on
-    # the core, else its parent's top.
-    below = {c: [] for _, c, _ in hung}
+
+def _judge_leg(tree: Tree, row_m, pieces, leg):
+    # _hung_at over the leg's inner vertices against the leg's own end, or
+    # None.  A triple's legs leave the major by distinct edges and meet
+    # nowhere else, so what hangs there is off this leg, whatever the others.
+    hung = []
+    for prev, anchor, nxt in zip(leg, leg[1:], leg[2:]):
+        at = _hung_at(tree, row_m, pieces, anchor, (prev, nxt), leg[-1:])
+        if at is None:
+            return None
+        hung += at
+    return hung
+
+
+def _attachments(parent, order, paths, hung):
+    # The witness's attachments from _hung_at's lists, ordered by anchor, then
+    # smallest vertex.  One pass over the major's Tree.bfs order, parents
+    # first, labels each vertex off the core with the top c of its component:
+    # itself when its parent is on the core, else its parent's top.
+    core = {v for leg in paths for v in leg}
+    below = {c: [] for part in hung for _, c, _ in part}
     top = {}
     for x in order:
         if x not in core:
@@ -272,10 +282,10 @@ def _check_attachments(tree: Tree, row_m, parent, order, pieces, paths):
             below[top[x]].append(x)
     attachments = [
         GammaAttachment(anchor=anchor, vertices=tuple(sorted(below[c])), family=family)
-        for anchor, c, family in hung
+        for part in hung for anchor, c, family in part
     ]
     attachments.sort(key=lambda att: (att.anchor, att.vertices))
-    return True, tuple(attachments)
+    return tuple(attachments)
 
 
 def classify_m1(tree: Tree) -> ClassificationReport:

@@ -245,7 +245,8 @@ def cmd_enumerate(args) -> int:
     if args.format == "csv":
         body = CSV_HEADER + "\n" + "".join(entry_csv_row(e) + "\n" for e in entries)
     elif args.format == "dot":
-        body = "\n\n".join(_entry_dot(e, i) for i, e in enumerate(entries, 1)) + "\n"
+        blocks = [_entry_dot(e, i) for i, e in enumerate(entries, 1)]
+        body = "\n\n".join(blocks) + "\n"
     else:
         parameters = {
             "max_n": args.max_n,
@@ -263,9 +264,8 @@ def cmd_enumerate(args) -> int:
     if args.out:
         out = Path(args.out)
         if args.format == "dot" and out.is_dir():
-            for i, entry in enumerate(entries, 1):
-                name = f"tree_n{entry.n}_{i:04d}.dot"
-                (out / name).write_text(_entry_dot(entry, i) + "\n")
+            for i, (entry, block) in enumerate(zip(entries, blocks), 1):
+                (out / f"tree_n{entry.n}_{i:04d}.dot").write_text(block + "\n")
         else:
             out.write_text(body)
         sys.stderr.write(f"{len(entries)} entries written to {args.out}\n")

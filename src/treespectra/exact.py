@@ -137,12 +137,14 @@ def poly_divmod(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntP
 def laplacian(tree: Tree) -> tuple[tuple[int, ...], ...]:
     """Laplacian D - A, row i <-> label i+1."""
     n = tree.n
-    rows = [[0] * n for _ in range(n)]
+    rows = []
     for v in range(1, n + 1):
-        rows[v - 1][v - 1] = len(tree.adjacency[v])
+        row = [0] * n
+        row[v - 1] = len(tree.adjacency[v])
         for w in tree.adjacency[v]:
-            rows[v - 1][w - 1] = -1
-    return tuple(tuple(r) for r in rows)
+            row[w - 1] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def tree_inertia(tree: Tree, lam) -> tuple[int, int]:

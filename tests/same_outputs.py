@@ -7,9 +7,11 @@ REV is extracted with ``git archive`` into a temporary directory.  One
 process runs ``cli.main`` from REV's ``src/``, another from the working
 tree's, on the same inputs:
 
-- ``tests/data/reports/*.edges`` and the 75 seed-11 trees of the
+- ``tests/data/reports/*.edges``, the 75 seed-11 trees of the
   ``check_random`` and ``check_extremal`` workloads (``bench/workloads.py``,
-  imported read-only; it writes the edge lists to a temporary directory);
+  imported read-only; it writes the edge lists to a temporary directory)
+  and the 435 free trees of order 2 to 11 from networkx's
+  ``nonisomorphic_trees``, 88 of them with a Gamma witness;
 - per tree: ``check`` JSON (``timing_seconds`` masked) and ``check --text``,
   and for every admissible (q, b) ``eigenbasis`` JSON (timing masked),
   ``eigenbasis --text --out`` and the CSV it writes; plus one
@@ -19,8 +21,8 @@ tree's, on the same inputs:
   as ``--format json`` (timing masked), as ``--format dot`` and with
   ``--filter unit_p2``.
 
-Every output is compared with its exit code and stderr: 640 outputs, in
-12.5 to 18 s on 2 shared CPUs.  Prints the first difference, or the count
+Every output is compared with its exit code and stderr: 2 104 outputs, in
+10 to 11 s on 2 shared CPUs.  Prints the first difference, or the count
 of identical outputs; exits 0 when all agree, 1 otherwise and 2 when REV
 cannot be read.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -58,6 +60,18 @@ def _inputs(workdir: Path) -> list[tuple[str, str]]:
         requests = workloads.build(name, "full", SEED, out, REPO, None)
         paths = sorted(r.path for r in requests)
         inputs += [(f"{name}/{Path(path).stem}", path) for path in paths]
+
+    # networkx lists the free trees, so these inputs take nothing from the
+    # code being compared.
+    import networkx as nx
+
+    out = workdir / "free"
+    out.mkdir()
+    for n in range(2, 12):
+        for i, graph in enumerate(nx.nonisomorphic_trees(n), 1):
+            path = out / f"n{n}_{i:03d}.edges"
+            path.write_text("".join(f"{u + 1} {v + 1}\n" for u, v in graph.edges))
+            inputs.append((f"free/{path.stem}", str(path)))
     return inputs
 
 

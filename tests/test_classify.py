@@ -312,21 +312,46 @@ class TestInGamma:
     def test_no_legs_without_an_omega_residue(self, monkeypatch):
         # spider(3, 3, 3, 3): g = 7, so classify_m1 reaches in_gamma, and
         # every leg has residue 0, so no triple has an Omega type and no
-        # legs reach the attachment check
+        # leg is judged
         calls = []
-        real = classify._check_attachments
+        real = classify._judge_leg
 
-        def counting(tree, row_m, parent, order, pieces, paths):
-            calls.append(tuple(paths))
-            return real(tree, row_m, parent, order, pieces, paths)
+        def counting(tree, row_m, pieces, leg):
+            calls.append(leg)
+            return real(tree, row_m, pieces, leg)
 
-        monkeypatch.setattr(classify, "_check_attachments", counting)
+        monkeypatch.setattr(classify, "_judge_leg", counting)
         tree = spider(3, 3, 3, 3)
         assert pendant_distance_gcd(tree) == 7
         assert in_gamma(tree) == (False, None)
         assert calls == []
         assert in_gamma(spider(1, 1, 2))[0]
-        assert calls == [((1, 2), (1, 3), (1, 4, 5))]
+        assert calls == [(1, 2), (1, 3), (1, 4, 5)]
+
+    def test_each_leg_judged_once_per_major(self, monkeypatch):
+        # spider(1, 1, 1, 3, 3, 3): the nine triples of two short legs and
+        # one long one are all type A with distinct first steps, and each
+        # fails at the major, where a leg of 3 is neither a 'P' nor a 'Q'
+        # piece; so the scan meets every leg in three or six of them
+        tree = spider(1, 1, 1, 3, 3, 3)
+        major = tree.majors[0]
+        row = tree.bfs(major)[0]
+        omega = [
+            trio
+            for trio in combinations(tree.pendants, 3)
+            if _omega_type(sorted(row[u] % 3 for u in trio))
+        ]
+        assert len(omega) == 9
+        calls = []
+        real = classify._judge_leg
+
+        def counting(tree, row_m, pieces, leg):
+            calls.append(leg)
+            return real(tree, row_m, pieces, leg)
+
+        monkeypatch.setattr(classify, "_judge_leg", counting)
+        assert in_gamma(tree) == in_gamma_by_triple_scan(tree) == (False, None)
+        assert sorted(calls) == sorted(path_between(tree, major, u) for u in tree.pendants)
 
     def test_attachments_ordered_by_smallest_vertex(self):
         # two P components at the major: the one through child 9 holds

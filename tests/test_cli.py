@@ -463,6 +463,24 @@ class TestEnumerate:
         assert len(files) == 3
         assert files[0].read_text().startswith("graph t")
 
+    def test_dot_directory_renders_each_entry_once(self, tmp_path, capsys, monkeypatch):
+        # the files hold the blocks printed on stdout, one render per entry
+        assert main(["enumerate", "--max-n", "5", "--format", "dot"]) == 0
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+        calls = []
+        real = cli._entry_dot
+
+        def counting(entry, index):
+            calls.append(index)
+            return real(entry, index)
+
+        monkeypatch.setattr(cli, "_entry_dot", counting)
+        assert main(["enumerate", "--max-n", "5", "--format", "dot",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == list(range(1, len(blocks) + 1))
+        files = sorted(tmp_path.glob("tree_n*.dot"), key=lambda f: f.stem[-4:])
+        assert [f.read_text() for f in files] == [b + "\n" for b in blocks]
+
     def test_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "catalog.csv"
         assert main(["enumerate", "--max-n", "4", "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,19 @@ class TestLaplacian:
             (-1, 0, 1, 0),
             (-1, 0, 0, 1),
         )
+
+    def test_rows_built_once(self):
+        # Each row becomes a tuple before the next starts, so building holds
+        # one spare row at most, not a second copy of the whole matrix.
+        tree = path(400)
+        tracemalloc.start()
+        try:
+            result = laplacian(tree)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 400
+        assert peak < 1.5 * size
 
 
 class TestRationalNullity:

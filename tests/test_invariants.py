@@ -617,7 +617,8 @@ def test_witness_check_names_nothing_of_the_decider():
         for node in ast.parse((PACKAGE / "classify.py").read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
-    assert {"in_gamma", "_check_attachments", "_hung_pieces", "_omega_type"} <= decider
+    helpers = {"_hung_at", "_judge_leg", "_attachments", "_hung_pieces", "_omega_type"}
+    assert {"in_gamma", *helpers} <= decider
     source = (PACKAGE / "gauntlet.py").read_text()
     (fn,) = [
         node
