@@ -261,6 +261,19 @@ class TestUnitExtremal:
             assert classify_m1(path(n)).m1_class == ("p-1" if n % 3 == 0 else "p-2")
 
 
+def _judged_legs(monkeypatch):
+    # every leg in_gamma hands to classify._judge_leg, in order
+    calls = []
+    real = classify._judge_leg
+
+    def counting(tree, row_m, pieces, leg):
+        calls.append(leg)
+        return real(tree, row_m, pieces, leg)
+
+    monkeypatch.setattr(classify, "_judge_leg", counting)
+    return calls
+
+
 class TestInGamma:
     def test_core_only_spider(self):
         verdict, witness = in_gamma(spider(1, 1, 2))
@@ -313,14 +326,7 @@ class TestInGamma:
         # spider(3, 3, 3, 3): g = 7, so classify_m1 reaches in_gamma, and
         # every leg has residue 0, so no triple has an Omega type and no
         # leg is judged
-        calls = []
-        real = classify._judge_leg
-
-        def counting(tree, row_m, pieces, leg):
-            calls.append(leg)
-            return real(tree, row_m, pieces, leg)
-
-        monkeypatch.setattr(classify, "_judge_leg", counting)
+        calls = _judged_legs(monkeypatch)
         tree = spider(3, 3, 3, 3)
         assert pendant_distance_gcd(tree) == 7
         assert in_gamma(tree) == (False, None)
@@ -342,14 +348,7 @@ class TestInGamma:
             if _omega_type(sorted(row[u] % 3 for u in trio))
         ]
         assert len(omega) == 9
-        calls = []
-        real = classify._judge_leg
-
-        def counting(tree, row_m, pieces, leg):
-            calls.append(leg)
-            return real(tree, row_m, pieces, leg)
-
-        monkeypatch.setattr(classify, "_judge_leg", counting)
+        calls = _judged_legs(monkeypatch)
         assert in_gamma(tree) == in_gamma_by_triple_scan(tree) == (False, None)
         assert sorted(calls) == sorted(path_between(tree, major, u) for u in tree.pendants)
 
