@@ -158,10 +158,10 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     tree = canonical_relabel(_load_tree(args.input))
     payload = _check_payload(tree, args.tol)
-    envelope = _envelope("check", {"tol": fmt_float(args.tol)}, tree, payload, started)
     if args.text:
         sys.stdout.write(_check_text(payload, tree))
     else:
+        envelope = _envelope("check", {"tol": fmt_float(args.tol)}, tree, payload, started)
         sys.stdout.write(dumps_report(envelope))
     return 0
 
@@ -170,43 +170,44 @@ def cmd_eigenbasis(args) -> int:
     started = time.perf_counter()
     tree = canonical_relabel(_load_tree(args.input))
     basis = gauntlet.certify_basis(tree, args.q, args.b)
-    ratio = str(basis.param.ratio)
-    payload = {
-        "q": args.q,
-        "b": args.b,
-        "ratio": ratio,
-        "lambda": fmt_float(basis.param.value),
-        "count": len(basis.vectors),
-        "rank": basis.rank,
-        "residuals": [fmt_float(r) for r in basis.residuals],
-        "vectors": [[fmt_float(x) for x in vector] for vector in basis.vectors],
-        "trace": {
-            "gamma": ratio,
-            "path_records": [asdict(r) for r in basis.path_records],
-            "glue_steps": [asdict(s) for s in basis.glue_steps],
-        },
-    }
-
+    ratio, value = str(basis.param.ratio), fmt_float(basis.param.value)
+    # Each entry is formatted once, shared by the JSON payload and the CSV.
+    vectors = basis.vectors if args.out or not args.text else ()
+    rows = [[fmt_float(x) for x in vector] for vector in vectors]
     if args.out:
         with open(args.out, "w") as fh:
-            labels = ",".join(f"v{i}" for i in range(1, tree.n + 1))
-            fh.write(f"vector,{labels}\n")
-            for idx, vector in enumerate(basis.vectors, start=1):
-                fh.write(f"{idx}," + ",".join(fmt_float(x) for x in vector) + "\n")
-        payload["out"] = args.out
+            fh.write(",".join(["vector", *(f"v{i}" for i in range(1, tree.n + 1))]) + "\n")
+            fh.writelines(f"{idx},{','.join(row)}\n" for idx, row in enumerate(rows, 1))
 
-    envelope = _envelope("eigenbasis", {"q": args.q, "b": args.b}, tree, payload, started)
     if args.text:
         lines = [
-            f"lambda = {payload['lambda']} (ratio {payload['ratio']})",
-            f"vectors: {payload['count']}, rank {payload['rank']}",
+            f"lambda = {value} (ratio {ratio})",
+            f"vectors: {len(basis.vectors)}, rank {basis.rank}",
             f"max residual: {fmt_float(max(basis.residuals))}",
         ]
         if args.out:
             lines.append(f"written to {args.out}")
         sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(dumps_report(envelope))
+        return 0
+    payload = {
+        "q": args.q,
+        "b": args.b,
+        "ratio": ratio,
+        "lambda": value,
+        "count": len(basis.vectors),
+        "rank": basis.rank,
+        "residuals": [fmt_float(r) for r in basis.residuals],
+        "vectors": rows,
+        "trace": {
+            "gamma": ratio,
+            "path_records": [vars(r) for r in basis.path_records],
+            "glue_steps": [vars(s) for s in basis.glue_steps],
+        },
+    }
+    if args.out:
+        payload["out"] = args.out
+    envelope = _envelope("eigenbasis", {"q": args.q, "b": args.b}, tree, payload, started)
+    sys.stdout.write(dumps_report(envelope))
     return 0
 
 
@@ -255,10 +256,7 @@ def cmd_enumerate(args) -> int:
             "jobs": args.jobs,
             "tol": fmt_float(args.tol),
         }
-        payload = {
-            "count": len(entries),
-            "entries": [asdict(e) for e in entries],
-        }
+        payload = {"count": len(entries), "entries": [vars(e) for e in entries]}
         body = dumps_report(_envelope("enumerate", parameters, None, payload, started))
 
     if args.out:

@@ -13,7 +13,7 @@ Vectors are numpy arrays indexed by ``label - 1``.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
@@ -92,7 +92,9 @@ def _peel_basis(tree: Tree, q: int, b: int):
     # and stops before the first vertex of another degree, its major.
     # Peeling leaves the anchor at degree >= 2, so the live pendants are
     # always the input pendants not yet peeled, and the live vertices those
-    # of nonzero degree (slot 0, a placeholder, has degree 0).
+    # of nonzero degree (slot 0, a placeholder, has degree 0).  ``reach`` maps
+    # live pendants, in label order, to their legs' majors; ``ending`` counts
+    # the live legs per major.
     n = tree.n
     adj = tree.adjacency
     deg = [len(a) for a in adj]
@@ -105,26 +107,26 @@ def _peel_basis(tree: Tree, q: int, b: int):
         return passed, v
 
     legs: dict[int, list[int]] = {}
-    at: dict[int, list[int]] = {}  # major -> pendants whose leg ends there, ascending
+    reach: dict[int, int] = {}
     for u in tree.pendants:
-        passed, major = walk(u, adj[u][0])
+        passed, reach[u] = walk(u, adj[u][0])
         legs[u] = [u, *passed]
-        at.setdefault(major, []).append(u)
+    ending = Counter(reach.values())
 
     modulus = 2 * q + 1
     paths = []  # one pendant-to-pendant path per peel step, then the bare path
     records = []
     steps = []
     while len(legs) > 2:
-        # The first pendant pair in label order whose path meets exactly one
-        # major: two legs that end at the same major.
-        shared = [(group, major) for major, group in at.items() if len(group) >= 2]
-        if not shared:  # unreachable: some major always sees two major-free legs
+        # The first pendant pair in label order whose path meets one major:
+        # the first pendant whose major ends another leg, and the next there.
+        u = next((u for u, major in reach.items() if ending[major] >= 2), None)
+        if u is None:  # unreachable: some major always sees two major-free legs
             raise InvariantViolated(
                 "no pendant pair with a single major on its path", edges=tree.edges
             )
-        group, anchor = min(shared)
-        u, w = group[:2]
+        anchor = reach.pop(u)
+        w = next(w for w, major in reach.items() if major == anchor)
         leg_u, leg_w = legs.pop(u), legs[w]
         paths.append([*leg_u, anchor, *reversed(leg_w)])
         k1, k2 = len(leg_u), len(leg_w)
@@ -134,13 +136,13 @@ def _peel_basis(tree: Tree, q: int, b: int):
         for v in leg_u:
             deg[v] = 0
         deg[anchor] -= 1
-        group.remove(u)
-        if deg[anchor] == 2 and len(group) == 1:
-            # w's leg now runs on through the anchor to the next major.
-            passed, major = walk(leg_w[-1], anchor)
+        ending[anchor] -= 1
+        if deg[anchor] == 2 and ending[anchor] == 1:
+            # w's leg now runs on through the anchor, no major any more, to
+            # the next major.
+            passed, reach[w] = walk(leg_w[-1], anchor)
             leg_w.extend(passed)
-            del at[anchor]
-            insort(at.setdefault(major, []), w)
+            ending[reach[w]] += 1
         component = tuple(compress(range(n + 1), deg))  # the live labels
         steps.append(GlueStep(pendant_pair=(u, w), anchor=anchor, component=component))
 

@@ -9,20 +9,23 @@ tree's, on the same inputs:
 
 - ``tests/data/reports/*.edges``, the 75 seed-11 trees of the
   ``check_random`` and ``check_extremal`` workloads (``bench/workloads.py``,
-  imported read-only; it writes the edge lists to a temporary directory)
-  and the 435 free trees of order 2 to 11 from networkx's
-  ``nonisomorphic_trees``, 88 of them with a Gamma witness;
+  imported read-only; it writes the edge lists to a temporary directory),
+  the 435 free trees of order 2 to 11 from networkx's
+  ``nonisomorphic_trees``, 88 of them with a Gamma witness, and three
+  larger extremal trees written out below: K_{1,300}, a caterpillar of 40
+  majors (n = 160) and spider(7,7,7,7,7,7);
 - per tree: ``check`` JSON (``timing_seconds`` masked) and ``check --text``,
   and for every admissible (q, b) ``eigenbasis`` JSON (timing masked),
-  ``eigenbasis --text --out`` and the CSV it writes; plus one
+  ``eigenbasis --text``, ``eigenbasis --out`` (JSON, timing masked) and
+  ``eigenbasis --text --out`` with the CSV each ``--out`` writes; plus one
   ``eigenbasis`` that fails, at one past the largest admissible q (q = 1
   when there is none);
 - ``enumerate --max-n 12`` (CSV on stdout), and ``enumerate --max-n 9``
   as ``--format json`` (timing masked), as ``--format dot`` and with
   ``--filter unit_p2``.
 
-Every output is compared with its exit code and stderr: 2 104 outputs, in
-10 to 11 s on 2 shared CPUs.  Prints the first difference, or the count
+Every output is compared with its exit code and stderr: 2 731 outputs, in
+13 to 14 s on 2 shared CPUs.  Prints the first difference, or the count
 of identical outputs; exits 0 when all agree, 1 otherwise and 2 when REV
 cannot be read.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -72,6 +75,25 @@ def _inputs(workdir: Path) -> list[tuple[str, str]]:
             path = out / f"n{n}_{i:03d}.edges"
             path.write_text("".join(f"{u + 1} {v + 1}\n" for u, v in graph.edges))
             inputs.append((f"free/{path.stem}", str(path)))
+
+    # Three larger extremal trees, written out here: K_{1,300}; a caterpillar
+    # of 40 majors 3 apart on the spine 1..118, with one pendant at each
+    # inner major and two at each end (q = 1), so most peels run a leg on
+    # through an anchor; and spider(7,7,7,7,7,7), whose moduli are 3, 5, 15.
+    star = [(1, v) for v in range(2, 302)]
+    ends = [m for m in range(1, 119, 3) for _ in range(2 if m in (1, 118) else 1)]
+    caterpillar = [(v, v + 1) for v in range(1, 118)]
+    caterpillar += [(m, 119 + i) for i, m in enumerate(ends)]
+    spider = []
+    for leg in range(6):
+        labels = [1, *range(2 + 7 * leg, 9 + 7 * leg)]
+        spider += zip(labels, labels[1:])
+    out = workdir / "extremal"
+    out.mkdir()
+    for name, edges in (("star_300", star), ("caterpillar_40", caterpillar), ("spider_7x6", spider)):
+        path = out / f"{name}.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        inputs.append((f"extremal/{name}", str(path)))
     return inputs
 
 
@@ -102,10 +124,12 @@ def _worker(src: str, inputs_file: str, result_file: str) -> None:
                 key = f"{label} eigenbasis --q {q} --b {b}"
                 argv = ["eigenbasis", path, "--q", str(q), "--b", str(b)]
                 results[key] = run(argv)
-                results[f"{key} --text --out"] = run([*argv, "--text", "--out", "basis.csv"])
-                csv = Path("basis.csv")
-                results[f"{key} basis.csv"] = csv.read_text() if csv.exists() else None
-                csv.unlink(missing_ok=True)
+                results[f"{key} --text"] = run([*argv, "--text"])
+                for mode in ("--out", "--text --out"):
+                    results[f"{key} {mode}"] = run([*argv, *mode.split(), "basis.csv"])
+                    csv = Path("basis.csv")
+                    results[f"{key} {mode} basis.csv"] = csv.read_text() if csv.exists() else None
+                    csv.unlink(missing_ok=True)
         # One past the largest admissible q is never admissible: its
         # modulus exceeds the largest odd divisor of the pendant gcd.
         q = max(q_list, default=0) + 1

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from treespectra import cli, construct
+from treespectra.census import build_catalog
 from treespectra.cli import CSV_HEADER, dumps_report, fmt_float, main
 
 K13 = "# a star\n1 2\n1 3\n1 4\n"
@@ -24,6 +26,19 @@ def write(tmp_path, name, text):
     f = tmp_path / name
     f.write_text(text)
     return str(f)
+
+
+def spy(monkeypatch, name):
+    """The argument tuples of every call to ``cli.<name>``, which still runs."""
+    calls = []
+    real = getattr(cli, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
 
 
 class TestFormatting:
@@ -78,6 +93,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "extremal: yes" in out
         assert "m(T,1): class p-1, exact 2" in out
+
+    def test_text_mode_builds_no_envelope(self, tmp_path, capsys, monkeypatch):
+        built = spy(monkeypatch, "_envelope")
+        f = write(tmp_path, "t.txt", K13)
+        assert main(["check", f, "--text"]) == 0
+        assert built == []
+        assert main(["check", f]) == 0
+        assert len(built) == 1
 
     def test_gamma_witness_in_report(self, tmp_path, capsys):
         main(["check", write(tmp_path, "t.txt", SPIDER112_A)])
@@ -319,6 +342,41 @@ class TestEigenbasis:
         assert lines[1:] == ["vectors: 2, rank 2", lines[2], f"written to {out}"]
         assert len(out.read_text().splitlines()) == 3
 
+    def test_text_mode_formats_two_values_and_builds_no_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # lambda and the largest residual; no vector entry and no JSON report
+        formatted = spy(monkeypatch, "fmt_float")
+        built = [spy(monkeypatch, name) for name in ("_envelope", "dumps_report", "asdict")]
+        assert main(["eigenbasis", write(tmp_path, "t.txt", SPIDER114), "--q", "1", "--text"]) == 0
+        assert len(formatted) == 2
+        assert built == [[], [], []]
+
+    def test_csv_rows_are_the_payload_vectors(self, tmp_path, capsys, monkeypatch):
+        # --out formats no entry beyond those of the JSON payload
+        f = write(tmp_path, "t.txt", SPIDER114)
+        formatted = spy(monkeypatch, "fmt_float")
+        assert main(["eigenbasis", f, "--q", "1"]) == 0
+        without_out = len(formatted)
+        capsys.readouterr()
+        formatted.clear()
+        out = tmp_path / "basis.csv"
+        assert main(["eigenbasis", f, "--q", "1", "--out", str(out)]) == 0
+        assert len(formatted) == without_out
+        vectors = json.loads(capsys.readouterr().out)["payload"]["vectors"]
+        rows = out.read_text().splitlines()[1:]
+        assert rows == [f"{i}," + ",".join(v) for i, v in enumerate(vectors, start=1)]
+
+    def test_json_copies_no_record(self, tmp_path, capsys, monkeypatch):
+        # path records and glue steps are written as their fields
+        copied = spy(monkeypatch, "asdict")
+        assert main(["eigenbasis", write(tmp_path, "t.txt", SPIDER114), "--q", "1"]) == 0
+        assert copied == []
+        trace = json.loads(capsys.readouterr().out)["payload"]["trace"]
+        assert trace["glue_steps"] == [
+            {"pendant_pair": [4, 6], "anchor": 5, "component": [5, 6, 7]}
+        ]
+
     @pytest.mark.parametrize(
         "spoil, quantity",
         [
@@ -480,6 +538,15 @@ class TestEnumerate:
         assert calls == list(range(1, len(blocks) + 1))
         files = sorted(tmp_path.glob("tree_n*.dot"), key=lambda f: f.stem[-4:])
         assert [f.read_text() for f in files] == [b + "\n" for b in blocks]
+
+    def test_json_copies_no_entry(self, capsys, monkeypatch):
+        # entries are written as their fields, the same JSON as asdict gives
+        copied = spy(monkeypatch, "asdict")
+        assert main(["enumerate", "--max-n", "6", "--format", "json"]) == 0
+        assert copied == []
+        entries = json.loads(capsys.readouterr().out)["payload"]["entries"]
+        expected = [dataclasses.asdict(e) for e in build_catalog(6)]
+        assert entries == json.loads(json.dumps(expected))
 
     def test_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "catalog.csv"

@@ -200,6 +200,27 @@ class TestEigenbasisExtremal:
         supports = [tuple(np.flatnonzero(np.abs(x) > 1e-12) + 1) for x in vectors]
         assert supports == [(7, 8), (3, 4, 5, 7), (1, 3)]
 
+    def test_leg_run_on_brings_a_smaller_pendant_to_the_next_major(self):
+        # majors 4 - 2 - 7 on a spine, 3 edges apart, with pendants 3, 5 at
+        # 4, pendant 1 at 2 and pendants 6, 8 at 7.  Peeling 3 leaves 4 at
+        # degree 2, so 5's leg runs on to 2, whose lone leg 1 now has a
+        # partner; after peeling 1, 5's leg runs on to 7 and is paired
+        # before 6 and 8 there.
+        t = from_edge_list(
+            [(1, 2), (3, 4), (5, 4), (6, 7), (8, 7),
+             (4, 9), (9, 10), (10, 2), (2, 11), (11, 12), (12, 7)]
+        )
+        param, vectors, _, glue_steps = eigenbasis_extremal(t, q=1)
+        assert [(step.pendant_pair, step.anchor) for step in glue_steps] == [
+            ((3, 5), 4),
+            ((1, 5), 2),
+            ((5, 6), 7),
+        ]
+        assert glue_steps[-1].component == (6, 7, 8)
+        assert numeric_rank(vectors) == 4
+        for x in vectors:
+            assert residual_norm(laplacian(t), param.value, x) < 1e-10
+
     def test_rejects_wrong_residue(self):
         with pytest.raises(CongruenceViolated):
             eigenbasis_extremal(spider(1, 2, 2), q=1)
