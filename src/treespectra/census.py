@@ -81,13 +81,18 @@ class CatalogEntry:
 def _level_sequences(n: int):
     # Successor rule on level sequences (root at level 1), reverse
     # lexicographic order starting from the path (1, 2, ..., n).
+    # p and q are found walking left from the end; seq[0] = 1 stops p.
     seq = list(range(1, n + 1))
     while True:
         yield tuple(seq)
-        p = max((i for i in range(n) if seq[i] > 2), default=None)
-        if p is None:
+        p = n - 1
+        while p and seq[p] <= 2:
+            p -= 1
+        if not p:
             return
-        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
         period = p - q
         for i in range(p, n):
             seq[i] = seq[i - period]

@@ -2,7 +2,8 @@
 
 Everything in this module is exact.  The inertia of L - lam*I at a
 rational lam, and with it m(T, lam), comes from eliminating along the tree
-over the rationals (:func:`tree_inertia`, O(n) field operations);
+(:func:`tree_inertia`): O(n) field operations over the rationals, each
+kept as a numerator-denominator pair of Python ints;
 characteristic polynomials come from a division-free recurrence.  The
 minimal polynomial of an extremal eigenvalue comes from the half-path
 polynomial, the characteristic polynomial of one leg held at zero at its
@@ -158,7 +159,11 @@ def tree_inertia(tree: Tree, lam) -> tuple[int, int]:
     -1/2, and the vertex is cut from its parent; otherwise the vertex
     subtracts 1/a(c) for each child c still joined to it.  By Sylvester's
     law of inertia the negative values count the eigenvalues below lam and
-    the zeros are m(T, lam).  Returns ``(below, zero)``.
+    the zeros are m(T, lam).  Only ``lam`` is converted to a Fraction;
+    the loop keeps each running sum of inverses as a pair of ints, divided
+    by the denominators' common factor as Fraction's addition does, and
+    tallies the signs as it goes, O(n) field operations in all.
+    Returns ``(below, zero)``.
     """
     lam = Fraction(lam)
     n, adj = tree.n, tree.adjacency
@@ -174,24 +179,44 @@ def tree_inertia(tree: Tree, lam) -> tuple[int, int]:
             if w != parent[v]:
                 parent[w] = v
                 stack.append(w)
-    value = [Fraction(0)] * (n + 1)
-    inverses = [Fraction(0)] * (n + 1)  # sum of 1/a(c) over the joined children
+    # With lam = ln/ld, the sum of 1/a(c) over a vertex's joined children
+    # is the pair num/den, den > 0, so a(v) = top/(ld*den) with
+    # top = (deg*ld - ln)*den - num*ld, the same sign as a(v).
+    ln, ld = lam.numerator, lam.denominator
+    num = [0] * (n + 1)
+    den = [1] * (n + 1)
     zero_child = [0] * (n + 1)
+    below = zero = 0
     for v in reversed(order):
-        c = zero_child[v]
-        if c:
-            value[c] = Fraction(2)
-            value[v] = Fraction(-1, 2)
+        if zero_child[v]:
+            # the zero child becomes 2 and the vertex -1/2
+            zero -= 1
+            below += 1
             continue  # cut from its parent
-        a = len(adj[v]) - lam - inverses[v]
-        value[v] = a
+        top = (len(adj[v]) * ld - ln) * den[v] - num[v] * ld
         # the root's parent is slot 0, which nothing reads
-        if a:
-            inverses[parent[v]] += 1 / a
+        u = parent[v]
+        if top:
+            # add 1/a(v) = bottom/top to u's sum, with a positive denominator
+            bottom = ld * den[v]
+            if top < 0:
+                below += 1
+                top, bottom = -top, -bottom
+            # As Fraction adds (Knuth, TAOCP 4.5.1), the pair is divided
+            # only by what the denominators share: a gcd of the two long
+            # results would cost quadratic time on every vertex.
+            nu, du = num[u], den[u]
+            g = math.gcd(du, top)
+            if g == 1:
+                num[u], den[u] = nu * top + bottom * du, du * top
+            else:
+                s = nu * (top // g) + bottom * (du // g)
+                h = math.gcd(s, g)
+                num[u], den[u] = s // h, du // g * (top // h)
         else:
-            zero_child[parent[v]] = v
-    values = value[1:]
-    return sum(x < 0 for x in values), values.count(0)
+            zero += 1
+            zero_child[u] = v
+    return below, zero
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:

@@ -176,7 +176,10 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     extremal verdict and on the multiplicity p-1 of every extremal
     eigenvalue.  The exact m(T,1) is the zero count of the elimination of
     L - I along the tree (:func:`tree_inertia`), checked before any float
-    route runs, and is the multiplicity of the extremal eigenvalue 1.  Any
+    route runs against the combinatorial class and against Faria's bound
+    m(T,1) >= p - |S|, S the vertices next to a pendant (I. Faria, Linear
+    Algebra Appl. 64 (1985) 255-265), and is the multiplicity of the
+    extremal eigenvalue 1.  Any
     other extremal multiplicity comes from dividing one characteristic
     polynomial, built only when such an eigenvalue exists, of the one
     Laplacian that LAPACK also reads, by the minimal polynomial, once for
@@ -204,6 +207,15 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     if expected is None and m1_exact in (p - 1, p - 2):
         raise _disagreement(
             tree, f"exact nullity {m1_exact} hits p-1 or p-2 but no family matched"
+        )
+    # Faria's bound: with the quasi-pendant vertices S deleted, every
+    # pendant is a 1x1 block [1], so interlacing gives m(T,1) >= p - |S|.
+    quasi = len({tree.adjacency[u][0] for u in tree.pendants})
+    if m1_exact < p - quasi:
+        raise _disagreement(
+            tree,
+            f"exact nullity {m1_exact} is below Faria's bound p - |S| = {p - quasi} "
+            f"({quasi} quasi-pendant vertices)",
         )
 
     lap = exact.laplacian(tree)

@@ -13,7 +13,9 @@ tree's, on the same inputs:
   the 435 free trees of order 2 to 11 from networkx's
   ``nonisomorphic_trees``, 88 of them with a Gamma witness, and three
   larger extremal trees written out below: K_{1,300}, a caterpillar of 40
-  majors (n = 160) and spider(7,7,7,7,7,7);
+  majors (n = 160) and spider(7,7,7,7,7,7); and two larger non-extremal
+  ones, the path of order 1 024 and a uniform Prufer tree of order 100
+  (seed 100);
 - per tree: ``check`` JSON (``timing_seconds`` masked) and ``check --text``,
   and for every admissible (q, b) ``eigenbasis`` JSON (timing masked),
   ``eigenbasis --text``, ``eigenbasis --out`` (JSON, timing masked) and
@@ -24,8 +26,8 @@ tree's, on the same inputs:
   as ``--format json`` (timing masked), as ``--format dot`` and with
   ``--filter unit_p2``.
 
-Every output is compared with its exit code and stderr: 2 731 outputs, in
-13 to 14 s on 2 shared CPUs.  Prints the first difference, or the count
+Every output is compared with its exit code and stderr: 2 737 outputs, in
+13 to 16 s on 2 shared CPUs.  Prints the first difference, or the count
 of identical outputs; exits 0 when all agree, 1 otherwise and 2 when REV
 cannot be read.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -33,14 +35,17 @@ cannot be read.  Not collected by pytest (no ``test_`` prefix).
 from __future__ import annotations
 
 import contextlib
+import heapq
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -94,6 +99,28 @@ def _inputs(workdir: Path) -> list[tuple[str, str]]:
         path = out / f"{name}.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in edges))
         inputs.append((f"extremal/{name}", str(path)))
+
+    # Two larger non-extremal trees: the path of order 1 024, which has no
+    # admissible q, and a uniform Prufer tree of order 100 (seed 100),
+    # decoded here, whose elimination at 1 does not cycle as a path's does.
+    rng = random.Random(100)
+    code = [rng.randint(1, 100) for _ in range(98)]
+    degree = Counter(code)
+    leaves = [v for v in range(1, 101) if v not in degree]
+    heapq.heapify(leaves)
+    prufer = []
+    for v in code:
+        prufer.append((heapq.heappop(leaves), v))
+        degree[v] -= 1
+        if not degree[v]:
+            heapq.heappush(leaves, v)
+    prufer.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    out = workdir / "large"
+    out.mkdir()
+    for name, edges in (("path_1024", [(v, v + 1) for v in range(1, 1024)]), ("prufer_100", prufer)):
+        path = out / f"{name}.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        inputs.append((f"large/{name}", str(path)))
     return inputs
 
 

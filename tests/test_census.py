@@ -841,6 +841,29 @@ class TestCertify:
         assert str(info.value) == message
         assert info.value.edges == tree.edges
 
+    def test_faria_bound_is_checked_before_the_float_route(self, monkeypatch):
+        # p = 4 pendants (3, 4, 6, 7) next to |S| = 3 vertices (2, 5, 1), and
+        # m(T,1) = 1 = p - |S|; the class is 'other', so one zero short
+        # (0, not p-1 or p-2) passes the class checks and only the bound
+        # can name it before LAPACK runs
+        tree = from_edge_list([(1, 2), (2, 3), (2, 4), (1, 5), (5, 6), (1, 7)])
+        assert classify_m1(tree).m1_class == "other"
+        real = exact.tree_inertia
+        below, zero = real(tree, 1)
+        assert zero == 1
+
+        def no_float_route(*args, **kwargs):
+            raise AssertionError("float route ran before the exact check")
+
+        monkeypatch.setattr(exact, "tree_inertia", lambda t, lam: (below, zero - 1))
+        monkeypatch.setattr(numeric, "eigen_symmetric", no_float_route)
+        with pytest.raises(OracleDisagreement) as info:
+            certify(tree)
+        assert str(info.value) == (
+            "exact nullity 0 is below Faria's bound p - |S| = 1 (3 quasi-pendant vertices)"
+        )
+        assert info.value.edges == tree.edges
+
     @pytest.mark.parametrize(
         "legs, spoil, message",
         [

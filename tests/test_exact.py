@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from shapes import path, star
+from hypothesis import strategies as st
+from shapes import path, prufer_tree, star
 from test_float_route import SETTINGS, random_trees
 
 from treespectra import (
     IntPolynomial,
     LambdaParam,
     char_poly,
+    exact,
     from_edge_list,
     free_trees,
     laplacian,
@@ -111,6 +113,13 @@ def eigvalsh_inertia(tree, lam):
     return int(np.sum(values < lam - 1e-8)), int(np.sum(abs(values - lam) <= 1e-8))
 
 
+@st.composite
+def rationals(draw):
+    """a/b in [-1, 5] with 1 <= b <= 50."""
+    b = draw(st.integers(1, 50))
+    return Fraction(draw(st.integers(-b, 5 * b)), b)
+
+
 class TestTreeInertia:
     def test_small_cases(self):
         assert tree_inertia(star(3), 1) == (1, 2)  # spectrum 0, 1, 1, 4
@@ -133,6 +142,53 @@ class TestTreeInertia:
         below, zero = tree_inertia(tree, 1)
         assert zero == rational_nullity(laplacian(tree), 1)
         assert (below, zero) == eigvalsh_inertia(tree, 1)
+
+    @settings(SETTINGS, max_examples=100)
+    @given(random_trees(min_n=2, max_n=60), rationals())
+    def test_random_trees_at_random_rationals(self, tree, lam):
+        # zeros against the dense rank always; both counts against LAPACK
+        # unless an eigenvalue sits off lam but within 1e-6 of it, where
+        # the 1e-8 margin would not tell the two apart
+        below, zero = tree_inertia(tree, lam)
+        assert zero == rational_nullity(laplacian(tree), lam)
+        values = np.linalg.eigvalsh(np.array(laplacian(tree), dtype=float))
+        gaps = abs(values - float(lam))
+        if not np.any((gaps > 1e-8) & (gaps <= 1e-6)):
+            assert (below, zero) == eigvalsh_inertia(tree, lam)
+
+    @pytest.mark.parametrize("n", [1200, 1201, 4800])
+    def test_long_paths(self, n):
+        # P_n has eigenvalues 2 - 2cos(k*pi/n), k < n: those below 1 are
+        # k < n/3, and k = n/3 is the eigenvalue 1; all lie below 4 < 9/2
+        tree = path(n)
+        expected = (n // 3, 1) if n % 3 == 0 else (-(-n // 3), 0)
+        assert tree_inertia(tree, 1) == expected
+        assert tree_inertia(tree, Fraction(9, 2)) == (n, 0)
+
+    def test_large_star(self):
+        # K_{1,k}: 0, then 1 with multiplicity k - 1, then k + 1
+        assert tree_inertia(star(1199), 1) == (1, 1198)
+
+    def test_converts_lam_alone(self, monkeypatch):
+        # the elimination runs on ints: the one Fraction built per call is
+        # the conversion of lam, whatever the tree's zeros and cuts
+        made = []
+        real = exact.Fraction
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exact, "Fraction", counting)
+        cases = [
+            (star(5), 1),
+            (path(6), 1),
+            (path(30), Fraction(9, 2)),
+            (prufer_tree([3, 3, 5, 1, 7, 7]), Fraction(-2, 7)),
+        ]
+        for tree, lam in cases:
+            tree_inertia(tree, lam)
+        assert made == [(lam,) for _, lam in cases]
 
     def test_unit_zeros_match_char_poly(self):
         # certify reads m(T,1) off the elimination for the ratio 1/3 row and
