@@ -31,12 +31,13 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import CapExceeded
-from .gauntlet import certify
-from .trees import Tree, _build, _integer
+from .gauntlet import certify_many
+from .trees import Tree, _integer
 
 __all__ = [
     "ORDER_CAP",
@@ -102,14 +103,22 @@ def _tree_from_levels(levels) -> Tree:
     # Parent of each position is the most recent position one level up.
     # Position k is vertex k, so the edges form a tree on 1..n whose labels
     # first appear in order: the checks and relabeling of from_edge_list
-    # would change nothing.
-    last_at = {levels[0]: 1}
+    # would change nothing.  A parent has a lower label than its children,
+    # which join it in increasing order, so each edge is (parent, child)
+    # and each neighbour list comes out sorted, parent first.
+    n = len(levels)
+    last_at = [0] * (n + 1)
+    last_at[levels[0]] = 1
+    adjacency: list = [[] for _ in range(n + 1)]
     edges = []
-    for pos in range(1, len(levels)):
-        level = levels[pos]
-        edges.append((last_at[level - 1], pos + 1))
-        last_at[level] = pos + 1
-    return _build(len(levels), edges)
+    for v in range(2, n + 1):
+        level = levels[v - 1]
+        u = last_at[level - 1]
+        edges.append((u, v))
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        last_at[level] = v
+    return Tree(n=n, edges=tuple(edges), adjacency=tuple(map(tuple, adjacency)))
 
 
 def _centroids(tree: Tree) -> tuple[int, ...]:
@@ -401,46 +410,70 @@ def tree_name(tree: Tree) -> str:
     return ""
 
 
-def _catalog_entry(levels: tuple[int, ...], tol: float) -> CatalogEntry:
-    # ``levels`` is a kept sequence of _free_levels: its tree's canonical form.
-    tree = _tree_from_levels(levels)
-    canonical = _levels_text(levels)
-    if tree.n == 1:
-        return CatalogEntry(
-            canonical=canonical,
-            n=1,
-            p=0,
-            extremal=False,
-            lambda_ratios=(),
-            m1_class="other",
-            m1_exact=0,  # L - I on one vertex is (-1)
-            name="P_1",
-            edges=(),
-        )
+# Kept sequences per certify_many call, at most, all of one order: one
+# LAPACK call per chunk, and chunks small enough to keep a pool busy.
+_CATALOG_CHUNK = 64
 
-    cert = certify(tree, tol)
-    report = cert.report
-    return CatalogEntry(
-        canonical=canonical,
-        n=tree.n,
-        p=report.p,
-        extremal=report.extremal,
-        lambda_ratios=tuple(str(prm.ratio) for prm in report.lambda_set),
-        m1_class=report.m1_class,
-        m1_exact=cert.m1_exact,
-        name=tree_name(tree),
-        edges=tree.edges,
-    )
+
+def _catalog_chunks(max_n: int):
+    # The kept sequences of orders 1..max_n in chunks of one order.
+    for n in range(1, max_n + 1):
+        sequences = _free_levels(n)
+        while chunk := list(islice(sequences, _CATALOG_CHUNK)):
+            yield chunk
+
+
+def _catalog_entries(chunk, tol: float) -> list[CatalogEntry]:
+    # ``chunk`` holds kept sequences of _free_levels of one order: each its
+    # tree's canonical form.
+    trees = [_tree_from_levels(levels) for levels in chunk]
+    if trees[0].n == 1:
+        return [
+            CatalogEntry(
+                canonical=_levels_text(levels),
+                n=1,
+                p=0,
+                extremal=False,
+                lambda_ratios=(),
+                m1_class="other",
+                m1_exact=0,  # L - I on one vertex is (-1)
+                name="P_1",
+                edges=(),
+            )
+            for levels in chunk
+        ]
+
+    entries = []
+    for levels, tree, cert in zip(chunk, trees, certify_many(trees, tol)):
+        report = cert.report
+        entries.append(
+            CatalogEntry(
+                canonical=_levels_text(levels),
+                n=tree.n,
+                p=report.p,
+                extremal=report.extremal,
+                lambda_ratios=tuple(str(prm.ratio) for prm in report.lambda_set),
+                m1_class=report.m1_class,
+                m1_exact=cert.m1_exact,
+                name=tree_name(tree),
+                edges=tree.edges,
+            )
+        )
+    return entries
 
 
 def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: float = 1e-12):
     """Catalog every tree of order <= max_n with cross-checked verdicts.
 
-    Each entry of order >= 2 passes :func:`certify`; any disagreement
-    raises OracleDisagreement carrying the offending edge list.  Entries are
-    sorted by (n, canonical form).  ``jobs > 1`` fans the per-tree work out
-    to worker processes, order preserved; the pool never has more workers
-    than the machine has CPUs.  A ``max_n`` or ``jobs`` below 1, a bool or
+    Each entry of order >= 2 passes the checks of :func:`certify`; any
+    disagreement raises OracleDisagreement carrying the offending edge
+    list.  The trees are certified by :func:`certify_many` in chunks of at
+    most ``_CATALOG_CHUNK`` trees of one order, every exact check of a
+    chunk before its one LAPACK call.  So with two faulty trees in one
+    chunk, the error raised may name the later one, when its fault is an
+    exact one.  Entries are sorted by (n, canonical form).  ``jobs > 1``
+    fans the chunks out to worker processes, order preserved; the pool
+    never has more workers than the machine has CPUs.  A ``max_n`` or ``jobs`` below 1, a bool or
     a non-integer raises ValueError, and a ``max_n`` above ``ORDER_CAP``
     CapExceeded.  A ``tol`` that is not finite and >= 0 raises ValueError
     too, even at ``max_n`` 1, where no tree reaches the float route.
@@ -453,8 +486,8 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if not 0 <= tol < np.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    sequences = (seq for n in range(1, max_n + 1) for seq in _free_levels(n))
-    entry_for = partial(_catalog_entry, tol=tol)
+    chunks = _catalog_chunks(max_n)
+    entries_for = partial(_catalog_entries, tol=tol)
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         # Imported here: multiprocessing adds about 2 MB to every process
@@ -462,10 +495,10 @@ def build_catalog(max_n: int, filter_name: str = "all", jobs: int = 1, tol: floa
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(entry_for, sequences, chunksize=16))
+            per_chunk = list(pool.map(entries_for, chunks))
     else:
-        entries = list(map(entry_for, sequences))
+        per_chunk = list(map(entries_for, chunks))
 
-    entries = list(filter(_KEEPS[filter_name], entries))
+    entries = [entry for entry in chain.from_iterable(per_chunk) if _KEEPS[filter_name](entry)]
     entries.sort(key=lambda e: (e.n, e.canonical))
     return entries

@@ -1,9 +1,14 @@
 """Route comparisons: where the combinatorial, exact and float routes must agree.
 
-:func:`certify` checks a tree's verdicts, :func:`certify_basis` an eigenbasis
-and :func:`verify_gamma_witness` an eigenvalue-1 witness; every disagreement
-is raised here, with its tree's edges.  The routes are called through their
-modules (``exact.char_poly``), where the benchmark's tracer wraps them.
+:func:`certify` checks a tree's verdicts, :func:`certify_many` those of
+many trees of one order, :func:`certify_basis` an eigenbasis and
+:func:`verify_gamma_witness` an eigenvalue-1 witness; every disagreement
+is raised here, with its tree's edges.  The float route and the basis
+checks read the float Laplacian, set in numpy straight from the tree's
+edges; the integer Laplacian of ``exact`` is built only for
+``exact.char_poly``, on trees with an extremal eigenvalue other than 1.
+The routes are called through their modules (``exact.char_poly``), where
+the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ __all__ = [
     "LambdaRow",
     "Certificate",
     "certify",
+    "certify_many",
     "verify_gamma_witness",
     "BasisCertificate",
     "certify_basis",
@@ -167,29 +173,27 @@ def _disagreement(tree: Tree, message: str) -> errors.OracleDisagreement:
     return errors.OracleDisagreement(message, edges=tree.edges)
 
 
-def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
-    """Run the oracle gauntlet on a tree with at least two vertices.
+def _float_laplacians(trees) -> np.ndarray:
+    # The (k, n, n) float Laplacians D - A of k trees of one order n, row
+    # i <-> label i+1, set straight from each tree's edges.
+    if not trees:
+        return np.zeros((0, 0, 0))
+    k, n = len(trees), trees[0].n
+    ends = np.array([tree.edges for tree in trees], dtype=np.intp).reshape(k, n - 1, 2) - 1
+    member = np.arange(k)[:, np.newaxis]
+    u, v = ends[..., 0], ends[..., 1]
+    lap = np.zeros((k, n, n))
+    lap[member, u, v] = lap[member, v, u] = -1.0
+    degrees = np.bincount((member * n + ends.reshape(k, -1)).ravel(), minlength=k * n)
+    diagonal = np.arange(n)
+    lap[:, diagonal, diagonal] = degrees.reshape(k, n)
+    return lap
 
-    A p-2 witness from :func:`in_gamma` must first pass
-    :func:`verify_gamma_witness`.  Then the combinatorial verdicts, the
-    exact route and the numeric clusters must agree on m(T,1), on the
-    extremal verdict and on the multiplicity p-1 of every extremal
-    eigenvalue.  The exact m(T,1) is the zero count of the elimination of
-    L - I along the tree (:func:`tree_inertia`), checked before any float
-    route runs against the combinatorial class and against Faria's bound
-    m(T,1) >= p - |S|, S the vertices next to a pendant (I. Faria, Linear
-    Algebra Appl. 64 (1985) 255-265), and is the multiplicity of the
-    extremal eigenvalue 1.  Any
-    other extremal multiplicity comes from dividing one characteristic
-    polynomial, built only when such an eigenvalue exists, of the one
-    Laplacian that LAPACK also reads, by the minimal polynomial, once for
-    all its conjugates.  Two more checks follow: the elimination's count
-    of eigenvalues below 1 must equal the number of float eigenvalues
-    below 1 - tau, and on a non-path the clusters of size p-1 must be as
-    many as the extremal eigenvalues.  Any disagreement raises
-    OracleDisagreement naming the quantity, each route's value and the
-    tree's edges.
-    """
+
+def _exact_half(tree: Tree) -> tuple[classify.ClassificationReport, int, int]:
+    # Every check of certify that reads no float spectrum, in its order:
+    # the witness, the class and Faria's bound against the exact m(T,1).
+    # Returns the report and the elimination's (below, zero) counts at 1.
     report = classify.classify_m1(tree)
     if report.gamma_witness is not None:
         problem = verify_gamma_witness(tree, report.gamma_witness)
@@ -217,9 +221,19 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
             f"exact nullity {m1_exact} is below Faria's bound p - |S| = {p - quasi} "
             f"({quasi} quasi-pendant vertices)",
         )
+    return report, m1_below, m1_exact
 
-    lap = exact.laplacian(tree)
-    spectrum = numeric.eigen_symmetric(lap, tol=tol)
+
+def _float_half(
+    tree: Tree,
+    report: classify.ClassificationReport,
+    m1_below: int,
+    m1_exact: int,
+    spectrum: numeric.Spectrum,
+) -> Certificate:
+    # Every check of certify that reads the float spectrum, in its order,
+    # with the extremal rows' exact counts among them.
+    p = report.p
     big_reps = [rep for rep, mult in spectrum.clusters if mult == p - 1]
     if report.extremal != bool(big_reps):
         raise _disagreement(
@@ -238,7 +252,7 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
         s = param.ratio.denominator
         if s not in counts:
             if phi is None:
-                phi = exact.char_poly(lap)
+                phi = exact.char_poly(exact.laplacian(tree))
             counts[s] = exact.root_multiplicity(phi, mu)
         m_exact = counts[s]
         m_numeric = numeric.cluster_multiplicity(spectrum, param.value)
@@ -277,6 +291,55 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     )
 
 
+def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
+    """Run the oracle gauntlet on a tree with at least two vertices.
+
+    Every exact check runs before the float route.  A p-2 witness from
+    :func:`in_gamma` must first pass :func:`verify_gamma_witness`.  Then
+    the combinatorial verdicts, the exact route and the numeric clusters
+    must agree on m(T,1), on the extremal verdict and on the multiplicity
+    p-1 of every extremal eigenvalue.  The exact m(T,1) is the zero count
+    of the elimination of L - I along the tree (:func:`tree_inertia`),
+    checked against the combinatorial class and against Faria's bound
+    m(T,1) >= p - |S|, S the vertices next to a pendant (I. Faria, Linear
+    Algebra Appl. 64 (1985) 255-265), and is the multiplicity of the
+    extremal eigenvalue 1.  Only then does LAPACK read the float Laplacian,
+    set from the tree's edges.  Any other extremal multiplicity comes from
+    dividing one characteristic polynomial of the integer Laplacian, both
+    built only when such an eigenvalue exists, by the minimal polynomial,
+    once for all its conjugates.  Two more checks follow: the
+    elimination's count of eigenvalues below 1 must equal the number of
+    float eigenvalues below 1 - tau, and on a non-path the clusters of size
+    p-1 must be as many as the extremal eigenvalues.  Any disagreement
+    raises OracleDisagreement naming the quantity, each route's value and
+    the tree's edges.
+    """
+    half = _exact_half(tree)
+    spectrum = numeric.eigen_symmetric(_float_laplacians([tree])[0], tol=tol)
+    return _float_half(tree, *half, spectrum)
+
+
+def certify_many(trees, tol: float = 1e-12) -> list[Certificate]:
+    """:func:`certify` on trees of one order, with one LAPACK call for all.
+
+    Equals ``[certify(t, tol) for t in trees]`` when every tree passes.
+    The exact checks run on every tree first, then LAPACK reads the stack
+    of their float Laplacians once, then each tree's float checks run in
+    turn.  So the disagreement raised names the first tree with an exact
+    fault, if any tree has one, else the first with a float fault.  Trees
+    of different orders raise ValueError.
+    """
+    trees = list(trees)
+    orders = sorted({tree.n for tree in trees})
+    if len(orders) > 1:
+        raise ValueError(f"certify_many takes trees of one order, got orders {orders}")
+    halves = [_exact_half(tree) for tree in trees]
+    spectra = numeric.eigen_symmetric(_float_laplacians(trees), tol=tol)
+    return [
+        _float_half(tree, *half, spectrum) for tree, half, spectrum in zip(trees, halves, spectra)
+    ]
+
+
 # Largest residual (relative to the vector's max-norm) an eigenbasis may
 # show and still be reported; the bound acceptance criterion 4 checks.
 _RESIDUAL_MAX = 1e-10
@@ -308,7 +371,7 @@ def certify_basis(tree: Tree, q: int, b: int = 0) -> BasisCertificate:
     either failure raises OracleDisagreement with the tree's edges.
     """
     param, vectors, records, steps = construct.eigenbasis_extremal(tree, q, b)
-    lap = np.array(exact.laplacian(tree), dtype=float)
+    lap = _float_laplacians([tree])[0]
     residuals = tuple(numeric.residual_norm(lap, param.value, x) for x in vectors)
     rank = numeric.numeric_rank(vectors)
     if rank != len(vectors):

@@ -1,11 +1,13 @@
 """Floating-point spectral routines, independent of exact arithmetic.
 
 Eigenvalues come from LAPACK's symmetric eigensolver and ranks from its
-singular value decomposition, both reached through numpy.  Every function
-here takes a matrix or vectors, never a tree: ``gauntlet`` builds the one
-Laplacian that both the exact and the float route read, and compares the
-two routes there and in the test suite.  Vectors are indexed by
-``label - 1`` throughout.
+singular value decomposition, both reached through numpy.
+:func:`eigen_symmetric` takes one matrix or a ``(k, n, n)`` stack of them,
+which it hands to LAPACK in a single call, each member's spectrum equal
+to the one it gives alone.  Every function here takes matrices or
+vectors, never a tree: ``gauntlet`` sets the float Laplacians from the
+trees' edges and compares this route with the exact one there and in the
+test suite.  Vectors are indexed by ``label - 1`` throughout.
 """
 
 from __future__ import annotations
@@ -39,34 +41,48 @@ class Spectrum:
     tau: float
 
 
-def eigen_symmetric(matrix, tol: float = 1e-12) -> Spectrum:
-    """Eigenvalues of a symmetric matrix from LAPACK (``numpy.linalg.eigvalsh``).
+def eigen_symmetric(matrix, tol: float = 1e-12):
+    """Eigenvalues of symmetric matrices from LAPACK (``numpy.linalg.eigvalsh``).
 
-    The clustering tolerance is ``tau = max(1e-8, 1e3 * tol * ||M||)``,
-    with ``||M||`` the Frobenius norm of the input.  Raises NonSymmetric
-    unless the input is a finite, square, symmetric matrix, and ValueError
+    An ``(n, n)`` matrix gives its :class:`Spectrum`; a ``(k, n, n)`` stack
+    gives a tuple of k spectra, one per member, from a single LAPACK call,
+    each equal to the one its member gives alone.  Each member's clustering
+    tolerance is ``tau = max(1e-8, 1e3 * tol * ||M||)``, with ``||M||`` that
+    member's Frobenius norm.  Raises NonSymmetric unless the input is a
+    finite, square, symmetric matrix or a stack of them, and ValueError
     unless ``tol`` is finite and >= 0.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonSymmetric("matrix has non-finite entries")
-    if not np.array_equal(a, a.T):
-        raise NonSymmetric("matrix is not symmetric")
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim == 3:
+        if a.shape[1] != a.shape[2]:
+            raise NonSymmetric(f"expected a stack of square matrices, got shape {a.shape}")
+        for problem, bad in (
+            ("has non-finite entries", ~np.isfinite(a).all(axis=(1, 2))),
+            ("is not symmetric", (a != a.transpose(0, 2, 1)).any(axis=(1, 2))),
+        ):
+            if bad.any():
+                raise NonSymmetric(f"matrix {int(np.argmax(bad))} of the stack {problem}")
+    else:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise NonSymmetric("matrix has non-finite entries")
+        if not np.array_equal(a, a.T):
+            raise NonSymmetric("matrix is not symmetric")
     if not 0 <= tol < np.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    norm = float(np.linalg.norm(a))
-    tau = max(1e-8, 1e3 * tol * norm)
-    values = np.linalg.eigvalsh(a).tolist()
-    return Spectrum(
-        eigenvalues=tuple(values),
-        clusters=_cluster(values, tau),
-        tau=tau,
+    stack = a if a.ndim == 3 else a[np.newaxis]
+    spectra = tuple(
+        _spectrum(row, max(1e-8, 1e3 * tol * float(np.linalg.norm(member))))
+        for member, row in zip(stack, np.linalg.eigvalsh(stack))
     )
+    return spectra if a.ndim == 3 else spectra[0]
 
 
-def _cluster(values: list[float], tau: float) -> tuple[tuple[float, int], ...]:
+def _spectrum(row: np.ndarray, tau: float) -> Spectrum:
+    # One eigvalsh row, sorted, clustered at tau; each mean reads the row
+    # itself, the same contiguous float64 a list of its values would give.
+    values = row.tolist()
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):
@@ -75,9 +91,9 @@ def _cluster(values: list[float], tau: float) -> tuple[tuple[float, int], ...]:
                 # np.mean of one float is that float.
                 clusters.append((values[start], 1))
             else:
-                clusters.append((float(np.mean(values[start:i])), i - start))
+                clusters.append((float(np.mean(row[start:i])), i - start))
             start = i
-    return tuple(clusters)
+    return Spectrum(eigenvalues=tuple(values), clusters=tuple(clusters), tau=tau)
 
 
 def cluster_multiplicity(spectrum: Spectrum, value: float) -> int:

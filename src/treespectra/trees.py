@@ -4,7 +4,9 @@ A :class:`Tree` lives on the contiguous label set ``1..n``.  Input from
 outside goes through :func:`from_edge_list`, which relabels arbitrary
 positive integer labels by first appearance and rejects anything that is
 not a tree; the package's own generators, whose edges are a tree on
-``1..n`` by construction, use the internal ``_build``.  Nothing here
+``1..n`` by construction, use the internal ``_build`` (the catalog's level
+sequences give sorted neighbours and edges as they are read, so
+``census`` constructs its trees directly).  Nothing here
 mutates a tree.  Every integer argument of the package, a label, an order
 or an eigenvalue's ``q`` and ``b``, is read by one rule, ``_integer``.
 

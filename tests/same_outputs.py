@@ -22,11 +22,12 @@ tree's, on the same inputs:
   ``eigenbasis --text --out`` with the CSV each ``--out`` writes; plus one
   ``eigenbasis`` that fails, at one past the largest admissible q (q = 1
   when there is none);
-- ``enumerate --max-n 12`` (CSV on stdout), and ``enumerate --max-n 9``
+- ``enumerate --max-n 12`` (CSV on stdout), ``enumerate --max-n 10
+  --jobs 2`` (CSV, through the worker pool), and ``enumerate --max-n 9``
   as ``--format json`` (timing masked), as ``--format dot`` and with
   ``--filter unit_p2``.
 
-Every output is compared with its exit code and stderr: 2 737 outputs, in
+Every output is compared with its exit code and stderr: 2 738 outputs, in
 13 to 16 s on 2 shared CPUs.  Prints the first difference, or the count
 of identical outputs; exits 0 when all agree, 1 otherwise and 2 when REV
 cannot be read.  Not collected by pytest (no ``test_`` prefix).
@@ -164,6 +165,7 @@ def _worker(src: str, inputs_file: str, result_file: str) -> None:
             ["eigenbasis", path, "--q", str(q)]
         )
     results["enumerate --max-n 12"] = run(["enumerate", "--max-n", "12"])
+    results["enumerate --max-n 10 --jobs 2"] = run(["enumerate", "--max-n", "10", "--jobs", "2"])
     for extra in (["--format", "json"], ["--format", "dot"], ["--filter", "unit_p2"]):
         argv = ["enumerate", "--max-n", "9", *extra]
         results[" ".join(argv)] = run(argv)

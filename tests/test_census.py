@@ -37,6 +37,7 @@ from treespectra import (
     tree_name,
 )
 from treespectra.cli import main
+from treespectra.trees import _build
 from treespectra.errors import CapExceeded, OracleDisagreement
 
 # one isomorphism class per row; the classic census of free trees
@@ -329,6 +330,21 @@ class TestFreeTrees:
         for n in range(1, 13):
             assert sum(1 for _ in free_trees(n)) == built[n]
         assert sum(built.values()) == 987
+
+    def test_trees_from_levels_equal_the_generic_build(self):
+        # built in one pass, with no sort and no min/max per edge
+        kept = [seq for n in range(1, 15) for seq in census._free_levels(n)]
+        assert len(kept) == 5447
+        for levels in kept:
+            ours = census._tree_from_levels(levels)
+            last_at = {levels[0]: 1}
+            edges = []
+            for pos in range(1, len(levels)):
+                edges.append((last_at[levels[pos] - 1], pos + 1))
+                last_at[levels[pos]] = pos + 1
+            theirs = _build(len(levels), edges)
+            fields = ("n", "edges", "adjacency", "pendants", "majors")
+            assert [getattr(ours, f) for f in fields] == [getattr(theirs, f) for f in fields]
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -803,9 +819,18 @@ class TestCertify:
         assert calls["bfs"] == 1
 
     def test_laplacian_built_once_per_certify(self, monkeypatch):
-        # the float spectrum and the characteristic polynomial read one
-        # matrix, and the exact m(T,1) reads the tree itself; every module
-        # that could build another matrix is watched
+        # LAPACK reads one float Laplacian per certify, set from the edges;
+        # the integer Laplacian is built only for the characteristic
+        # polynomial, and the exact m(T,1) reads the tree itself.  Every
+        # module that could build another matrix is watched
+        float_orders = []
+        real_float = gauntlet._float_laplacians
+
+        def counting_float(trees):
+            float_orders.append([tree.n for tree in trees])
+            return real_float(trees)
+
+        monkeypatch.setattr(gauntlet, "_float_laplacians", counting_float)
         orders = []
         real = exact.laplacian
 
@@ -816,9 +841,23 @@ class TestCertify:
         for module in (census, classify, construct, exact, numeric):
             if hasattr(module, "laplacian"):
                 monkeypatch.setattr(module, "laplacian", counting)
-        certify(spider(3, 3, 3))  # extremal, so char_poly runs too
+        certify(spider(3, 3, 3))  # modulus 7, so char_poly runs too
+        assert (float_orders, orders) == ([[10]], [10])
         certify(spider(1, 1, 2))  # m(T,1) = p-2 through in_gamma
-        assert orders == [10, 5]
+        assert (float_orders, orders) == ([[10], [5]], [10])
+
+        # the catalog makes one LAPACK call per order 2..8: each order has
+        # at most 23 trees, one chunk
+        calls = []
+        real_eigen = numeric.eigen_symmetric
+
+        def counting_eigen(*args, **kwargs):
+            calls.append(1)
+            return real_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(numeric, "eigen_symmetric", counting_eigen)
+        build_catalog(8)
+        assert len(calls) == 7
 
     @pytest.mark.parametrize(
         "legs, nullity, message",
@@ -925,6 +964,55 @@ class TestCertify:
         cert = certify(from_edge_list(edges))
         assert cert.report.m1_class == "other"
         assert cert.m1_exact == cert.m1_numeric == 9
+
+
+class TestCertifyMany:
+    def test_float_laplacians_match_the_integer_laplacian(self):
+        for n in range(2, 13):
+            trees = list(free_trees(n))
+            stack = gauntlet._float_laplacians(trees)
+            assert stack.shape == (len(trees), n, n)
+            for tree, lap in zip(trees, stack):
+                assert np.array_equal(lap, np.array(exact.laplacian(tree), dtype=float))
+
+    @settings(SETTINGS, max_examples=100)
+    @given(random_trees(min_n=2, max_n=60))
+    def test_float_laplacian_of_prufer_trees(self, tree):
+        (lap,) = gauntlet._float_laplacians([tree])
+        assert lap.dtype == np.float64
+        assert np.array_equal(lap, np.array(exact.laplacian(tree), dtype=float))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_certify_one_at_a_time(self, n):
+        trees = list(free_trees(n))
+        assert gauntlet.certify_many(trees) == [certify(tree) for tree in trees]
+
+    def test_no_trees(self):
+        assert gauntlet.certify_many([]) == []
+
+    def test_one_order_only(self):
+        with pytest.raises(ValueError, match=r"one order, got orders \[5, 6\]"):
+            gauntlet.certify_many([spider(1, 1, 2), spider(1, 1, 3)])
+
+    def test_exact_checks_of_the_chunk_run_before_lapack(self, monkeypatch):
+        # spider(1,2,2) is 'other' with m(T,1) = 0; a nullity of 1 there is
+        # named before the stack reaches LAPACK, though spider(1,1,3) comes
+        # first and passes
+        first, second = spider(1, 1, 3), spider(1, 2, 2)
+        real = exact.tree_inertia
+
+        def spoiled(tree, lam):
+            return (0, 1) if tree is second else real(tree, lam)
+
+        def no_float_route(*args, **kwargs):
+            raise AssertionError("float route ran before the exact check")
+
+        monkeypatch.setattr(exact, "tree_inertia", spoiled)
+        monkeypatch.setattr(numeric, "eigen_symmetric", no_float_route)
+        with pytest.raises(OracleDisagreement) as info:
+            gauntlet.certify_many([first, second])
+        assert str(info.value) == "exact nullity 1 hits p-1 or p-2 but no family matched"
+        assert info.value.edges == second.edges
 
 
 # spider(1, 1, 2) with, at the major 1, a Q group of a fork (6..10) and the

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from shapes import path, star
+from test_float_route import SETTINGS
 
 from treespectra import (
+    census,
     cluster_multiplicity,
     eigen_symmetric,
     free_trees,
@@ -13,6 +18,7 @@ from treespectra import (
     residual_norm,
 )
 from treespectra.errors import EmptyInput, NonFinite, NonSymmetric, ZeroVector
+from treespectra.gauntlet import _float_laplacians
 
 
 class TestEigenSymmetric:
@@ -59,6 +65,73 @@ class TestEigenSymmetric:
         spec = eigen_symmetric(laplacian(path(n)))
         expected = sorted(2 * (1 - math.cos(math.pi * j / n)) for j in range(n))
         assert np.allclose(spec.eigenvalues, expected, atol=1e-9)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    # (k, n, n) stacks of symmetric float matrices; small integer entries
+    # repeat eigenvalues, so clusters of more than one value show up too
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entries = st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100))
+    a = draw(arrays(np.float64, (k, n, n), elements=entries))
+    return a + a.transpose(0, 2, 1)
+
+
+class TestEigenSymmetricStack:
+    def test_catalog_chunks_match_one_matrix_calls(self):
+        # every tree of order 2 to 12, in the chunks build_catalog certifies
+        chunks = [chunk for chunk in census._catalog_chunks(12) if len(chunk[0]) > 1]
+        assert sum(map(len, chunks)) == 986
+        for chunk in chunks:
+            trees = [census._tree_from_levels(levels) for levels in chunk]
+            stack = _float_laplacians(trees)
+            spectra = eigen_symmetric(stack)
+            assert spectra == tuple(map(eigen_symmetric, stack))
+            for tree, spectrum in zip(trees, spectra):
+                alone = np.linalg.eigvalsh(np.array(laplacian(tree), dtype=float))
+                assert spectrum.eigenvalues == tuple(alone.tolist())
+
+    @settings(SETTINGS)
+    @given(symmetric_stacks(), st.sampled_from([0.0, 1e-12, 1e-6]))
+    def test_random_stacks_match_one_matrix_calls(self, stack, tol):
+        # == on eigenvalues, clusters and tau, bit for bit
+        spectra = eigen_symmetric(stack, tol=tol)
+        assert spectra == tuple(eigen_symmetric(member, tol=tol) for member in stack)
+
+    def test_empty_stack(self):
+        assert eigen_symmetric(np.zeros((0, 4, 4))) == ()
+
+    @pytest.mark.parametrize(
+        "stack, message",
+        [
+            (np.array([np.eye(2), [[0, 1], [2, 0]]]), "matrix 1 of the stack is not symmetric"),
+            (
+                np.array([np.eye(2), np.eye(2), [[0, math.nan], [math.nan, 0]]]),
+                "matrix 2 of the stack has non-finite entries",
+            ),
+            (np.zeros((2, 2, 3)), "expected a stack of square matrices, got shape (2, 2, 3)"),
+            (np.zeros((1, 2, 2, 2)), "expected a square matrix, got shape (1, 2, 2, 2)"),
+        ],
+        ids=["asymmetric_member", "nan_member", "not_square", "four_dimensional"],
+    )
+    def test_rejects_bad_stacks(self, stack, message):
+        with pytest.raises(NonSymmetric) as info:
+            eigen_symmetric(stack)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (((0, 1, 0),), "expected a square matrix, got shape (1, 3)"),
+            ((0, 1), "expected a square matrix, got shape (2,)"),
+            (((math.inf, 0.0), (0.0, 1.0)), "matrix has non-finite entries"),
+            (((0, 1), (2, 0)), "matrix is not symmetric"),
+        ],
+    )
+    def test_one_matrix_messages(self, matrix, message):
+        with pytest.raises(NonSymmetric) as info:
+            eigen_symmetric(matrix)
+        assert str(info.value) == message
 
 
 class TestClusters:
