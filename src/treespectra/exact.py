@@ -34,7 +34,6 @@ __all__ = [
     "minimal_poly_lambda",
     "root_multiplicity",
     "multiplicity_exact",
-    "poly_mul",
     "poly_divmod",
 ]
 
@@ -101,18 +100,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    a, b = p.coeffs, q.coeffs
-    if not a or not b:
-        return IntPolynomial(())
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return IntPolynomial(tuple(out))
 
 
 def poly_divmod(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:

@@ -1,8 +1,9 @@
 """Route comparisons: where the combinatorial, exact and float routes must agree.
 
-:func:`certify` checks a tree's verdicts, :func:`certify_many` those of
-many trees of one order, :func:`certify_basis` an eigenbasis and
-:func:`verify_gamma_witness` an eigenvalue-1 witness; every disagreement
+:func:`certify_many` checks the verdicts of trees of one order by the
+pipeline :func:`certify` describes, and :func:`certify` runs one tree as
+a batch of one; :func:`certify_basis` checks an eigenbasis and
+:func:`verify_gamma_witness` an eigenvalue-1 witness.  Every disagreement
 is raised here, with its tree's edges.  The float route and the basis
 checks read the float Laplacian, set in numpy straight from the tree's
 edges; the integer Laplacian of ``exact`` is built only for
@@ -312,18 +313,18 @@ def certify(tree: Tree, tol: float = 1e-12) -> Certificate:
     float eigenvalues below 1 - tau, and on a non-path the clusters of size
     p-1 must be as many as the extremal eigenvalues.  Any disagreement
     raises OracleDisagreement naming the quantity, each route's value and
-    the tree's edges.
+    the tree's edges.  The tree runs as a batch of one in
+    :func:`certify_many`, so LAPACK reads a stack of one Laplacian.
     """
-    half = _exact_half(tree)
-    spectrum = numeric.eigen_symmetric(_float_laplacians([tree])[0], tol=tol)
-    return _float_half(tree, *half, spectrum)
+    return certify_many([tree], tol)[0]
 
 
 def certify_many(trees, tol: float = 1e-12) -> list[Certificate]:
     """:func:`certify` on trees of one order, with one LAPACK call for all.
 
-    Equals ``[certify(t, tol) for t in trees]`` when every tree passes.
-    The exact checks run on every tree first, then LAPACK reads the stack
+    Each tree runs the checks :func:`certify` describes, so this equals
+    ``[certify(t, tol) for t in trees]`` when every tree passes.  The
+    exact checks run on every tree first, then LAPACK reads the stack
     of their float Laplacians once, then each tree's float checks run in
     turn.  So the disagreement raised names the first tree with an exact
     fault, if any tree has one, else the first with a float fault.  Trees

@@ -2,9 +2,9 @@
 
 Eigenvalues come from LAPACK's symmetric eigensolver and ranks from its
 singular value decomposition, both reached through numpy.
-:func:`eigen_symmetric` takes one matrix or a ``(k, n, n)`` stack of them,
-which it hands to LAPACK in a single call, each member's spectrum equal
-to the one it gives alone.  Every function here takes matrices or
+:func:`eigen_symmetric` hands a ``(k, n, n)`` stack of matrices to LAPACK
+in a single call, each member's spectrum equal to the one it gives alone;
+one matrix runs as a stack of one.  Every function here takes matrices or
 vectors, never a tree: ``gauntlet`` sets the float Laplacians from the
 trees' edges and compares this route with the exact one there and in the
 test suite.  Vectors are indexed by ``label - 1`` throughout.
@@ -44,39 +44,34 @@ class Spectrum:
 def eigen_symmetric(matrix, tol: float = 1e-12):
     """Eigenvalues of symmetric matrices from LAPACK (``numpy.linalg.eigvalsh``).
 
-    An ``(n, n)`` matrix gives its :class:`Spectrum`; a ``(k, n, n)`` stack
-    gives a tuple of k spectra, one per member, from a single LAPACK call,
-    each equal to the one its member gives alone.  Each member's clustering
-    tolerance is ``tau = max(1e-8, 1e3 * tol * ||M||)``, with ``||M||`` that
-    member's Frobenius norm.  Raises NonSymmetric unless the input is a
-    finite, square, symmetric matrix or a stack of them, and ValueError
-    unless ``tol`` is finite and >= 0.
+    A ``(k, n, n)`` stack gives a tuple of k spectra, one per member, from
+    a single LAPACK call, each equal to the one its member gives alone; an
+    ``(n, n)`` matrix runs as a stack of one and gives its :class:`Spectrum`.
+    Each member's clustering tolerance is ``tau = max(1e-8, 1e3 * tol *
+    ||M||)``, with ``||M||`` that member's Frobenius norm.  Raises
+    NonSymmetric unless the input is a finite, square, symmetric matrix or
+    a stack of them, and ValueError unless ``tol`` is finite and >= 0.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim == 3:
-        if a.shape[1] != a.shape[2]:
-            raise NonSymmetric(f"expected a stack of square matrices, got shape {a.shape}")
-        for problem, bad in (
-            ("has non-finite entries", ~np.isfinite(a).all(axis=(1, 2))),
-            ("is not symmetric", (a != a.transpose(0, 2, 1)).any(axis=(1, 2))),
-        ):
-            if bad.any():
-                raise NonSymmetric(f"matrix {int(np.argmax(bad))} of the stack {problem}")
-    else:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NonSymmetric(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise NonSymmetric("matrix has non-finite entries")
-        if not np.array_equal(a, a.T):
-            raise NonSymmetric("matrix is not symmetric")
+    one = a.ndim == 2  # a matrix runs as a stack of one
+    stack = a[np.newaxis] if one else a
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        kind = "a stack of square matrices" if a.ndim == 3 else "a square matrix"
+        raise NonSymmetric(f"expected {kind}, got shape {a.shape}")
+    for problem, bad in (
+        ("has non-finite entries", ~np.isfinite(stack).all(axis=(1, 2))),
+        ("is not symmetric", (stack != stack.transpose(0, 2, 1)).any(axis=(1, 2))),
+    ):
+        if bad.any():
+            member = "" if one else f" {int(np.argmax(bad))} of the stack"
+            raise NonSymmetric(f"matrix{member} {problem}")
     if not 0 <= tol < np.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    stack = a if a.ndim == 3 else a[np.newaxis]
     spectra = tuple(
         _spectrum(row, max(1e-8, 1e3 * tol * float(np.linalg.norm(member))))
         for member, row in zip(stack, np.linalg.eigvalsh(stack))
     )
-    return spectra if a.ndim == 3 else spectra[0]
+    return spectra[0] if one else spectra
 
 
 def _spectrum(row: np.ndarray, tau: float) -> Spectrum:

@@ -819,10 +819,11 @@ class TestCertify:
         assert calls["bfs"] == 1
 
     def test_laplacian_built_once_per_certify(self, monkeypatch):
-        # LAPACK reads one float Laplacian per certify, set from the edges;
-        # the integer Laplacian is built only for the characteristic
-        # polynomial, and the exact m(T,1) reads the tree itself.  Every
-        # module that could build another matrix is watched
+        # LAPACK reads one float Laplacian per certify, set from the edges,
+        # as a (1, n, n) stack: certify is a batch of one; the integer
+        # Laplacian is built only for the characteristic polynomial, and the
+        # exact m(T,1) reads the tree itself.  Every module that could build
+        # another matrix is watched
         float_orders = []
         real_float = gauntlet._float_laplacians
 
@@ -831,6 +832,14 @@ class TestCertify:
             return real_float(trees)
 
         monkeypatch.setattr(gauntlet, "_float_laplacians", counting_float)
+        shapes = []
+        real_eigen = numeric.eigen_symmetric
+
+        def shape_of(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return real_eigen(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(numeric, "eigen_symmetric", shape_of)
         orders = []
         real = exact.laplacian
 
@@ -845,19 +854,13 @@ class TestCertify:
         assert (float_orders, orders) == ([[10]], [10])
         certify(spider(1, 1, 2))  # m(T,1) = p-2 through in_gamma
         assert (float_orders, orders) == ([[10], [5]], [10])
+        assert shapes == [(1, 10, 10), (1, 5, 5)]
 
         # the catalog makes one LAPACK call per order 2..8: each order has
         # at most 23 trees, one chunk
-        calls = []
-        real_eigen = numeric.eigen_symmetric
-
-        def counting_eigen(*args, **kwargs):
-            calls.append(1)
-            return real_eigen(*args, **kwargs)
-
-        monkeypatch.setattr(numeric, "eigen_symmetric", counting_eigen)
+        shapes.clear()
         build_catalog(8)
-        assert len(calls) == 7
+        assert len(shapes) == 7
 
     @pytest.mark.parametrize(
         "legs, nullity, message",
@@ -925,10 +928,13 @@ class TestCertify:
         ids=["inertia_below_one", "extra_p_minus_1_cluster"],
     )
     def test_spoiled_spectrum_is_3(self, monkeypatch, tmp_path, capsys, legs, spoil, message):
-        # each spoiled spectrum passes every check before the one it targets
+        # each spoiled spectrum passes every check before the one it targets;
+        # certify hands LAPACK a stack of one, so the spoil maps over it
         real = numeric.eigen_symmetric
         monkeypatch.setattr(
-            numeric, "eigen_symmetric", lambda *args, **kwargs: spoil(real(*args, **kwargs))
+            numeric,
+            "eigen_symmetric",
+            lambda *args, **kwargs: tuple(map(spoil, real(*args, **kwargs))),
         )
         tree = spider(*legs)
         with pytest.raises(OracleDisagreement) as info:

@@ -64,21 +64,34 @@ def extremal_trees(draw, max_n=EXTREMAL_MAX_N, max_q=4, max_majors=3, max_legs=3
 
     Up to max_majors majors carry up to max_legs legs each, q <= max_q.
     Legs have length q or 3q+1 and inter-major paths length m or 2m.  The
-    smallest tree for the drawn shape is laid out first; each optional
-    extension (a longer leg or path, one more leg) is drawn only while the
-    order stays within the cap, which must fit the smallest shape.
+    shape is sized to the cap: q and the majors count are drawn only where
+    the smallest tree of every layout of the majors fits max_n, which must
+    hold the 3-leg spider of q = 1.  That smallest tree is laid out first;
+    each optional extension (a longer leg or path, one more leg) is drawn
+    only while the order stays within the cap.
     """
-    q = draw(st.integers(1, max_q))
+
+    def smallest_order(links, q):
+        # majors, their linking paths of m - 1 inner vertices, and enough
+        # legs of q vertices that every major keeps degree >= 3
+        legs = sum(max(1, 3 - k) for k in links)
+        return len(links) + (len(links) - 1) * 2 * q + q * legs
+
+    def fits(majors, q):
+        # a star of majors has the most leaves, so the most legs
+        return smallest_order([majors - 1] + [1] * (majors - 1), q) <= max_n
+
+    q = draw(st.integers(1, max(c for c in range(1, max_q + 1) if fits(1, c))))
     m = 2 * q + 1
-    majors = draw(st.integers(1, max_majors))
+    majors = draw(st.integers(1, max(k for k in range(1, max_majors + 1) if fits(k, q))))
     # major i > 0 hangs off an earlier major
     parents = [draw(st.integers(0, i - 1)) for i in range(1, majors)]
     links = [0] * majors
     for i, parent in enumerate(parents, start=1):
         links[i] += 1
         links[parent] += 1
-    min_legs = [max(1, 3 - k) for k in links]  # every major keeps degree >= 3
-    slack = max_n - (majors + (majors - 1) * (m - 1) + q * sum(min_legs))
+    min_legs = [max(1, 3 - k) for k in links]
+    slack = max_n - smallest_order(links, q)
 
     def extend(cost):
         nonlocal slack
@@ -136,6 +149,16 @@ def test_cluster_representatives_equal_block_means_to_order_12():
 @given(random_trees())
 def test_cluster_representatives_equal_block_means_on_random_trees(tree):
     assert_clusters_are_block_means(tree)
+
+
+@SETTINGS
+@given(extremal_trees(max_n=90, max_q=7, max_majors=6))
+def test_extremal_trees_fit_a_tight_cap(case):
+    # six majors at q = 7 need at least 6 + 5*14 + 7*8 = 132 vertices, so
+    # the shape must be sized to the cap rather than run out of labels
+    q, tree = case
+    assert tree.n <= 90
+    assert admissible_q(tree).g % (2 * q + 1) == 0
 
 
 @SETTINGS

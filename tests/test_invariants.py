@@ -19,7 +19,9 @@ decide whether an argument is an integer, and every entry point with an
 integer argument reads numpy integers as ints and refuses non-integers.
 Every function the benchmark's tracer wraps must exist, and
 ``census.free_trees``, which it times per item, must stay a generator
-function; the demos and the README quickstart must run.
+function; the demos and the README quickstart must run.  Each mutant of
+``tests/mutants.py`` must still apply: its old text once in its file, its
+tests still defined.
 """
 
 import ast
@@ -35,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mutants import MUTANTS
 from shapes import spider
 
 import treespectra
@@ -736,7 +739,6 @@ KEPT = {
     "prufer_count_oracle": TRACED,
     "extremal_lambda_set": "it gives the lambda set without running in_gamma",
     "single_vertex": "it is the only constructor of the order-1 tree",
-    "poly_mul": "the planned elimination in Q(lambda) multiplies polynomials with it",
 }
 
 
@@ -788,6 +790,19 @@ def test_uncalled_public_function_is_reported(tmp_path):
     assert _uncalled(public, [tmp_path / "a.py"]) == ["lonely", "recursive"]
     (tmp_path / "b.py").write_text("from .a import lonely\n")
     assert _uncalled(public, sorted(tmp_path.glob("*.py"))) == ["recursive"]
+
+
+def test_each_mutant_still_applies():
+    # tests/mutants.py replaces each old text in a copy of src/ and runs the
+    # named tests; a text that is no longer there exactly once, or a test
+    # that is gone, would retire its mutant unnoticed
+    for mutant in MUTANTS:
+        assert (PACKAGE / mutant.file).read_text().count(mutant.old) == 1, mutant.name
+        for test in mutant.tests:
+            path, *names = test.split("::")
+            source = (REPO / path).read_text()
+            for name in names:
+                assert re.search(rf"^\s*(def|class) {name}\b", source, re.M), test
 
 
 def _readme_python_block():
